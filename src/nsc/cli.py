@@ -197,7 +197,7 @@ def main(argv=None) -> int:
         if args.command == "zoo":
             return _cmd_zoo(args)
         return EXIT_USAGE
-    except (ValidationError, CohomologyError, TruncationError, FileNotFoundError) as exc:
+    except (ValidationError, CohomologyError, TruncationError, OSError, ValueError) as exc:
         _print_result("error", None, [str(exc)])
         return EXIT_USAGE
     except (VerificationError, InternalInconsistencyError) as exc:

@@ -6,6 +6,19 @@ A series stores exact coefficients on an explicit window [low, cut): below
 window).  Every operation produces the tightest sound truncation of its
 operands; reading a coefficient beyond the window raises, it is never
 fabricated.
+
+Composition has two closed forms that need no series product:
+
+* a negative power p^n = lead^n u^(nv) (1+h)^n is one pass of J.C.P.
+  Miller's power recurrence, on the window [nv, min(cut, p.cut + (n-1)v));
+* a substitution through an exact two-term change t = u + eps*u^r expands
+  u^e -> sum_i C(e,i) eps^i u^(e + i(r-1)) with the generalized binomial
+  C(e,i), which covers e < 0 too, on the window below min(cut, s.cut).
+
+On every non-empty window both agree, window and coefficients, with the
+product route (one inverse and |n|-1 products; one product per exponent of
+s).  A negative power asked for below its valuation returns the empty window
+[nv, nv).
 """
 
 from __future__ import annotations
@@ -186,36 +199,20 @@ class LaurentSeries:
 
     def inverse(self, cut: int | None = None) -> "LaurentSeries":
         """Multiplicative inverse; the lowest coefficient must be a unit."""
-        v = self.valuation()
-        if v is None:
-            raise ZeroDivisionError("inverse of a (known-)zero series")
-        lead = self.coefficient(v)
-        inv_lead = _inv_coeff(self.domain, lead)
-        bounds = []
-        if self.cut is not None:
-            bounds.append(self.cut - 2 * v)
-        if cut is not None:
-            bounds.append(cut)
-        if not bounds:
-            if len(self.coeffs) == 1:
-                return LaurentSeries.monomial(self.domain, self.var, -v, inv_lead)
-            raise ValidationError("inverse of a polynomial is an infinite series; pass cut")
-        out_cut = min(bounds)
-        n = out_cut + v  # coefficients of the inverse unit part needed: [0, n)
-        a = [self.coefficient(v + i) * inv_lead for i in range(max(n, 0))]
-        b = []
-        for k in range(max(n, 0)):
-            if k == 0:
-                b.append(_coerce(self.domain, 1))
-                continue
-            s = _zero(self.domain)
-            for i in range(1, k + 1):
-                s = s + a[i] * b[k - i]
-            b.append(-s)
-        coeffs = [inv_lead * c for c in b]
-        return LaurentSeries(self.domain, self.var, -v, coeffs, out_cut)
+        return self.pow(-1, cut)
 
     def pow(self, n: int, cut: int | None = None) -> "LaurentSeries":
+        """self^n, truncated below cut.
+
+        A positive n multiplies out.  A negative n writes self = lead*u^v*(1+h)
+        and builds (1+h)^n in one pass by J.C.P. Miller's power recurrence
+
+            b_0 = 1,  b_m = ((n+1)/m) sum_i i*h_i*b_(m-i) - sum_i h_i*b_(m-i),
+
+        whose first sum vanishes at n = -1 (the geometric inverse).  The window
+        is [n*v, min(cut, self.cut + (n-1)*v)): exactly what inverting and
+        multiplying |n| copies would know (empty when cut <= n*v).
+        """
         if n == 0:
             one = LaurentSeries.monomial(self.domain, self.var, 0, 1)
             return one if cut is None else one.truncate(cut)
@@ -232,11 +229,40 @@ class LaurentSeries:
         v = self.valuation()
         if v is None:
             raise ZeroDivisionError("negative power of a (known-)zero series")
-        base = self.inverse(cut=None if cut is None else cut + (abs(n) - 1) * v)
-        out = base
-        for _ in range(abs(n) - 1):
-            out = out * base  # sound windows narrow by themselves
-        return out if cut is None else out.truncate(cut)
+        lead = self.coefficient(v)
+        zero, one = _zero(self.domain), _coerce(self.domain, 1)
+        unit = None if lead == one else _inv_coeff(self.domain, lead)
+        scale = one if unit is None else unit ** -n
+        bounds = []
+        if self.cut is not None:
+            bounds.append(self.cut + (n - 1) * v)
+        if cut is not None:
+            bounds.append(cut)
+        if not bounds:
+            if len(self.coeffs) == 1:
+                return LaurentSeries.monomial(self.domain, self.var, n * v, scale)
+            raise ValidationError("inverse of a polynomial is an infinite series; pass cut")
+        out_cut = min(bounds)
+        terms = max(out_cut - n * v, 0)
+        h = list(self.coeffs[:terms])  # h[0] = lead is never read
+        h += [zero] * (terms - len(h))
+        if unit is not None:
+            h = [c * unit for c in h]
+        miller = n != -1
+        b = [one][:terms]
+        for m in range(1, terms):
+            # tail runs through sum_{i>=j} h_i*b_(m-i) for j = m..1: it ends as
+            # the second sum, and the tails add up to the first, sum_i i*h_i*b_(m-i)
+            tail = first = zero
+            for i in range(m, 0, -1):
+                if h[i]:
+                    tail += h[i] * b[m - i]
+                if miller:
+                    first += tail
+            b.append(first * Fraction(n + 1, m) - tail if miller else -tail)
+        if unit is not None:
+            b = [scale * c for c in b]
+        return LaurentSeries(self.domain, self.var, n * v, b, out_cut)
 
     # -- comparison / printing ---------------------------------------------------
 
@@ -337,9 +363,15 @@ class ParamChange:
 def series_substitute(s: LaurentSeries, pc: ParamChange, cut: int | None = None) -> LaurentSeries:
     """Exact coefficients of s(t) with t = pc(u), on the tightest sound window.
 
-    Negative powers of the substitution expand through the geometric series of
-    its unit part.  Raises when the requested window cannot be determined from
-    the operands' truncations.
+    The window ends at min(cut, s.cut, pc.cut - 1 + s.low); it is unbounded
+    only for an exact s with s.low >= 0 under an exact change, and an exact s
+    with a pole under an exact change raises (the tail is infinite).
+
+    An exact two-term change t = u + eps*u^r expands each monomial in closed
+    form, u^e -> sum_i C(e,i) eps^i u^(e + i(r-1)) with the generalized
+    binomial C(e,i), so no series product is needed.  Any other change
+    expands s through pc^k0 (Miller's recurrence when k0 < 0) and one product
+    with pc per further exponent.
     """
     p = pc.series
     if s.domain != p.domain:
@@ -359,16 +391,17 @@ def series_substitute(s: LaurentSeries, pc: ParamChange, cut: int | None = None)
                 "composition has an infinite tail; pass an explicit cut"
             )
         out_cut = None
-    out = LaurentSeries.zero(s.domain, p.var, out_cut)
-    items = [(e, c) for e, c in s.known_items() if c]
+    items = [(e, c) for e, c in s.known_items() if c and (out_cut is None or e < out_cut)]
     if not items:
-        return out
+        return LaurentSeries.zero(s.domain, p.var, out_cut)
+    shape = _binomial_shape(p)
+    if shape is not None:
+        return _substitute_binomial(items, *shape, s.domain, p.var, out_cut)
+    out = LaurentSeries.zero(s.domain, p.var, out_cut)
     k0 = items[0][0]
     power = p.pow(k0, cut=out_cut)
     k_prev = k0
     for e, c in items:
-        if out_cut is not None and e >= out_cut:
-            break
         while k_prev < e:
             power = power * p
             if out_cut is not None:
@@ -376,6 +409,42 @@ def series_substitute(s: LaurentSeries, pc: ParamChange, cut: int | None = None)
             k_prev += 1
         out = out + power.scale(c)
     return out
+
+
+def _binomial_shape(p: LaurentSeries):
+    """(eps, r) when p is exactly u + eps*u^r with r >= 2 (eps = 0 for the
+    identity), else None."""
+    c = p.coeffs
+    if p.cut is not None or any(c[1:-1]):
+        return None
+    if len(c) == 1:  # the identity: eps = 0
+        return _zero(p.domain), 2
+    return c[-1], p.low + len(c) - 1
+
+
+def _substitute_binomial(items, eps, r, domain, var, out_cut) -> LaurentSeries:
+    """sum_e c_e (u + eps*u^r)^e over the (exponent, coefficient) items,
+    with the binomials C(e,i) = C(e,i-1)*(e-i+1)/i and eps^i built once."""
+    tops = []  # the last binomial index each exponent contributes
+    for e, _ in items:
+        top = e if e >= 0 else None  # C(e,i) = 0 for i > e >= 0
+        if out_cut is not None:
+            window = (out_cut - 1 - e) // (r - 1)
+            top = window if top is None else min(top, window)
+        tops.append(top if eps else 0)
+    eps_pows = [_coerce(domain, 1)]
+    for _ in range(max(tops)):
+        eps_pows.append(eps_pows[-1] * eps)
+    k0 = items[0][0]
+    high = out_cut if out_cut is not None else max(e + t * (r - 1) for (e, _), t in zip(items, tops)) + 1
+    acc = [_zero(domain)] * (high - k0)
+    for (e, c), top in zip(items, tops):
+        acc[e - k0] += c
+        binom = Fraction(1)
+        for i in range(1, top + 1):
+            binom = binom * (e - i + 1) / i
+            acc[e - k0 + i * (r - 1)] += c * eps_pows[i] * binom
+    return LaurentSeries(domain, var, k0, acc, out_cut)
 
 
 def revert(pc: ParamChange, order: int | None = None) -> ParamChange:

@@ -120,11 +120,14 @@ def f_sections(curve: CurveModel, weights: dict, i: str, m: int,
 def canonical_parameter(curve: CurveModel, weights: dict, i: str, m_max: int,
                         order: int | None = None) -> ParamChange:
     """Tangent-compatible parameter change at p_i making the coefficient at
-    u^-a_i of every f_i[-m], m <= m_max, vanish exactly."""
+    u^-a_i of every f_i[-m], m <= m_max, vanish exactly; m_max must exceed
+    a_i, or there is no correction to compute."""
     validate(curve)
     weights = _normalize_weights(curve, weights)
     i = f"p{curve.point_index(i)}"
     a_i = weights.get(i, 0)
+    if m_max <= a_i:
+        raise ValidationError(f"need m_max > a_i = {a_i} for a correction step, got m_max = {m_max}")
     if order is None:
         order = m_max + 6
     pc = ParamChange.identity(None, "u", order=order)

@@ -1,6 +1,9 @@
+import hashlib
 import json
 import subprocess
 import sys
+
+import pytest
 
 from nsc.cli import main
 
@@ -20,6 +23,26 @@ def test_s_table_contains_reference_value(capsys):
     code, doc = run_json(capsys, "s-table", "--genus", "2", "--m-max", "5", "--j-max", "2")
     assert code == 0 and doc["status"] == "pass"
     assert {"m": 3, "j": 1, "value": "-5/6"} in doc["payload"]["entries"]
+
+
+# SHA-256 of `nsc s-table --genus g` (default m-max and j-max), recorded
+# before the closed-form composition engine; any change to a byte fails.
+S_TABLE_SHA256 = {
+    2: "2d4985310ff775405fc4a7a1d50cdbe44515e9c2478d7c42b7315bfe2ee87623",
+    3: "6745be80b89962afcdc00f53dc965740596f4dd3b23bbfeb6360968733ed64e0",
+    4: "ad59735839e7964c7850c2522f0b440723121ff444003b38d1e1e1ce93da788b",
+    5: "acf7a26c8689bcdebcb95db88e5a0ab9d4e24d228ba4168808a0138bd068c26a",
+    6: "6dce671ac1395688ed9b4dca87f328e06676c01a482d8f646997507e0b560961",
+    7: "91631027ee75ca6912b3a851a1cde5b43c0e690e00e969d806cbc7a44b0018ad",
+    8: "b629a14b6b44cd6b10f494cb8d220ae25869cfc092e5f7f97e7736e41eb042a6",
+}
+
+
+@pytest.mark.parametrize("g", sorted(S_TABLE_SHA256))
+def test_s_table_bytes_pinned(capsys, g):
+    code, out = run_cli(capsys, "s-table", "--genus", str(g))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == S_TABLE_SHA256[g]
 
 
 def test_s_table_empty_table_passes(capsys):
@@ -112,6 +135,27 @@ def test_curve_usage_errors(tmp_path, capsys):
     # fitting at the special point at infinity is an input error
     code, _ = run_cli(capsys, "curve", "fit", str(c0), "--point", "pinf")
     assert code == 2
+
+
+def test_bad_weights_literal_is_usage_error(tmp_path, capsys):
+    ia = tmp_path / "Ia.json"
+    run_json(capsys, "zoo", "emit", "Ia", str(ia))
+    code, doc = run_json(capsys, "curve", "canonical", str(ia), "--point", "p0", "--weights", "x,0")
+    assert code == 2 and doc["status"] == "error"
+
+
+def test_directory_as_curve_file_is_usage_error(tmp_path, capsys):
+    code, doc = run_json(capsys, "curve", "genus", str(tmp_path))
+    assert code == 2 and doc["status"] == "error"
+
+
+def test_canonical_without_steps_is_usage_error(tmp_path, capsys):
+    # --m-max at or below the weight at the point leaves nothing to compute
+    ia = tmp_path / "Ia.json"
+    run_json(capsys, "zoo", "emit", "Ia", str(ia))
+    code, doc = run_json(capsys, "curve", "canonical", str(ia), "--point", "p0", "--m-max", "1")
+    assert code == 2 and doc["status"] == "error"
+    assert "m_max = 1" in doc["diagnostics"][0] and "a_i = 2" in doc["diagnostics"][0]
 
 
 def test_output_byte_identical_across_runs(capsys):

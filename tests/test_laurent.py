@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nsc.errors import TruncationError
+from nsc.errors import TruncationError, ValidationError
 from nsc.laurent import LaurentSeries, ParamChange, revert, series_substitute
 from nsc.multipoly import PolyRing
 
@@ -133,3 +133,133 @@ def test_substitute_respects_addition(ca, cb):
     b = ser(0, cb, cut=6)
     pc = ParamChange.from_coeffs(QQ, "t", [1, -1], order=6)
     assert series_substitute(a + b, pc) == series_substitute(a, pc) + series_substitute(b, pc)
+
+
+# -- the closed-form engine against the product route ---------------------------
+
+LAM_RING = PolyRing(("lam",), (1,))
+LAM = LAM_RING.var("lam")
+domains = st.sampled_from([QQ, LAM_RING])
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+
+
+def window(x):
+    return x.low, x.cut, x.coeffs
+
+
+@st.composite
+def coefficients(draw, domain, unit=False):
+    """A rational (a nonzero one if unit), or over Q[lam] a constant unit or
+    a polynomial of up to two terms."""
+    r = draw(rationals.filter(bool) if unit else rationals)
+    if domain is None:
+        return r
+    if unit:
+        return LAM_RING.const(r)
+    return LAM_RING.const(r) * LAM ** draw(st.integers(0, 2)) + LAM_RING.const(draw(rationals)) * LAM
+
+
+@st.composite
+def series(draw, domain, low=st.integers(-3, 3), truncated=st.booleans(), max_tail=5):
+    """lead*u^low + tail, exact or truncated at or past the stored terms; the
+    lead is 1 half of the time, as for a parameter change."""
+    lead = draw(st.just(1) | coefficients(domain, unit=True))
+    tail = draw(st.lists(coefficients(domain), max_size=max_tail))
+    low = draw(low)
+    cut = low + 1 + len(tail) + draw(st.integers(0, 2)) if draw(truncated) else None
+    return LaurentSeries(domain, "u", low, [lead, *tail], cut)
+
+
+def product_power(x, n, cut):
+    """x^n for n < 0 by one inverse and |n|-1 series products."""
+    v = x.valuation()
+    base = x.inverse(cut=None if cut is None else cut + (-n - 1) * v)
+    out = base
+    for _ in range(-n - 1):
+        out = out * base
+    return out if cut is None else out.truncate(cut)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_negative_power_matches_product_route(data):
+    domain = data.draw(domains)
+    x = data.draw(series(domain))
+    n = data.draw(st.integers(-30, -1))
+    v = x.valuation()
+    # an exact series with more than one term has an infinite inverse
+    needs_cut = x.cut is None and len(x.coeffs) > 1
+    cut = data.draw(st.integers(n * v + 1, n * v + 10) | (st.nothing() if needs_cut else st.none()))
+    power = x.pow(n, cut)
+    assert window(power) == window(product_power(x, n, cut))
+    if n == -1:
+        for e, c in (x * power).known_items():
+            assert c == (1 if e == 0 else 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(domains.flatmap(lambda d: series(d)), st.integers(-6, -1), st.integers(-20, 0))
+def test_negative_power_on_an_empty_window_is_sound(x, n, shift):
+    # a cut at or below the valuation n*v of x^n leaves no known coefficient;
+    # what the window claims to be zero must be zero
+    v = x.valuation()
+    power = x.pow(n, n * v + shift)
+    assert power.is_known_zero() and power.cut <= n * v
+    with pytest.raises(TruncationError):
+        power.coefficient(n * v)
+
+
+def test_exact_polynomial_inverse_needs_a_cut():
+    with pytest.raises(ValidationError):
+        ser(0, [1, 1]).pow(-3)
+    assert ser(2, [Fraction(1, 3)]).pow(-3) == ser(-6, [27])
+
+
+@st.composite
+def binomial_changes(draw, domain):
+    """The exact change u + eps*u^r (the identity when eps = 0)."""
+    r = draw(st.integers(2, 6))
+    eps = draw(coefficients(domain))
+    return ParamChange(LaurentSeries(domain, "u", 1, [1] + [0] * (r - 2) + [eps]))
+
+
+def substitute_by_powers(s, p, out_cut):
+    """sum_e c_e p^e with p^e from pow and products, on the window below out_cut."""
+    terms = [p.pow(e, out_cut).scale(c) for e, c in s.known_items()
+             if c and (out_cut is None or e < out_cut)]
+    total = sum(terms[1:], terms[0])
+    return total if out_cut is None else total.with_cut(out_cut)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_binomial_change_matches_sum_of_powers(data):
+    domain = data.draw(domains)
+    s = data.draw(series(domain, low=st.integers(-6, 4)))
+    pc = data.draw(binomial_changes(domain))
+    exact_tail = s.cut is None and s.low < 0
+    cut = data.draw(st.integers(s.low + 1, s.low + 14) | (st.nothing() if exact_tail else st.none()))
+    out_cut = min((c for c in (s.cut, cut) if c is not None), default=None)
+    out = series_substitute(s, pc, cut)
+    assert window(out) == window(substitute_by_powers(s, pc.series, out_cut))
+
+
+@settings(max_examples=30, deadline=None)
+@given(domains.flatmap(lambda d: st.tuples(
+    series(d, low=st.integers(-6, -1), truncated=st.just(False)), binomial_changes(d))))
+def test_exact_pole_through_exact_change_needs_a_cut(args):
+    s, pc = args
+    with pytest.raises(TruncationError):
+        series_substitute(s, pc)
+    assert series_substitute(s, pc, cut=s.low + 3).cut == s.low + 3
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_change_composed_with_its_reversion_is_identity(data):
+    domain = data.draw(domains)
+    tail = data.draw(st.lists(coefficients(domain), min_size=1, max_size=5))
+    order = len(tail) + 2 + data.draw(st.integers(0, 3))
+    pc = ParamChange.from_coeffs(domain, "u", tail, order=order)
+    back = pc.compose(revert(pc))
+    assert back.is_identity() and back.order() == order

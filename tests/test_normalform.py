@@ -77,6 +77,11 @@ def test_closed_forms_small_genera():
         assert rep.computed_s2 == s2 == closed_form_s2(g)
 
 
+def test_closed_forms_genus_2_to_40():
+    for g in range(2, 41):
+        assert closed_form_check(g).passed, g
+
+
 def test_correction_monomial_check_passes():
     res = run_recursion(2, 5, 2)
     rep = correction_monomial_check(res)
@@ -109,6 +114,17 @@ def test_stability_deep_table():
     # wider windows and more stages must reproduce every reported entry
     mid = run_recursion(2, 10, 6)
     deep = run_recursion(2, 10, 8)
+    for key, v in mid.s_table.entries.items():
+        assert deep.s_table.entries[key] == v
+    for m, series in mid.normal_forms.items():
+        for e, c in series.known_items():
+            assert deep.normal_forms[m].coefficient(e) == c
+
+
+def test_stability_genus6_deep_window():
+    # g = 6 at depth 12 against two more columns and stages
+    mid = run_recursion(6, 18, 12)
+    deep = run_recursion(6, 18, 14)
     for key, v in mid.s_table.entries.items():
         assert deep.s_table.entries[key] == v
     for m, series in mid.normal_forms.items():

@@ -173,3 +173,11 @@ def test_weight_validation():
         f_sections(cur, {"p0": 1}, "p0", 3)  # weights sum 1 != genus 2
     with pytest.raises(ValidationError):
         f_sections(cur, {"p0": 1, "p1": 1}, "p0", 1)  # m <= a_i
+
+
+def test_canonical_parameter_needs_a_step():
+    cur = zoo("ccusp2", marked=(mp(INF, weight=2),))
+    for m_max in (0, 1, 2):
+        with pytest.raises(ValidationError, match=f"m_max = {m_max}"):
+            canonical_parameter(cur, {"p0": 2}, "p0", m_max)
+    assert canonical_parameter(cur, {"p0": 2}, "p0", 3).is_identity()
