@@ -5,7 +5,8 @@ Every command prints a single JSON document
     {"status": "pass" | "fail" | "error", "payload": ..., "diagnostics": [...]}
 
 with sorted keys and all numbers as exact rational literals.  Exit codes:
-0 = pass, 1 = mathematical mismatch, 2 = usage or input error.
+0 = pass, 1 = mathematical mismatch, 2 = usage or input error.  Divisor
+multiplicities and `curve canonical --m-max` are bounded (see README).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .suites import SUITE_NAMES, parse_genus_range, run_suite
 from .zoo import ZOO_IDS, zoo
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
+MAX_M_MAX = 32
 
 
 def _print_result(status: str, payload, diagnostics=()) -> None:
@@ -150,6 +152,8 @@ def _cmd_curve(args) -> int:
     if op == "canonical":
         weights = _parse_weights(curve, args.weights) if args.weights else {pid: g}
         m_max = args.m_max if args.m_max is not None else g + 4
+        if m_max > MAX_M_MAX:
+            raise ValidationError(f"m-max {m_max} is out of range: the limit is {MAX_M_MAX}")
         pc = canonical_parameter(curve, weights, pid, m_max)
         coeffs = {str(e): format_rational(pc.coefficient(e)) for e in range(2, pc.order())}
         _print_result("pass", {"point": pid, "m_max": m_max, "coefficients": coeffs})

@@ -11,7 +11,7 @@ Spec documents look like
 Points and scalars are decimal-free rational literals "p/q" or "inf";
 algebra basis vectors list jet coefficients branch by branch, degree
 ascending.  Divisor strings follow  INT "*" POINT_ID ("+"|"-" ...)  as in
-"2*p0" or "3*p1-1*p0".
+"2*p0" or "3*p1-1*p0", with |multiplicity| <= MAX_MULTIPLICITY at each point.
 """
 
 from __future__ import annotations
@@ -117,6 +117,8 @@ def dump_curve(curve: CurveModel, path: str) -> None:
         fh.write("\n")
 
 
+MAX_MULTIPLICITY = 64
+
 _DIVISOR_TERM = re.compile(r"^(-?\d+)\*(p(?:\d+|inf))$")
 
 
@@ -140,4 +142,7 @@ def parse_divisor(text: str, curve: CurveModel) -> Divisor:
         pid = f"p{curve.point_index(m.group(2))}"
         mapping[pid] = mapping.get(pid, 0) + n
         sign = 1
+    for pid, n in mapping.items():
+        _require(abs(n) <= MAX_MULTIPLICITY,
+                 f"divisor multiplicity {n} at {pid} is out of range: the limit is |n| <= {MAX_MULTIPLICITY}")
     return Divisor.of(mapping)

@@ -22,7 +22,6 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import InternalInconsistencyError, ValidationError
-from .laurent import LaurentSeries, ParamChange, series_substitute
 from .rational import format_rational
 
 
@@ -425,26 +424,6 @@ class FunctionOnCurve:
         self.curve = curve
         self.elts = list(elts)
         self.coords = [Fraction(c) for c in coords]
-
-    def expansion_at(self, point_id: str, low: int, high: int,
-                     param_change: ParamChange | None = None, tangent_scaled: bool = True) -> LaurentSeries:
-        """Laurent expansion at a marked point, in the tangent-rescaled
-        parameter u = s/v, optionally followed by a parameter change u = pc(w)."""
-        mp = self.curve.marked(point_id)
-        raw_low = low
-        coeffs = [Fraction(0)] * (high - raw_low)
-        for x, elt in zip(self.coords, self.elts):
-            if not x:
-                continue
-            for i, c in enumerate(_elt_expansion(elt, mp.component, mp.point, raw_low, high)):
-                coeffs[i] += x * c
-        if tangent_scaled:
-            v = mp.tangent
-            coeffs = [c * v ** (raw_low + i) for i, c in enumerate(coeffs)]
-        series = LaurentSeries(None, "u", raw_low, coeffs, cut=high)
-        if param_change is not None:
-            series = series_substitute(series, param_change)
-        return series
 
     def component_terms(self, component: str):
         """(constant, [(point, order, coeff), ...]) for one component."""

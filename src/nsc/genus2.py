@@ -442,16 +442,10 @@ def presentation_from_series(sf: LaurentSeries, sh: LaurentSeries, sk: LaurentSe
     f = ring.var("f")
     one = ring.one()
 
+    one = LaurentSeries.monomial(sf.var, 0, 1, cut=sf.cut)
     basis_series = {}
     for name, pole, (a, bh, bk) in _BASIS_BY_POLE:
-        s = LaurentSeries.monomial(None, sf.var, 0, 1, cut=sf.cut)
-        for _ in range(a):
-            s = s * sf
-        if bh:
-            s = s * sh
-        if bk:
-            s = s * sk
-        basis_series[name] = s
+        basis_series[name] = one * sf.pow(a) * sh.pow(bh) * sk.pow(bk)
 
     def match(target: LaurentSeries, pole_bound: int):
         residual = target
@@ -504,17 +498,11 @@ def section_series(curve: CurveModel, point_id: str, tail: int = 24):
 
 
 def relations_vanish_on_series(rels: G2Relations, sf, sh, sk) -> bool:
-    series = {"f": sf, "h": sh, "k": sk}
     for rel in rels.relations:
         acc = None
         for (ek, eh, ef), coeff in rel.terms.items():
-            term = LaurentSeries.monomial(None, sf.var, 0, Fraction(coeff), cut=sf.cut)
-            for _ in range(ek):
-                term = term * series["k"]
-            for _ in range(eh):
-                term = term * series["h"]
-            for _ in range(ef):
-                term = term * series["f"]
+            term = LaurentSeries.monomial(sf.var, 0, Fraction(coeff), cut=sf.cut)
+            term = term * sk.pow(ek) * sh.pow(eh) * sf.pow(ef)
             acc = term if acc is None else acc + term
         if acc is not None and not acc.is_known_zero():
             return False
@@ -559,15 +547,12 @@ def fit_relations_vanish(curve: CurveModel, point_id: str) -> bool:
     params = normalized.parameters()
 
     def evaluate(p: MultiPoly, base: LaurentSeries) -> LaurentSeries:
-        acc = LaurentSeries.zero(None, base.var, cut=base.cut)
+        acc = LaurentSeries.zero(base.var, cut=base.cut)
         for (e,), coeff in p.terms.items():
-            term = LaurentSeries.monomial(None, base.var, 0, Fraction(coeff), cut=base.cut)
-            for _ in range(e):
-                term = term * base
-            acc = acc + term
+            acc = acc + LaurentSeries.monomial(base.var, 0, Fraction(coeff), cut=base.cut) * base.pow(e)
         return acc
 
-    nsf = sf + LaurentSeries.monomial(None, sf.var, 0, Fraction(shift), cut=sf.cut)
+    nsf = sf + LaurentSeries.monomial(sf.var, 0, Fraction(shift), cut=sf.cut)
     nsh = sh + evaluate(A, sf)
     nsk = sk + sh.scale(Fraction(B)) + evaluate(C, sf)
     return relations_vanish_on_series(universal_relations(params), nsf, nsh, nsk)

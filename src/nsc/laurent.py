@@ -19,6 +19,9 @@ On every non-empty window both agree, window and coefficients, with the
 product route (one inverse and |n|-1 products; one product per exponent of
 s).  A negative power asked for below its valuation returns the empty window
 [nv, nv).
+
+Coefficients are `Fraction` (an int is stored as one) or `Graded`, the
+rational with a lam-degree that the polar-term recursion computes with.
 """
 
 from __future__ import annotations
@@ -26,35 +29,30 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import TruncationError, ValidationError
+from .rational import Graded
+
+_ZERO = Fraction(0)
 
 
-def _coerce(domain, x):
-    if domain is None:
-        if isinstance(x, (int, Fraction)):
-            return Fraction(x)
-        raise ValidationError(f"cannot coerce {x!r} into QQ")
-    if isinstance(x, (int, Fraction)):
-        return domain.const(x)
-    if getattr(x, "ring", None) == domain and domain is not None:
+def _coerce(x):
+    if isinstance(x, (Fraction, Graded)):
         return x
-    return domain.const(x)
-
-
-def _zero(domain):
-    return Fraction(0) if domain is None else domain.zero()
+    if isinstance(x, int):
+        return Fraction(x)
+    raise ValidationError(f"not an exact scalar: {x!r}")
 
 
 class LaurentSeries:
-    __slots__ = ("domain", "var", "low", "coeffs", "cut")
+    __slots__ = ("var", "low", "coeffs", "cut")
 
-    def __init__(self, domain, var: str, low: int, coeffs, cut: int | None = None):
-        coeffs = [_coerce(domain, c) for c in coeffs]
+    def __init__(self, var: str, low: int, coeffs, cut: int | None = None):
+        coeffs = [_coerce(c) for c in coeffs]
         if cut is not None:
             if cut < low:
                 cut = low
             # pad/trim the stored window to exactly [low, cut)
             coeffs = coeffs[: cut - low]
-            coeffs += [_zero(domain)] * (cut - low - len(coeffs))
+            coeffs += [_ZERO] * (cut - low - len(coeffs))
         # strip known-zero leading coefficients
         while coeffs and not coeffs[0]:
             coeffs.pop(0)
@@ -63,8 +61,7 @@ class LaurentSeries:
             while coeffs and not coeffs[-1]:
                 coeffs.pop()
         if not coeffs:
-            low = 0 if cut is None else min(0, cut)
-        object.__setattr__(self, "domain", domain)
+            low = 0 if cut is None else cut
         object.__setattr__(self, "var", var)
         object.__setattr__(self, "low", low)
         object.__setattr__(self, "coeffs", tuple(coeffs))
@@ -76,18 +73,15 @@ class LaurentSeries:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def zero(cls, domain, var, cut=None):
-        return cls(domain, var, 0, [], cut)
+    def zero(cls, var, cut=None):
+        """Zero, known below cut: the empty window [cut, cut)."""
+        return cls(var, 0 if cut is None else cut, [], cut)
 
     @classmethod
-    def monomial(cls, domain, var, exponent, coeff=1, cut=None):
-        return cls(domain, var, exponent, [coeff], cut)
+    def monomial(cls, var, exponent, coeff=1, cut=None):
+        return cls(var, exponent, [coeff], cut)
 
     # -- inspection -----------------------------------------------------------
-
-    def known_high(self) -> int | None:
-        """Exclusive upper bound of known exponents (None = everything known)."""
-        return self.cut
 
     def coefficient(self, exponent: int):
         if self.cut is not None and exponent >= self.cut:
@@ -96,7 +90,7 @@ class LaurentSeries:
                 f"window [{self.low}, {self.cut}) of {self}"
             )
         if exponent < self.low or exponent >= self.low + len(self.coeffs):
-            return _zero(self.domain)
+            return _ZERO
         return self.coeffs[exponent - self.low]
 
     def known_items(self):
@@ -116,12 +110,12 @@ class LaurentSeries:
     # -- arithmetic -------------------------------------------------------------
 
     def _check_compatible(self, other):
-        if self.domain != other.domain or self.var != other.var:
-            raise ValidationError("series live in different rings")
+        if self.var != other.var:
+            raise ValidationError("series are in different variables")
 
     def __add__(self, other):
         if not isinstance(other, LaurentSeries):
-            other = LaurentSeries.monomial(self.domain, self.var, 0, other)
+            other = LaurentSeries.monomial(self.var, 0, other)
         self._check_compatible(other)
         cuts = [c for c in (self.cut, other.cut) if c is not None]
         cut = min(cuts) if cuts else None
@@ -131,27 +125,27 @@ class LaurentSeries:
             high = cut
         coeffs = []
         for e in range(low, high):
-            a = self.coeffs[e - self.low] if 0 <= e - self.low < len(self.coeffs) else _zero(self.domain)
-            b = other.coeffs[e - other.low] if 0 <= e - other.low < len(other.coeffs) else _zero(self.domain)
+            a = self.coeffs[e - self.low] if 0 <= e - self.low < len(self.coeffs) else _ZERO
+            b = other.coeffs[e - other.low] if 0 <= e - other.low < len(other.coeffs) else _ZERO
             coeffs.append(a + b)
-        return LaurentSeries(self.domain, self.var, low, coeffs, cut)
+        return LaurentSeries(self.var, low, coeffs, cut)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentSeries(self.domain, self.var, self.low, [-c for c in self.coeffs], self.cut)
+        return LaurentSeries(self.var, self.low, [-c for c in self.coeffs], self.cut)
 
     def __sub__(self, other):
         if not isinstance(other, LaurentSeries):
-            other = LaurentSeries.monomial(self.domain, self.var, 0, other)
+            other = LaurentSeries.monomial(self.var, 0, other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def scale(self, c):
-        c = _coerce(self.domain, c)
-        return LaurentSeries(self.domain, self.var, self.low, [c * x for x in self.coeffs], self.cut)
+        c = _coerce(c)
+        return LaurentSeries(self.var, self.low, [c * x if x else x for x in self.coeffs], self.cut)
 
     def __mul__(self, other):
         if not isinstance(other, LaurentSeries):
@@ -167,9 +161,7 @@ class LaurentSeries:
         high = (self.low + len(self.coeffs)) + (other.low + len(other.coeffs)) - 1
         if cut is not None:
             high = cut
-        if not self.coeffs or not other.coeffs:
-            return LaurentSeries.zero(self.domain, self.var, cut)
-        acc = {e: _zero(self.domain) for e in range(low, max(high, low))}
+        acc = {e: _ZERO for e in range(low, max(high, low))}
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
@@ -179,8 +171,8 @@ class LaurentSeries:
                     break
                 if b:
                     acc[e] = acc[e] + a * b
-        coeffs = [acc.get(e, _zero(self.domain)) for e in range(low, high)]
-        return LaurentSeries(self.domain, self.var, low, coeffs, cut)
+        coeffs = [acc.get(e, _ZERO) for e in range(low, high)]
+        return LaurentSeries(self.var, low, coeffs, cut)
 
     __rmul__ = __mul__
 
@@ -190,12 +182,12 @@ class LaurentSeries:
             return self
         if self.cut is not None and cut >= self.cut:
             return self
-        return LaurentSeries(self.domain, self.var, self.low, list(self.coeffs)[: max(0, cut - self.low)], cut)
+        return LaurentSeries(self.var, self.low, list(self.coeffs)[: max(0, cut - self.low)], cut)
 
     def with_cut(self, cut: int) -> "LaurentSeries":
         """Forget everything at exponents >= cut, marking the window explicitly
         (unlike truncate, this turns an exact series into a truncated one)."""
-        return LaurentSeries(self.domain, self.var, self.low, list(self.coeffs)[: max(0, cut - self.low)], cut)
+        return LaurentSeries(self.var, self.low, list(self.coeffs)[: max(0, cut - self.low)], cut)
 
     def inverse(self, cut: int | None = None) -> "LaurentSeries":
         """Multiplicative inverse; the lowest coefficient must be a unit."""
@@ -214,7 +206,7 @@ class LaurentSeries:
         multiplying |n| copies would know (empty when cut <= n*v).
         """
         if n == 0:
-            one = LaurentSeries.monomial(self.domain, self.var, 0, 1)
+            one = LaurentSeries.monomial(self.var, 0, 1)
             return one if cut is None else one.truncate(cut)
         if n > 0:
             # ascending powers: intermediate truncation at cut is sound only
@@ -230,9 +222,8 @@ class LaurentSeries:
         if v is None:
             raise ZeroDivisionError("negative power of a (known-)zero series")
         lead = self.coefficient(v)
-        zero, one = _zero(self.domain), _coerce(self.domain, 1)
-        unit = None if lead == one else _inv_coeff(self.domain, lead)
-        scale = one if unit is None else unit ** -n
+        unit = None if lead == 1 else lead ** -1
+        scale = 1 if unit is None else unit ** -n
         bounds = []
         if self.cut is not None:
             bounds.append(self.cut + (n - 1) * v)
@@ -240,20 +231,20 @@ class LaurentSeries:
             bounds.append(cut)
         if not bounds:
             if len(self.coeffs) == 1:
-                return LaurentSeries.monomial(self.domain, self.var, n * v, scale)
+                return LaurentSeries.monomial(self.var, n * v, scale)
             raise ValidationError("inverse of a polynomial is an infinite series; pass cut")
         out_cut = min(bounds)
         terms = max(out_cut - n * v, 0)
         h = list(self.coeffs[:terms])  # h[0] = lead is never read
-        h += [zero] * (terms - len(h))
+        h += [_ZERO] * (terms - len(h))
         if unit is not None:
             h = [c * unit for c in h]
         miller = n != -1
-        b = [one][:terms]
+        b = [Fraction(1)][:terms]
         for m in range(1, terms):
             # tail runs through sum_{i>=j} h_i*b_(m-i) for j = m..1: it ends as
             # the second sum, and the tails add up to the first, sum_i i*h_i*b_(m-i)
-            tail = first = zero
+            tail = first = _ZERO
             for i in range(m, 0, -1):
                 if h[i]:
                     tail += h[i] * b[m - i]
@@ -262,7 +253,7 @@ class LaurentSeries:
             b.append(first * Fraction(n + 1, m) - tail if miller else -tail)
         if unit is not None:
             b = [scale * c for c in b]
-        return LaurentSeries(self.domain, self.var, n * v, b, out_cut)
+        return LaurentSeries(self.var, n * v, b, out_cut)
 
     # -- comparison / printing ---------------------------------------------------
 
@@ -270,30 +261,22 @@ class LaurentSeries:
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         return (
-            self.domain == other.domain
-            and self.var == other.var
+            self.var == other.var
             and self.low == other.low
             and self.cut == other.cut
             and self.coeffs == other.coeffs
         )
 
     def __hash__(self):
-        return hash((self.domain, self.var, self.low, self.cut, self.coeffs))
-
-    def _fmt_coeff(self, c) -> str:
-        if isinstance(c, Fraction):
-            from .rational import format_rational
-
-            return format_rational(c)
-        s = str(c)
-        return f"({s})" if (" " in s or "*" in s) else s
+        return hash((self.var, self.low, self.cut, self.coeffs))
 
     def __str__(self):
         parts = []
         for e, c in self.known_items():
             if not c:
                 continue
-            cs = self._fmt_coeff(c)
+            cs = str(c)
+            cs = f"({cs})" if (" " in cs or "*" in cs) else cs
             if e == 0:
                 parts.append(cs)
             else:
@@ -307,15 +290,6 @@ class LaurentSeries:
         return f"LaurentSeries({self})"
 
 
-def _inv_coeff(domain, c):
-    if domain is None:
-        return Fraction(1) / c
-    const = c.constant_value_or_none()
-    if const is None or const == 0:
-        raise ValidationError(f"coefficient {c} is not a unit")
-    return domain.const(Fraction(1) / const)
-
-
 class ParamChange:
     """Substitution t = u + c2*u^2 + ... with leading coefficient exactly 1."""
 
@@ -324,7 +298,7 @@ class ParamChange:
     def __init__(self, series: LaurentSeries):
         if series.low < 1:
             raise ValidationError("parameter change must have positive valuation")
-        if series.coefficient(1) != _coerce(series.domain, 1):
+        if series.coefficient(1) != 1:
             raise ValidationError("parameter change must be tangent-preserving (leading coefficient 1)")
         object.__setattr__(self, "series", series)
 
@@ -332,13 +306,13 @@ class ParamChange:
         raise AttributeError("ParamChange is immutable")
 
     @classmethod
-    def identity(cls, domain, var: str, order: int | None = None):
-        return cls(LaurentSeries.monomial(domain, var, 1, 1, cut=order))
+    def identity(cls, var: str, order: int | None = None):
+        return cls(LaurentSeries.monomial(var, 1, 1, cut=order))
 
     @classmethod
-    def from_coeffs(cls, domain, var: str, tail, order: int | None = None):
+    def from_coeffs(cls, var: str, tail, order: int | None = None):
         """Build t = u + tail[0]*u^2 + tail[1]*u^3 + ..."""
-        return cls(LaurentSeries(domain, var, 1, [1, *tail], cut=order))
+        return cls(LaurentSeries(var, 1, [1, *tail], cut=order))
 
     def order(self) -> int | None:
         return self.series.cut
@@ -374,8 +348,6 @@ def series_substitute(s: LaurentSeries, pc: ParamChange, cut: int | None = None)
     with pc per further exponent.
     """
     p = pc.series
-    if s.domain != p.domain:
-        raise ValidationError("series and parameter change live in different rings")
     bounds = []
     if s.cut is not None:
         bounds.append(s.cut)
@@ -393,11 +365,11 @@ def series_substitute(s: LaurentSeries, pc: ParamChange, cut: int | None = None)
         out_cut = None
     items = [(e, c) for e, c in s.known_items() if c and (out_cut is None or e < out_cut)]
     if not items:
-        return LaurentSeries.zero(s.domain, p.var, out_cut)
+        return LaurentSeries.zero(p.var, out_cut)
     shape = _binomial_shape(p)
     if shape is not None:
-        return _substitute_binomial(items, *shape, s.domain, p.var, out_cut)
-    out = LaurentSeries.zero(s.domain, p.var, out_cut)
+        return _substitute_binomial(items, *shape, p.var, out_cut)
+    out = LaurentSeries.zero(p.var, out_cut)
     k0 = items[0][0]
     power = p.pow(k0, cut=out_cut)
     k_prev = k0
@@ -418,11 +390,11 @@ def _binomial_shape(p: LaurentSeries):
     if p.cut is not None or any(c[1:-1]):
         return None
     if len(c) == 1:  # the identity: eps = 0
-        return _zero(p.domain), 2
+        return _ZERO, 2
     return c[-1], p.low + len(c) - 1
 
 
-def _substitute_binomial(items, eps, r, domain, var, out_cut) -> LaurentSeries:
+def _substitute_binomial(items, eps, r, var, out_cut) -> LaurentSeries:
     """sum_e c_e (u + eps*u^r)^e over the (exponent, coefficient) items,
     with the binomials C(e,i) = C(e,i-1)*(e-i+1)/i and eps^i built once."""
     tops = []  # the last binomial index each exponent contributes
@@ -432,19 +404,19 @@ def _substitute_binomial(items, eps, r, domain, var, out_cut) -> LaurentSeries:
             window = (out_cut - 1 - e) // (r - 1)
             top = window if top is None else min(top, window)
         tops.append(top if eps else 0)
-    eps_pows = [_coerce(domain, 1)]
+    eps_pows = [Fraction(1)]
     for _ in range(max(tops)):
         eps_pows.append(eps_pows[-1] * eps)
     k0 = items[0][0]
     high = out_cut if out_cut is not None else max(e + t * (r - 1) for (e, _), t in zip(items, tops)) + 1
-    acc = [_zero(domain)] * (high - k0)
+    acc = [_ZERO] * (high - k0)
     for (e, c), top in zip(items, tops):
         acc[e - k0] += c
         binom = Fraction(1)
         for i in range(1, top + 1):
             binom = binom * (e - i + 1) / i
             acc[e - k0 + i * (r - 1)] += c * eps_pows[i] * binom
-    return LaurentSeries(domain, var, k0, acc, out_cut)
+    return LaurentSeries(var, k0, acc, out_cut)
 
 
 def revert(pc: ParamChange, order: int | None = None) -> ParamChange:
@@ -452,14 +424,14 @@ def revert(pc: ParamChange, order: int | None = None) -> ParamChange:
     T = order if order is not None else pc.order()
     if T is None:
         if pc.is_identity():
-            return ParamChange.identity(pc.series.domain, pc.series.var)
+            return ParamChange.identity(pc.series.var)
         raise TruncationError("reversion of an exact polynomial change needs an explicit order")
-    domain, var = pc.series.domain, pc.series.var
-    r = LaurentSeries.monomial(domain, var, 1, 1, cut=T)
+    var = pc.series.var
+    r = LaurentSeries.monomial(var, 1, 1, cut=T)
     while True:
-        err = series_substitute(pc.series, ParamChange(r), cut=T) - LaurentSeries.monomial(domain, var, 1, 1, cut=T)
+        err = series_substitute(pc.series, ParamChange(r), cut=T) - LaurentSeries.monomial(var, 1, 1, cut=T)
         v = err.valuation()
         if v is None:
             break
-        r = r - LaurentSeries.monomial(domain, var, v, err.coefficient(v), cut=T)
+        r = r - LaurentSeries.monomial(var, v, err.coefficient(v), cut=T)
     return ParamChange(r)

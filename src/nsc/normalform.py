@@ -1,7 +1,9 @@
 """Leading-polar-term recursion for the canonical parameter at a moving point.
 
-The model works over Q[lam] with lam a graded indeterminate of weight 1.  The
-inputs are the filtration representatives
+The model works over Q[lam] with lam a graded indeterminate of weight 1.  Each
+coefficient is a monomial r*lam^(m+e) at u^e in f[-m], held as a `Graded`
+scalar whose sums raise on mixed degrees.  The inputs are the filtration
+representatives
 
     F[-(g+1)] = t^-(g+1) - lam * t^-g,      F[-m] = t^-m   (m >= g+2),
 
@@ -25,53 +27,36 @@ from fractions import Fraction
 
 from .errors import InternalInconsistencyError, ValidationError
 from .laurent import LaurentSeries, ParamChange, series_substitute
-from .multipoly import MultiPoly, PolyRing
-from .rational import format_rational
-
-LAMBDA = "lam"
+from .rational import Graded, format_rational
 
 
-def lambda_ring() -> PolyRing:
-    return PolyRing((LAMBDA,), (1,))
-
-
-def filtration_representative(g: int, m: int, ring: PolyRing | None = None) -> LaurentSeries:
+def filtration_representative(g: int, m: int) -> LaurentSeries:
     """The leading-polar-term input F[-m]: t^-(g+1) - lam t^-g at m = g+1,
     the bare monomial t^-m for every m >= g+2."""
-    ring = ring or lambda_ring()
     if m == g + 1:
-        return LaurentSeries(ring, "u", -m, [1, -ring.var(LAMBDA)])
-    return LaurentSeries.monomial(ring, "u", -m)
+        return LaurentSeries("u", -m, [1, Graded(-1, 1)])
+    return LaurentSeries.monomial("u", -m)
 
 
-def _monomial_value(c: MultiPoly, degree: int) -> Fraction:
+def _monomial_value(c, degree: int) -> Fraction:
     """The rational r with c = r * lam^degree; rejects anything else."""
-    if c.is_zero():
+    if not c:
         return Fraction(0)
-    if set(c.terms) != {(degree,)}:
+    if not isinstance(c, Graded) or c.d != degree:
         raise InternalInconsistencyError(
             f"expected a pure lam^{degree} monomial, got {c}"
         )
-    return Fraction(c.terms[(degree,)])
-
-
-def _check_lambda_homogeneous(series: LaurentSeries, m: int) -> None:
-    """Coefficient of u^e in the working series for f[-m] has lam-degree m+e."""
-    for e, c in series.known_items():
-        if c and not c.is_homogeneous(m + e):
-            raise InternalInconsistencyError(
-                f"lam-homogeneity violated in f[-{m}] at exponent {e}: {c}"
-            )
+    return c.r
 
 
 @dataclass(frozen=True)
 class StageRecord:
     """One recursion stage: the read pole coefficient, the correction, the
-    subtraction multipliers (all elements of Q[lam])."""
+    subtraction multipliers (all monomials r*lam^d, as `Graded`)."""
 
     n: int
-    pole_coefficient: MultiPoly | None  # c read at u^-g before correcting
-    correction: MultiPoly | None        # c/(g+n-1), coefficient of u_n^n
+    pole_coefficient: Graded | None  # c read at u^-g before correcting
+    correction: Graded | None        # c/(g+n-1), coefficient of u_n^n
     multipliers: tuple  # p_1 .. p_{n-1} used to build f[-(g+n)]
 
 
@@ -120,23 +105,18 @@ def run_recursion(g: int, m_max: int | None = None, j_max: int = 6) -> NormalFor
     if not (isinstance(j_max, int) and j_max >= 0):
         raise ValidationError("j_max must be an integer >= 0")
 
-    ring = lambda_ring()
     cut = -g + j_max + 1
     stages_total = (m_max - g) + j_max + 1
 
-    def tilde(m: int) -> LaurentSeries:
-        return filtration_representative(g, m, ring)
-
-    total = ParamChange.identity(ring, "u", order=stages_total + j_max + 2)
-    current = {g + 1: tilde(g + 1).with_cut(cut)}
+    total = ParamChange.identity("u", order=stages_total + j_max + 2)
+    current = {g + 1: filtration_representative(g, g + 1).with_cut(cut)}
     corrections = []
     stages = [StageRecord(1, None, None, ())]
-    _check_lambda_homogeneous(current[g + 1], g + 1)
 
     for n in range(2, stages_total + 1):
         c = current[g + n - 1].coefficient(-g)
         eps = c / (g + n - 1)
-        phi = ParamChange(LaurentSeries(ring, "u", 1, [1] + [0] * (n - 2) + [eps]))
+        phi = ParamChange(LaurentSeries("u", 1, [1] + [0] * (n - 2) + [eps]))
         total = total.compose(phi)
         for m in list(current):
             current[m] = series_substitute(current[m], phi)
@@ -144,7 +124,7 @@ def run_recursion(g: int, m_max: int | None = None, j_max: int = 6) -> NormalFor
             raise InternalInconsistencyError(
                 f"stage {n}: correction failed to kill the u^-{g} coefficient"
             )
-        work = series_substitute(tilde(g + n), total, cut=cut)
+        work = series_substitute(filtration_representative(g, g + n), total, cut=cut)
         multipliers = []
         for i in range(1, n):
             p_i = work.coefficient(-g - n + i)
@@ -157,8 +137,6 @@ def run_recursion(g: int, m_max: int | None = None, j_max: int = 6) -> NormalFor
                     f"stage {n}: exponent {e} not cleared in f[-{g + n}]"
                 )
         current[g + n] = work
-        for m, s in current.items():
-            _check_lambda_homogeneous(s, m)
         corrections.append(phi)
         stages.append(StageRecord(n, c, eps, tuple(multipliers)))
 

@@ -47,14 +47,19 @@ def _normalize_weights(curve: CurveModel, weights: dict) -> dict:
     return out
 
 
-def _elt_series(curve, elt, pid, low, high, param_change=None) -> LaurentSeries:
-    """Expansion of one ambient element at a marked point, in the tangent-
-    rescaled parameter, then through the optional parameter change."""
+def _expansion(curve, pid, low, high, terms, param_change=None) -> LaurentSeries:
+    """Expansion at a marked point of the sum of x*elt over the (x, elt) terms,
+    in the tangent-rescaled parameter u = s/v, then through the optional
+    parameter change u = pc(w)."""
     mp = curve.marked(pid)
-    raw = _elt_expansion(elt, mp.component, mp.point, low, high)
+    coeffs = [Fraction(0)] * (high - low)
+    for x, elt in terms:
+        if not x:
+            continue
+        for i, c in enumerate(_elt_expansion(elt, mp.component, mp.point, low, high)):
+            coeffs[i] += x * c
     v = mp.tangent
-    coeffs = [c * v ** (low + k) for k, c in enumerate(raw)]
-    series = LaurentSeries(None, "u", low, coeffs, cut=high)
+    series = LaurentSeries("u", low, [c * v ** (low + i) for i, c in enumerate(coeffs)], cut=high)
     if param_change is not None:
         series = series_substitute(series, param_change)
     return series
@@ -90,7 +95,7 @@ def f_sections(curve: CurveModel, weights: dict, i: str, m: int,
     rhs = [Fraction(0)] * len(rows)
 
     pc_i = params.get(i)
-    per_elt = [_elt_series(curve, elt, i, -m, 1, pc_i) for elt in elts]
+    per_elt = [_expansion(curve, i, -m, 1, [(1, elt)], pc_i) for elt in elts]
     targets = [(-m, Fraction(1))]
     targets += [(e, Fraction(0)) for e in range(-m + 1, -a_i)]
     targets += [(0, Fraction(0))]
@@ -113,7 +118,7 @@ def f_sections(curve: CurveModel, weights: dict, i: str, m: int,
     expansions = {}
     for pid in curve.point_ids():
         low = -m if pid == i else -weights.get(pid, 0)
-        expansions[pid] = fn.expansion_at(pid, low, tail, params.get(pid))
+        expansions[pid] = _expansion(curve, pid, low, tail, zip(fn.coords, fn.elts), params.get(pid))
     return Section(i, m, fn, expansions)
 
 
@@ -130,13 +135,13 @@ def canonical_parameter(curve: CurveModel, weights: dict, i: str, m_max: int,
         raise ValidationError(f"need m_max > a_i = {a_i} for a correction step, got m_max = {m_max}")
     if order is None:
         order = m_max + 6
-    pc = ParamChange.identity(None, "u", order=order)
+    pc = ParamChange.identity("u", order=order)
     for m in range(a_i + 1, m_max + 1):
         sec = f_sections(curve, weights, i, m, params={i: pc}, tail=-a_i + 1)
         alpha = sec.expansions[i].coefficient(-a_i)
         if alpha:
             r = m - a_i + 1
-            step = ParamChange(LaurentSeries(None, "u", 1, [1] + [0] * (r - 2) + [alpha / m]))
+            step = ParamChange(LaurentSeries("u", 1, [1] + [0] * (r - 2) + [alpha / m]))
             pc = pc.compose(step)
     return pc
 

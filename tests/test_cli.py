@@ -1,7 +1,9 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -158,6 +160,25 @@ def test_canonical_without_steps_is_usage_error(tmp_path, capsys):
     assert "m_max = 1" in doc["diagnostics"][0] and "a_i = 2" in doc["diagnostics"][0]
 
 
+def test_unbounded_divisor_multiplicity_is_usage_error(tmp_path, capsys):
+    ia = tmp_path / "Ia.json"
+    run_json(capsys, "zoo", "emit", "Ia", str(ia))
+    for divisor in ("99999999999*p0", "-65*p0", "40*p0+40*p0"):
+        code, doc = run_json(capsys, "curve", "h0", str(ia), f"--divisor={divisor}")
+        assert code == 2 and doc["status"] == "error"
+        assert "|n| <= 64" in doc["diagnostics"][0]
+    code, doc = run_json(capsys, "curve", "h1", str(ia), "--divisor", "64*p0")
+    assert code == 0 and doc["payload"]["h1"] == 0
+
+
+def test_unbounded_canonical_m_max_is_usage_error(tmp_path, capsys):
+    ia = tmp_path / "Ia.json"
+    run_json(capsys, "zoo", "emit", "Ia", str(ia))
+    code, doc = run_json(capsys, "curve", "canonical", str(ia), "--point", "p0", "--m-max", "100000")
+    assert code == 2 and doc["status"] == "error"
+    assert "limit is 32" in doc["diagnostics"][0]
+
+
 def test_output_byte_identical_across_runs(capsys):
     _, out1 = run_cli(capsys, "verify", "--suite", "c0")
     _, out2 = run_cli(capsys, "verify", "--suite", "c0")
@@ -168,9 +189,12 @@ def test_output_byte_identical_across_runs(capsys):
 
 
 def test_installed_entry_point_runs():
+    # the subprocess imports this checkout's package, installed or not
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "nsc.cli", "zoo", "list"],
-        capture_output=True, text=True, check=False,
+        capture_output=True, text=True, check=False, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "pass"

@@ -314,7 +314,7 @@ def test_fit_gauge_independence():
     pid = "p0"
     sf, sh, sk = section_series(cur, pid)
     baseline = normalize_presentation(presentation_from_series(sf, sh, sk))[0].parameters()
-    one = type(sf).monomial(None, sf.var, 0, 1, cut=sf.cut)
+    one = type(sf).monomial(sf.var, 0, 1, cut=sf.cut)
     # allowed ambiguity: f += const, h += a + b f, k += d h + e0 + e1 f
     sf2 = sf + one.scale(Fraction(3, 2))
     sh2 = sh + one.scale(Fraction(-2)) + sf2.scale(Fraction(1, 3))

@@ -3,15 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nsc.errors import TruncationError, ValidationError
+from nsc.errors import InternalInconsistencyError, TruncationError, ValidationError
 from nsc.laurent import LaurentSeries, ParamChange, revert, series_substitute
-from nsc.multipoly import PolyRing
-
-QQ = None  # Fraction coefficient domain marker
+from nsc.rational import Graded
 
 
 def ser(low, coeffs, cut=None):
-    return LaurentSeries(QQ, "t", low, coeffs, cut)
+    return LaurentSeries("t", low, coeffs, cut)
 
 
 def test_window_arithmetic_tightest_sound():
@@ -25,6 +23,44 @@ def test_window_arithmetic_tightest_sound():
     assert prod.coefficient(0) == 3
     with pytest.raises(TruncationError):
         prod.coefficient(1)
+
+
+def test_product_with_an_empty_window_knows_nothing_above_its_cut():
+    # the product of O(u^-1) and u^-2 + 5u^-1 + O(1) is O(u^-3): nothing at u^-2 is known
+    prod = LaurentSeries("u", -3, [], -1) * LaurentSeries("u", -2, [1, 5], 0)
+    assert (prod.low, prod.cut) == (-3, -3)
+    with pytest.raises(TruncationError):
+        prod.coefficient(-2)
+    zero = LaurentSeries.zero("u", -4)
+    assert (zero.low, zero.cut) == (-4, -4)
+    with pytest.raises(TruncationError):
+        zero.coefficient(-1)
+
+
+def test_coefficients_are_exact_scalars():
+    with pytest.raises(ValidationError):
+        ser(0, [0.5])
+    assert ser(0, [2]).coefficient(0) == Fraction(2)
+
+
+def test_graded_scalar_arithmetic():
+    assert Graded(3, 0) == 3 and hash(Graded(3, 0)) == hash(Fraction(3))
+    assert Graded(0, 5) == 0 == Graded(0, 2)
+    assert Graded(0, 5) + Graded(2, 1) == Graded(2, 1)
+    assert Graded(2, 1) * Graded(Fraction(1, 2), 3) == Graded(1, 4)
+    assert Graded(2, 1) * 3 == Graded(6, 1) == 3 * Graded(2, 1)
+    assert Graded(2, 1) / 4 == Graded(Fraction(1, 2), 1)
+    assert Graded(2, 1) - Graded(2, 1) == 0
+    assert Graded(2, 1) != Graded(2, 2)
+
+
+def test_mixing_lam_degrees_raises():
+    with pytest.raises(InternalInconsistencyError):
+        Graded(1, 1) + Graded(1, 2)
+    with pytest.raises(InternalInconsistencyError):
+        Graded(1, 1) - 1
+    with pytest.raises(InternalInconsistencyError):
+        LaurentSeries("u", 0, [Graded(1, 1)]) + LaurentSeries("u", 0, [Graded(1, 2)])
 
 
 def test_coefficient_below_window_is_zero():
@@ -42,42 +78,40 @@ def test_inverse_geometric():
 
 def test_substitute_identity():
     s = ser(-1, [1])
-    pc = ParamChange.identity(QQ, "t")
+    pc = ParamChange.identity("t")
     assert series_substitute(s, pc, cut=3).coefficient(-1) == 1
 
 
 def test_substitute_polar_expansion_reference_coefficients():
-    # t^(-g-1) - lam*t^(-g) under t = u - (lam/(g+1)) u^2, with lam a graded variable.
+    # t^(-g-1) - lam*t^(-g) under t = u - (lam/(g+1)) u^2, with lam of degree 1.
     for g, expect_m2 in ((2, Fraction(0)), (3, Fraction(-1, 8))):
-        lam_ring = PolyRing(("lam",), (1,))
-        lam = lam_ring.var("lam")
-        s = LaurentSeries(lam_ring, "t", -g - 1, [1, -lam], cut=None)
-        pc = ParamChange.from_coeffs(lam_ring, "t", [-lam / (g + 1)])
+        s = LaurentSeries("t", -g - 1, [1, Graded(-1, 1)], cut=None)
+        pc = ParamChange.from_coeffs("t", [Graded(Fraction(-1, g + 1), 1)])
         out = series_substitute(s, pc, cut=1)
-        assert out.coefficient(-g - 1) == lam_ring.one()
-        assert out.coefficient(-g).is_zero()
+        assert out.coefficient(-g - 1) == 1
+        assert not out.coefficient(-g)
         # coefficient of u^(-g+1) is (2-g)/(2(g+1)) * lam^2
         c = out.coefficient(-g + 1)
-        assert c == lam_ring.const(Fraction(2 - g, 2 * (g + 1))) * lam * lam
+        assert c == Graded(Fraction(2 - g, 2 * (g + 1)), 2)
         if g == 2:
-            assert out.coefficient(-1).is_zero()
+            assert not out.coefficient(-1)
         if g == 3:
-            assert out.coefficient(-2) == lam * lam * lam_ring.const(expect_m2)
+            assert out.coefficient(-2) == Graded(expect_m2, 2)
         # coefficient of u^(-g+2) is (-g^2+g+3)/(3(g+1)^2) * lam^3
         c3 = out.coefficient(-g + 2)
-        assert c3 == lam_ring.const(Fraction(-g * g + g + 3, 3 * (g + 1) ** 2)) * lam**3
+        assert c3 == Graded(Fraction(-g * g + g + 3, 3 * (g + 1) ** 2), 3)
 
 
 def test_substitute_round_trip():
     s = ser(-2, [1, 0, 3, -5], cut=4)
-    pc = ParamChange.from_coeffs(QQ, "t", [Fraction(1, 2), -2, 0, 7], order=8)
+    pc = ParamChange.from_coeffs("t", [Fraction(1, 2), -2, 0, 7], order=8)
     back = series_substitute(series_substitute(s, pc), revert(pc))
     for e in range(-2, back.cut):
         assert back.coefficient(e) == s.coefficient(e)
 
 
 def test_revert_identity():
-    pc = ParamChange.identity(QQ, "t")
+    pc = ParamChange.identity("t")
     assert revert(pc).is_identity()
 
 
@@ -93,7 +127,7 @@ def test_revert_against_lagrange_oracle():
                 binom *= Fraction(-n - i, i + 1)
             return binom * a ** (n - 1) / n
 
-        pc = ParamChange.from_coeffs(QQ, "t", [a], order=4)
+        pc = ParamChange.from_coeffs("t", [a], order=4)
         rev = revert(pc)
         assert rev.coefficient(1) == 1 == lagrange_coeff(1)
         assert rev.coefficient(2) == -a == lagrange_coeff(2)
@@ -101,7 +135,7 @@ def test_revert_against_lagrange_oracle():
 
 
 def test_revert_is_involutive():
-    pc = ParamChange.from_coeffs(QQ, "t", [3, Fraction(-1, 5), 0, 2], order=7)
+    pc = ParamChange.from_coeffs("t", [3, Fraction(-1, 5), 0, 2], order=7)
     assert revert(revert(pc)) == pc
 
 
@@ -119,7 +153,7 @@ small_rats = st.fractions(min_value=-40, max_value=40, max_denominator=12)
 def test_substitute_is_ring_homomorphism(la, ca, lb, cb, tail):
     a = ser(la, ca, cut=la + len(ca))
     b = ser(lb, cb, cut=lb + len(cb))
-    pc = ParamChange.from_coeffs(QQ, "t", tail, order=len(tail) + 2)
+    pc = ParamChange.from_coeffs("t", tail, order=len(tail) + 2)
     lhs = series_substitute(a * b, pc)
     rhs = series_substitute(a, pc) * series_substitute(b, pc)
     cut = min(lhs.cut, rhs.cut)
@@ -131,15 +165,17 @@ def test_substitute_is_ring_homomorphism(la, ca, lb, cb, tail):
 def test_substitute_respects_addition(ca, cb):
     a = ser(0, ca, cut=6)
     b = ser(0, cb, cut=6)
-    pc = ParamChange.from_coeffs(QQ, "t", [1, -1], order=6)
+    pc = ParamChange.from_coeffs("t", [1, -1], order=6)
     assert series_substitute(a + b, pc) == series_substitute(a, pc) + series_substitute(b, pc)
 
 
 # -- the closed-form engine against the product route ---------------------------
+#
+# Every strategy draws a scalar kind: None for plain rationals, or an integer
+# w for homogeneous Graded coefficients of lam-degree e + w at u^e.  A
+# parameter change u + eps*u^r has lead 1 of degree 0, so w = -1 for it.
 
-LAM_RING = PolyRing(("lam",), (1,))
-LAM = LAM_RING.var("lam")
-domains = st.sampled_from([QQ, LAM_RING])
+kinds = st.none() | st.integers(-3, 3)
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=5)
 
 
@@ -148,26 +184,26 @@ def window(x):
 
 
 @st.composite
-def coefficients(draw, domain, unit=False):
-    """A rational (a nonzero one if unit), or over Q[lam] a constant unit or
-    a polynomial of up to two terms."""
+def coefficients(draw, w, e, unit=False):
+    """A rational (a nonzero one if unit) for u^e, of lam-degree e + w unless
+    w is None."""
     r = draw(rationals.filter(bool) if unit else rationals)
-    if domain is None:
-        return r
-    if unit:
-        return LAM_RING.const(r)
-    return LAM_RING.const(r) * LAM ** draw(st.integers(0, 2)) + LAM_RING.const(draw(rationals)) * LAM
+    return r if w is None else Graded(r, e + w)
 
 
 @st.composite
-def series(draw, domain, low=st.integers(-3, 3), truncated=st.booleans(), max_tail=5):
+def series(draw, w, low=st.integers(-3, 3), truncated=st.booleans(), max_tail=5):
     """lead*u^low + tail, exact or truncated at or past the stored terms; the
-    lead is 1 half of the time, as for a parameter change."""
-    lead = draw(st.just(1) | coefficients(domain, unit=True))
-    tail = draw(st.lists(coefficients(domain), max_size=max_tail))
+    lead has r = 1 half of the time, as for a parameter change (a Graded lead
+    equals 1 only at degree 0)."""
     low = draw(low)
-    cut = low + 1 + len(tail) + draw(st.integers(0, 2)) if draw(truncated) else None
-    return LaurentSeries(domain, "u", low, [lead, *tail], cut)
+    lead = draw(st.just(None) | coefficients(w, low, unit=True))
+    if lead is None:
+        lead = 1 if w is None else Graded(1, low + w)
+    size = draw(st.integers(0, max_tail))
+    tail = [draw(coefficients(w, low + 1 + i)) for i in range(size)]
+    cut = low + 1 + size + draw(st.integers(0, 2)) if draw(truncated) else None
+    return LaurentSeries("u", low, [lead, *tail], cut)
 
 
 def product_power(x, n, cut):
@@ -183,8 +219,7 @@ def product_power(x, n, cut):
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_negative_power_matches_product_route(data):
-    domain = data.draw(domains)
-    x = data.draw(series(domain))
+    x = data.draw(series(data.draw(kinds)))
     n = data.draw(st.integers(-30, -1))
     v = x.valuation()
     # an exact series with more than one term has an infinite inverse
@@ -198,7 +233,7 @@ def test_negative_power_matches_product_route(data):
 
 
 @settings(max_examples=30, deadline=None)
-@given(domains.flatmap(lambda d: series(d)), st.integers(-6, -1), st.integers(-20, 0))
+@given(kinds.flatmap(series), st.integers(-6, -1), st.integers(-20, 0))
 def test_negative_power_on_an_empty_window_is_sound(x, n, shift):
     # a cut at or below the valuation n*v of x^n leaves no known coefficient;
     # what the window claims to be zero must be zero
@@ -216,11 +251,12 @@ def test_exact_polynomial_inverse_needs_a_cut():
 
 
 @st.composite
-def binomial_changes(draw, domain):
-    """The exact change u + eps*u^r (the identity when eps = 0)."""
+def binomial_changes(draw, graded):
+    """The exact change u + eps*u^r (the identity when eps = 0), with eps of
+    lam-degree r - 1 if graded."""
     r = draw(st.integers(2, 6))
-    eps = draw(coefficients(domain))
-    return ParamChange(LaurentSeries(domain, "u", 1, [1] + [0] * (r - 2) + [eps]))
+    eps = draw(coefficients(-1 if graded else None, r))
+    return ParamChange(LaurentSeries("u", 1, [1] + [0] * (r - 2) + [eps]))
 
 
 def substitute_by_powers(s, p, out_cut):
@@ -234,9 +270,9 @@ def substitute_by_powers(s, p, out_cut):
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_binomial_change_matches_sum_of_powers(data):
-    domain = data.draw(domains)
-    s = data.draw(series(domain, low=st.integers(-6, 4)))
-    pc = data.draw(binomial_changes(domain))
+    w = data.draw(kinds)
+    s = data.draw(series(w, low=st.integers(-6, 4)))
+    pc = data.draw(binomial_changes(w is not None))
     exact_tail = s.cut is None and s.low < 0
     cut = data.draw(st.integers(s.low + 1, s.low + 14) | (st.nothing() if exact_tail else st.none()))
     out_cut = min((c for c in (s.cut, cut) if c is not None), default=None)
@@ -245,8 +281,8 @@ def test_binomial_change_matches_sum_of_powers(data):
 
 
 @settings(max_examples=30, deadline=None)
-@given(domains.flatmap(lambda d: st.tuples(
-    series(d, low=st.integers(-6, -1), truncated=st.just(False)), binomial_changes(d))))
+@given(kinds.flatmap(lambda w: st.tuples(
+    series(w, low=st.integers(-6, -1), truncated=st.just(False)), binomial_changes(w is not None))))
 def test_exact_pole_through_exact_change_needs_a_cut(args):
     s, pc = args
     with pytest.raises(TruncationError):
@@ -257,9 +293,10 @@ def test_exact_pole_through_exact_change_needs_a_cut(args):
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_change_composed_with_its_reversion_is_identity(data):
-    domain = data.draw(domains)
-    tail = data.draw(st.lists(coefficients(domain), min_size=1, max_size=5))
-    order = len(tail) + 2 + data.draw(st.integers(0, 3))
-    pc = ParamChange.from_coeffs(domain, "u", tail, order=order)
+    w = -1 if data.draw(st.booleans()) else None
+    size = data.draw(st.integers(1, 5))
+    tail = [data.draw(coefficients(w, 2 + i)) for i in range(size)]
+    order = size + 2 + data.draw(st.integers(0, 3))
+    pc = ParamChange.from_coeffs("u", tail, order=order)
     back = pc.compose(revert(pc))
     assert back.is_identity() and back.order() == order
