@@ -41,8 +41,17 @@ def _print_result(status: str, payload, diagnostics=()) -> None:
     print(json.dumps(doc, sort_keys=True, indent=2))
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a parse error as ValidationError, so that it is reported as a
+    JSON document like every other usage error, instead of exiting."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValidationError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="nsc", description=__doc__)
+    parser = _Parser(prog="nsc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("s-table", help="coefficient table of the polar-term recursion")
@@ -186,12 +195,8 @@ def _cmd_zoo(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0,) else 0
-    try:
+        args = _build_parser().parse_args(argv)
         if args.command == "s-table":
             return _cmd_s_table(args)
         if args.command == "verify":
@@ -201,6 +206,8 @@ def main(argv=None) -> int:
         if args.command == "zoo":
             return _cmd_zoo(args)
         return EXIT_USAGE
+    except SystemExit as exc:  # --help; parse errors raise ValidationError
+        return EXIT_USAGE if exc.code not in (0,) else 0
     except (ValidationError, CohomologyError, TruncationError, OSError, ValueError) as exc:
         _print_result("error", None, [str(exc)])
         return EXIT_USAGE

@@ -5,9 +5,14 @@ singular point is given by its branches (points of the normalization), a jet
 order k, a conductor c with c <= k, and a basis of the local algebra's image
 in the product jet space prod_branches Q[s]/(s^k).  Because the span contains
 everything vanishing to order >= c on all branches, it determines the local
-ring exactly, and delta invariants, arithmetic genus and section spaces of
-divisors supported on marked smooth points all become finite exact linear
-algebra over Q.
+ring exactly.
+
+Every computation reads a singular point as its jet conditions: the linear
+functionals annihilating the span, stored sparsely and computed once per
+jet order.  A function is regular at the point iff its jet is killed by all
+of them, and the delta invariant is their count.  Arithmetic genus and the
+section spaces of divisors supported on marked smooth points thus become
+finite exact linear algebra over Q.
 
 Global functions are tuples of rational functions, one per component, with
 poles confined to the marked points; they are represented on the partial
@@ -131,23 +136,31 @@ class Divisor:
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _span_info(sing: SingularPoint):
-    """(rref rows, pivots, annihilator functionals) of the algebra span.
+def _span_info(sing: SingularPoint, k: int) -> tuple:
+    """The singular point as its jet conditions at jet order k >= the model's.
 
-    A functional is a vector phi with phi . v = 0 for every v in the span;
-    the jet of a candidate section lies in the span iff all functionals kill
-    it, so these are exactly the linear conditions cut out by the singularity.
+    The span is the algebra basis zero-padded to order k plus the conductor
+    tail (every s^d, k_model <= d < k, on every branch).  Returns a basis of
+    the functionals phi with phi . v = 0 for every v in that span, each a
+    tuple of (slot, value) pairs over its nonzero entries, slot b*k + d being
+    s^d on branch b.  A jet lies in the span iff every functional kills it,
+    and the delta invariant is the number of functionals.
     """
-    width = len(sing.branches) * sing.jet_order
-    rows = [list(map(Fraction, v)) for v in sing.algebra_basis]
-    red, pivots = linalg.rref(rows)
-    functionals = linalg.nullspace(rows, ncols=width)
-    return red, pivots, functionals
+    k0, B = sing.jet_order, len(sing.branches)
+    pad = [Fraction(0)] * (k - k0)
+    rows = [[x for b in range(B) for x in (*v[b * k0:(b + 1) * k0], *pad)]
+            for v in sing.algebra_basis]
+    for b in range(B):
+        for d in range(k0, k):
+            unit = [Fraction(0)] * (B * k)
+            unit[b * k + d] = Fraction(1)
+            rows.append(unit)
+    return tuple(tuple((s, x) for s, x in enumerate(phi) if x)
+                 for phi in linalg.nullspace(rows, ncols=B * k))
 
 
 def _span_contains(sing: SingularPoint, vector) -> bool:
-    red, pivots, _ = _span_info(sing)
-    return linalg.in_row_space(red, pivots, vector)
+    return not any(sum(x * vector[s] for s, x in phi) for phi in _span_info(sing, sing.jet_order))
 
 
 def _jet_slot(sing: SingularPoint, branch_index: int, degree: int) -> int:
@@ -282,8 +295,8 @@ def _constant_block_dimension(sing: SingularPoint) -> int:
     the branches really are glued into a single point.
     """
     B = len(sing.branches)
-    _, _, functionals = _span_info(sing)
-    cond = [[phi[_jet_slot(sing, b, 0)] for b in range(B)] for phi in functionals]
+    functionals = [dict(phi) for phi in _span_info(sing, sing.jet_order)]
+    cond = [[phi.get(_jet_slot(sing, b, 0), 0) for b in range(B)] for phi in functionals]
     if not cond:
         return B
     return len(linalg.nullspace(cond, ncols=B))
@@ -294,28 +307,15 @@ def _constant_block_dimension(sing: SingularPoint) -> int:
 # ---------------------------------------------------------------------------
 
 def delta_invariant(curve: CurveModel, sing: SingularPoint, jet_order: int | None = None) -> int:
-    """(#branches * k) - dim(span), optionally recomputed at a deeper jet order
-    (the span extends by zero-padding plus the conductor tail)."""
+    """(#branches * k) - dim(span), i.e. the number of jet conditions,
+    optionally recomputed at a deeper jet order (the span extends by
+    zero-padding plus the conductor tail)."""
     if sing not in curve.singularities:
         raise ValidationError("singularity does not belong to this curve")
-    k0, B = sing.jet_order, len(sing.branches)
-    k = jet_order if jet_order is not None else k0
-    if k < k0:
+    k = jet_order if jet_order is not None else sing.jet_order
+    if k < sing.jet_order:
         raise ValidationError("cannot shrink the jet order below the model's")
-    width = B * k
-    rows = []
-    for v in sing.algebra_basis:
-        padded = []
-        for b in range(B):
-            seg = list(v[b * k0:(b + 1) * k0])
-            padded.extend(seg + [Fraction(0)] * (k - k0))
-        rows.append(padded)
-    for b in range(B):
-        for d in range(k0, k):
-            unit = [Fraction(0)] * width
-            unit[b * k + d] = Fraction(1)
-            rows.append(unit)
-    return width - linalg.rank(rows)
+    return len(_span_info(sing, k))
 
 
 def arithmetic_genus(curve: CurveModel) -> int:
@@ -379,39 +379,19 @@ def _elt_expansion(elt, component, point, low: int, high: int) -> tuple:
     return tuple(coeffs[e] for e in range(low, high))
 
 
-def _ambient(curve: CurveModel, divisor: Divisor):
-    elts = [("const", c) for c in curve.components]
-    for idx, mp in enumerate(curve.marked_points):
-        n = divisor.multiplicity(curve.point_id(idx))
-        for j in range(1, max(0, n) + 1):
-            elts.append(("pole", mp.component, mp.point, j))
-    return elts
-
-
 def _jet_rows(curve: CurveModel, elts):
     """One row per independent jet condition at each singularity."""
     rows = []
     for sing in curve.singularities:
         k = sing.jet_order
-        _, _, functionals = _span_info(sing)
         jets = []
         for elt in elts:
             jet = []
             for br in sing.branches:
                 jet.extend(_elt_expansion(elt, br.component, br.point, 0, k))
             jets.append(jet)
-        for phi in functionals:
-            rows.append([sum(p * j for p, j in zip(phi, jet)) for jet in jets])
-    return rows
-
-
-def _vanishing_rows(curve: CurveModel, divisor: Divisor, elts):
-    rows = []
-    for idx, mp in enumerate(curve.marked_points):
-        n = divisor.multiplicity(curve.point_id(idx))
-        if n < 0:
-            for d in range(-n):
-                rows.append([_elt_expansion(elt, mp.component, mp.point, d, d + 1)[0] for elt in elts])
+        for phi in _span_info(sing, k):
+            rows.append([sum(x * jet[s] for s, x in phi) for jet in jets])
     return rows
 
 
@@ -488,22 +468,30 @@ def _canonical_divisor(curve: CurveModel, divisor: Divisor) -> Divisor:
     return Divisor.of(mapping)
 
 
-def _check_divisor(curve: CurveModel, divisor: Divisor) -> None:
-    for pid, _ in divisor.items:
-        mp = curve.marked(pid)
-        for sing in curve.singularities:
-            for br in sing.branches:
-                if br.component == mp.component and br.point == mp.point:
-                    raise ValidationError("divisor touches a singular branch point")
+def constraints(curve: CurveModel, divisor: Divisor):
+    """(ambient basis, constraint rows) for the sections of O(divisor).
+
+    The ambient basis spans the functions with poles bounded by the divisor's
+    positive part; a combination of it is a section iff it satisfies every
+    row: the jet conditions at each singularity, then one row per prescribed
+    zero of the negative part."""
+    validate(curve)
+    divisor = _canonical_divisor(curve, divisor)
+    mults = [divisor.multiplicity(curve.point_id(idx)) for idx in range(len(curve.marked_points))]
+    elts = [("const", c) for c in curve.components]
+    for mp, n in zip(curve.marked_points, mults):
+        for j in range(1, n + 1):
+            elts.append(("pole", mp.component, mp.point, j))
+    rows = _jet_rows(curve, elts)
+    for mp, n in zip(curve.marked_points, mults):
+        for d in range(-n):
+            rows.append([_elt_expansion(elt, mp.component, mp.point, d, d + 1)[0] for elt in elts])
+    return elts, rows
 
 
 def h0(curve: CurveModel, divisor: Divisor) -> H0Result:
     """Dimension and explicit basis of the sections of O(divisor)."""
-    validate(curve)
-    divisor = _canonical_divisor(curve, divisor)
-    _check_divisor(curve, divisor)
-    elts = _ambient(curve, divisor)
-    rows = _jet_rows(curve, elts) + _vanishing_rows(curve, divisor, elts)
+    elts, rows = constraints(curve, divisor)
     kernel = linalg.nullspace(rows, ncols=len(elts))
     kernel, _ = linalg.rref(kernel) if kernel else ([], [])
     return H0Result(len(kernel), tuple(FunctionOnCurve(curve, elts, v) for v in kernel))
@@ -522,11 +510,7 @@ def h1(curve: CurveModel, divisor: Divisor) -> int:
 def h1_corank(curve: CurveModel, divisor: Divisor) -> int:
     """Independent oracle: corank of the full constraint matrix (jet conditions
     plus prescribed-zero conditions) on the ambient pole space."""
-    validate(curve)
-    divisor = _canonical_divisor(curve, divisor)
-    _check_divisor(curve, divisor)
-    elts = _ambient(curve, divisor)
-    rows = _jet_rows(curve, elts) + _vanishing_rows(curve, divisor, elts)
+    _, rows = constraints(curve, divisor)
     if not rows:
         return 0
     return len(rows) - linalg.rank(rows)

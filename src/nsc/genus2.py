@@ -132,10 +132,6 @@ def coefficient_f_ring(base=None) -> PolyRing:
     return PolyRing(("f",), (3,), base=base)
 
 
-def _upoly(ring, coeffs) -> MultiPoly:
-    return ring.element({(i,): c for i, c in enumerate(coeffs)})
-
-
 def _deg(p: MultiPoly) -> int:
     return p.degree_in("f")
 
@@ -440,7 +436,6 @@ def presentation_from_series(sf: LaurentSeries, sh: LaurentSeries, sk: LaurentSe
     identically through the sound window."""
     ring = coefficient_f_ring()
     f = ring.var("f")
-    one = ring.one()
 
     one = LaurentSeries.monomial(sf.var, 0, 1, cut=sf.cut)
     basis_series = {}

@@ -40,6 +40,12 @@ def nullspace(rows, ncols=None):
             raise ValueError("ncols required for empty constraint list")
         ncols = len(rows[0])
     red, pivots = rref(rows) if rows else ([], [])
+    return _kernel(red, pivots, ncols)
+
+
+def _kernel(red, pivots, ncols):
+    """Kernel basis of the first ncols columns of a reduced matrix, one vector
+    per free column."""
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fcol in free:
@@ -49,16 +55,6 @@ def nullspace(rows, ncols=None):
             v[pcol] = -red[i][fcol]
         basis.append(v)
     return basis
-
-
-def in_row_space(rows_rref, pivots, v):
-    """Membership of v in the row space given its rref."""
-    v = list(map(Fraction, v))
-    for row, p in zip(rows_rref, pivots):
-        if v[p]:
-            f = v[p]
-            v = [a - f * b for a, b in zip(v, row)]
-    return not any(v)
 
 
 def solve_affine(rows, rhs):
@@ -73,5 +69,4 @@ def solve_affine(rows, rhs):
     x = [Fraction(0)] * ncols
     for i, p in enumerate(pivots):
         x[p] = red[i][ncols]
-    kernel = nullspace([r[:ncols] for r in red], ncols)
-    return x, kernel
+    return x, _kernel(red, pivots, ncols)

@@ -315,17 +315,6 @@ class MultiPoly:
         i = self.ring._index[name]
         return max(e[i] for e in self.terms)
 
-    def coefficient_in(self, name: str, power: int) -> "MultiPoly":
-        """Coefficient of name**power, as a polynomial in the remaining variables."""
-        i = self.ring._index[name]
-        terms = {}
-        for exps, c in self.terms.items():
-            if exps[i] == power:
-                e = list(exps)
-                e[i] = 0
-                terms[tuple(e)] = c
-        return MultiPoly(self.ring, terms)
-
     def substitute(self, assignments: dict) -> "MultiPoly":
         """Substitute ring elements for variables (others left alone)."""
         values = {}

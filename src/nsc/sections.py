@@ -23,10 +23,9 @@ from .curves import (
     CurveModel,
     Divisor,
     FunctionOnCurve,
-    _ambient,
     _elt_expansion,
-    _jet_rows,
     arithmetic_genus,
+    constraints,
     validate,
 )
 from .errors import CohomologyError, ValidationError
@@ -90,8 +89,7 @@ def f_sections(curve: CurveModel, weights: dict, i: str, m: int,
     params = {f"p{curve.point_index(k)}": v for k, v in (params or {}).items()}
 
     divisor = Divisor.of({**weights, i: m})
-    elts = _ambient(curve, divisor)
-    rows = _jet_rows(curve, elts)
+    elts, rows = constraints(curve, divisor)
     rhs = [Fraction(0)] * len(rows)
 
     pc_i = params.get(i)

@@ -163,7 +163,3 @@ def glued_cusps(a1: int, a2: int) -> CurveModel:
         MarkedPoint("c1", INF, _q(1), a2),
     )
     return validate(CurveModel(("c0", "c1"), (sing,), marked))
-
-
-def zoo_case_ids():
-    return list(ZOO_IDS)

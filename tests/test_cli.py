@@ -179,6 +179,30 @@ def test_unbounded_canonical_m_max_is_usage_error(tmp_path, capsys):
     assert "limit is 32" in doc["diagnostics"][0]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["frobnicate"], "invalid choice: 'frobnicate'"),
+    ([], "the following arguments are required: command"),
+    (["s-table", "--genus", "two"], "argument --genus: invalid int value: 'two'"),
+    (["verify", "--suite", "c0", "--perturb", "c9"], "argument --perturb: invalid choice: 'c9'"),
+    (["curve", "h0", "Ia.json", "--divisor", "-65*p0"], "argument --divisor: expected one argument"),
+    (["zoo", "list", "Ia", "out.json", "extra"], "unrecognized arguments: extra"),
+])
+def test_parse_errors_print_one_error_document(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert code == 2
+    assert doc["status"] == "error" and doc["payload"] is None
+    assert len(doc["diagnostics"]) == 1 and message in doc["diagnostics"][0]
+    assert "usage: nsc" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["curve", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    assert main(argv) == 0
+    assert "usage: nsc" in capsys.readouterr().out
+
+
 def test_output_byte_identical_across_runs(capsys):
     _, out1 = run_cli(capsys, "verify", "--suite", "c0")
     _, out2 = run_cli(capsys, "verify", "--suite", "c0")

@@ -10,6 +10,7 @@ from nsc.curves import (
     Divisor,
     MarkedPoint,
     SingularPoint,
+    _span_contains,
     arithmetic_genus,
     delta_invariant,
     h0,
@@ -19,7 +20,7 @@ from nsc.curves import (
     validate,
 )
 from nsc.errors import ValidationError
-from nsc.zoo import ZOO_IDS, cusp, deep_cusp, node, zoo
+from nsc.zoo import ZOO_IDS, cusp, deep_cusp, glued_cusps, node, zoo
 
 
 def projective_line(*marked):
@@ -147,6 +148,41 @@ def test_delta_deep_cusp_family_against_bruteforce():
         cur = validate(CurveModel(("c0",), (sing,), (mp(5),)))
         width = len(sing.branches) * sing.jet_order
         assert delta_invariant(cur, sing) == width - brute_rank(sing.algebra_basis) == a
+
+
+def singular_points():
+    curves = [zoo(case) for case in ZOO_IDS] + [zoo(f"ccusp{a}") for a in range(1, 9)]
+    return [(cur, sing) for cur in curves + [glued_cusps(2, 3)] for sing in cur.singularities]
+
+
+def test_span_membership_against_bruteforce():
+    # half of the jets are combinations of basis vectors; the other half add
+    # a multiple of one unit jet, which may or may not leave the span
+    rng = random.Random(20261018)
+    for _, sing in singular_points():
+        basis = [list(map(Fraction, v)) for v in sing.algebra_basis]
+        width = len(sing.branches) * sing.jet_order
+        r = brute_rank(basis)
+        for trial in range(2 * width):
+            jet = [Fraction(0)] * width
+            for v in basis:
+                c = rng.randint(-3, 3)
+                jet = [x + c * y for x, y in zip(jet, v)]
+            if trial % 2:
+                jet[rng.randrange(width)] += rng.choice((-2, -1, 1, Fraction(1, 2)))
+            assert _span_contains(sing, jet) == (brute_rank(basis + [jet]) == r)
+
+
+def test_delta_against_bruteforce_at_deeper_jets():
+    # the span at jet order k: the basis zero-padded to k plus the tail units
+    for cur, sing in singular_points():
+        k0, B = sing.jet_order, len(sing.branches)
+        for k in range(k0, k0 + 3):
+            rows = [[x for b in range(B) for x in list(v[b * k0:(b + 1) * k0]) + [0] * (k - k0)]
+                    for v in sing.algebra_basis]
+            rows += [[int(s == b * k + d) for s in range(B * k)]
+                     for b in range(B) for d in range(k0, k)]
+            assert delta_invariant(cur, sing, k) == B * k - brute_rank(rows)
 
 
 def test_delta_stable_under_deeper_jets():

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nsc.errors import InternalInconsistencyError, TruncationError, ValidationError
 from nsc.laurent import LaurentSeries, ParamChange, revert, series_substitute
@@ -162,11 +162,17 @@ def test_substitute_is_ring_homomorphism(la, ca, lb, cb, tail):
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(small_rats, min_size=1, max_size=4), st.lists(small_rats, min_size=1, max_size=4))
+@example(ca=[Fraction(1)], cb=[Fraction(-1), Fraction(1)])
 def test_substitute_respects_addition(ca, cb):
+    # when a + b cancels its lowest term, its substitution knows more
+    # exponents than the sum of the substitutions: compare on the common window
     a = ser(0, ca, cut=6)
     b = ser(0, cb, cut=6)
     pc = ParamChange.from_coeffs("t", [1, -1], order=6)
-    assert series_substitute(a + b, pc) == series_substitute(a, pc) + series_substitute(b, pc)
+    lhs = series_substitute(a + b, pc)
+    rhs = series_substitute(a, pc) + series_substitute(b, pc)
+    assert lhs.cut >= rhs.cut
+    assert lhs.truncate(rhs.cut) == rhs
 
 
 # -- the closed-form engine against the product route ---------------------------
