@@ -6,13 +6,16 @@ Every command prints a single JSON document
 
 with sorted keys and all numbers as exact rational literals.  Exit codes:
 0 = pass, 1 = mathematical mismatch, 2 = usage or input error.  Divisor
-multiplicities and `curve canonical --m-max` are bounded (see README).
+multiplicities, `curve canonical --m-max` and the `s-table` genus, m-max and
+j-max are bounded (see README).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 
 from .curveio import curve_to_jsonable, dump_curve, load_curve, parse_divisor
@@ -34,6 +37,7 @@ from .zoo import ZOO_IDS, zoo
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 MAX_M_MAX = 32
+MAX_TABLE_GENUS, MAX_TABLE_M_MAX, MAX_TABLE_J_MAX = 48, 64, 16
 
 
 def _print_result(status: str, payload, diagnostics=()) -> None:
@@ -50,6 +54,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="nsc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -90,6 +95,11 @@ def _cmd_s_table(args) -> int:
     if m_max <= args.genus or args.j_max < 0:
         _print_result("error", None, ["need m-max > genus and j-max >= 0"])
         return EXIT_USAGE
+    limits = (("genus", args.genus, MAX_TABLE_GENUS), ("m-max", m_max, MAX_TABLE_M_MAX),
+              ("j-max", args.j_max, MAX_TABLE_J_MAX))
+    for name, value, limit in limits:
+        if value > limit:
+            raise ValidationError(f"{name} {value} is out of range: the limit is {limit}")
     result = run_recursion(args.genus, m_max, args.j_max)
     if args.table:
         print(f"# s_{{m,j}} for genus {args.genus}")
@@ -196,6 +206,20 @@ def _cmd_zoo(args) -> int:
 
 def main(argv=None) -> int:
     try:
+        code = _run(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout was closed early (e.g. piped into `head`): nothing more can be
+        # reported there, and what is still buffered goes to devnull so that
+        # the interpreter's flush at exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_USAGE
+
+
+def _run(argv) -> int:
+    try:
         args = _build_parser().parse_args(argv)
         if args.command == "s-table":
             return _cmd_s_table(args)
@@ -208,6 +232,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except SystemExit as exc:  # --help; parse errors raise ValidationError
         return EXIT_USAGE if exc.code not in (0,) else 0
+    except BrokenPipeError:
+        raise
     except (ValidationError, CohomologyError, TruncationError, OSError, ValueError) as exc:
         _print_result("error", None, [str(exc)])
         return EXIT_USAGE

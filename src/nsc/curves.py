@@ -70,6 +70,15 @@ class SingularPoint:
     conductor: int
     algebra_basis: tuple  # tuples of Fractions, length len(branches)*jet_order
 
+    # every cache keyed by a singular point or a curve would otherwise
+    # re-hash each Fraction of the algebra basis on every lookup
+    def __hash__(self):
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self):
+        return hash((self.branches, self.jet_order, self.conductor, self.algebra_basis))
+
 
 @dataclass(frozen=True)
 class MarkedPoint:
@@ -84,6 +93,13 @@ class CurveModel:
     components: tuple
     singularities: tuple
     marked_points: tuple
+
+    def __hash__(self):
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self):
+        return hash((self.components, self.singularities, self.marked_points))
 
     def point_id(self, index: int) -> str:
         return f"p{index}"
@@ -202,8 +218,10 @@ def _validate_cached(curve: CurveModel) -> bool:
         if sing.conductor < 1:
             raise ValidationError("conductor must be >= 1")
         # k >= c is the sound minimum: jets of order >= c are free, so the span
-        # determines the local ring; the delta-stability checks at deeper jet
-        # orders guard against under-truncated inputs.
+        # determines the local ring.  Nothing here detects a basis truncated
+        # too early: the span at a deeper order is the padded basis plus every
+        # tail unit, so delta is the same at every order k >= jet order for
+        # any basis, and the delta-stability checks cannot fail.
         if sing.jet_order < max(sing.conductor, 2):
             raise ValidationError(
                 f"jet order {sing.jet_order} too small for conductor {sing.conductor}"

@@ -7,10 +7,15 @@ p_j whose expansion at p_i in the chosen parameter is
 
     u^-m  +  (nothing between exponents -m and -a_i)  +  c_{-a_i} u^-a_i + ...
 
-with constant term zero.  The canonical parameter at p_i is the unique
-tangent-compatible parameter making the coefficient at u^-a_i vanish for
-every m; it is found order by order, re-solving the section after each
-correction.
+with constant term zero.  There is one way to solve for it: over a basis of
+the regular functions with poles bounded by m_max p_i + sum_{j != i} a_j p_j,
+taken once by one nullspace of the jet conditions and expanded once at p_i.
+The basis is triangular in the pole order at p_i, so f_i[-m] for m <= m_max
+is a small solve over the basis functions with poles of order at most m.
+The canonical parameter at p_i is the unique tangent-compatible parameter
+making the coefficient at u^-a_i vanish for every m; it is found order by
+order, advancing the basis expansions through each exact correction step
+rather than solving every section again.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .curves import (
     constraints,
     validate,
 )
-from .errors import CohomologyError, ValidationError
+from .errors import CohomologyError, TruncationError, ValidationError
 from .laurent import LaurentSeries, ParamChange, series_substitute
 
 
@@ -76,6 +81,52 @@ class Section:
         return self.expansions[other_id].coefficient(exponent)
 
 
+def _regular_basis(curve, weights, i, m_max, param_change=None):
+    """(ambient basis, regular-function basis, expansions at p_i) for the
+    divisor weights + m_max p_i: one nullspace of the jet conditions (the
+    identity when there are none), each basis function expanded at p_i on
+    exponents [-m_max, 1) in u = s/v, then through the optional change.
+
+    The poles at p_i are the last columns eliminated, by order, so each
+    kernel vector ends at its free column: the basis functions with a pole of
+    order at most m at p_i span every such function."""
+    elts, rows = constraints(curve, Divisor.of({**weights, i: m_max}))
+    mp = curve.marked(i)
+    at_i = ("pole", mp.component, mp.point)
+    cols = sorted(range(len(elts)), key=lambda c: elts[c][3] if elts[c][:3] == at_i else 0)
+    kernel = linalg.nullspace([[row[c] for c in cols] for row in rows], ncols=len(elts))
+    back = sorted(range(len(cols)), key=cols.__getitem__)  # the inverse permutation
+    basis = [[v[k] for k in back] for v in kernel]
+    return elts, basis, [_expansion(curve, i, -m_max, 1, zip(b, elts), param_change) for b in basis]
+
+
+def _solve_section(weights, i, m, expansions, cut):
+    """Coordinates of f_i[-m] over basis functions with poles of order at
+    most m at p_i, given by their expansions there: the unique combination
+    with coefficient 1 at -m, none on (-m, -a_i) and constant term zero.  The
+    expansions are in a parameter known below u^cut (None: exact)."""
+    if cut is not None and cut <= m + 1:
+        raise TruncationError(
+            f"a parameter known below u^{cut} cannot fix the constant term of "
+            f"f_{i}[-{m}]: it must be known below u^{m + 2}"
+        )
+    targets = [(-m, 1)] + [(e, 0) for e in range(-m + 1, -weights.get(i, 0))] + [(0, 0)]
+    rows = [[s.coefficient(e) for s in expansions] for e, _ in targets]
+    solved = linalg.solve_affine(rows, [value for _, value in targets])
+    if solved is None:
+        raise CohomologyError(
+            f"no section with principal part u^-{m} at {i}: h1 obstruction "
+            f"(weights {weights})"
+        )
+    y, kernel = solved
+    if kernel:
+        raise CohomologyError(
+            f"section of order {m} at {i} is not unique: "
+            f"h1({Divisor.of({**weights, i: m}).items}) != 0"
+        )
+    return y
+
+
 def f_sections(curve: CurveModel, weights: dict, i: str, m: int,
                params: dict | None = None, tail: int = 6) -> Section:
     """Solve for f_i[-m]; expansions are returned at every marked point to
@@ -88,31 +139,11 @@ def f_sections(curve: CurveModel, weights: dict, i: str, m: int,
         raise ValidationError(f"need m > a_i = {a_i}, got m = {m}")
     params = {f"p{curve.point_index(k)}": v for k, v in (params or {}).items()}
 
-    divisor = Divisor.of({**weights, i: m})
-    elts, rows = constraints(curve, divisor)
-    rhs = [Fraction(0)] * len(rows)
-
     pc_i = params.get(i)
-    per_elt = [_expansion(curve, i, -m, 1, [(1, elt)], pc_i) for elt in elts]
-    targets = [(-m, Fraction(1))]
-    targets += [(e, Fraction(0)) for e in range(-m + 1, -a_i)]
-    targets += [(0, Fraction(0))]
-    for e, value in targets:
-        rows.append([s.coefficient(e) for s in per_elt])
-        rhs.append(value)
-
-    solved = linalg.solve_affine(rows, rhs)
-    if solved is None:
-        raise CohomologyError(
-            f"no section with principal part u^-{m} at {i}: h1 obstruction "
-            f"(weights {weights})"
-        )
-    x, kernel = solved
-    if kernel:
-        raise CohomologyError(
-            f"section of order {m} at {i} is not unique: h1({divisor.items}) != 0"
-        )
-    fn = FunctionOnCurve(curve, elts, x)
+    elts, basis, expansions = _regular_basis(curve, weights, i, m, pc_i)
+    y = _solve_section(weights, i, m, expansions, pc_i.order() if pc_i else None)
+    fn = FunctionOnCurve(curve, elts, [sum(c * b[k] for c, b in zip(y, basis) if c)
+                                       for k in range(len(elts))])
     expansions = {}
     for pid in curve.point_ids():
         low = -m if pid == i else -weights.get(pid, 0)
@@ -124,7 +155,12 @@ def canonical_parameter(curve: CurveModel, weights: dict, i: str, m_max: int,
                         order: int | None = None) -> ParamChange:
     """Tangent-compatible parameter change at p_i making the coefficient at
     u^-a_i of every f_i[-m], m <= m_max, vanish exactly; m_max must exceed
-    a_i, or there is no correction to compute."""
+    a_i, or there is no correction to compute.
+
+    The regular-function basis of weights + m_max p_i is expanded once; each
+    correction u -> u + (alpha/m) u^r is exact, so the expansions advance by
+    it with no loss of window, and the returned change is their composition
+    known below u^order."""
     validate(curve)
     weights = _normalize_weights(curve, weights)
     i = f"p{curve.point_index(i)}"
@@ -134,13 +170,18 @@ def canonical_parameter(curve: CurveModel, weights: dict, i: str, m_max: int,
     if order is None:
         order = m_max + 6
     pc = ParamChange.identity("u", order=order)
+    _, _, expansions = _regular_basis(curve, weights, i, m_max)
     for m in range(a_i + 1, m_max + 1):
-        sec = f_sections(curve, weights, i, m, params={i: pc}, tail=-a_i + 1)
-        alpha = sec.expansions[i].coefficient(-a_i)
+        # the functions with poles of order at most m at p_i: a valuation-1
+        # change keeps each expansion's valuation
+        near = [s for s in expansions if s.low >= -m]
+        y = _solve_section(weights, i, m, near, order)
+        alpha = sum(c * s.coefficient(-a_i) for c, s in zip(y, near) if c)
         if alpha:
             r = m - a_i + 1
             step = ParamChange(LaurentSeries("u", 1, [1] + [0] * (r - 2) + [alpha / m]))
             pc = pc.compose(step)
+            expansions = [series_substitute(s, step) for s in expansions]
     return pc
 
 

@@ -139,6 +139,36 @@ def test_curve_usage_errors(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("option, value, limit", [
+    ("--j-max", "100000", "limit is 16"),
+    ("--m-max", "100000", "limit is 64"),
+    ("--genus", "100000", "limit is 48"),
+])
+def test_unbounded_s_table_inputs_are_usage_errors(option, value, limit):
+    # run in a subprocess so that unbounded work fails the test by its timeout
+    argv = {"--genus": "2", option: value}
+    proc = subprocess.run(
+        [sys.executable, "-m", "nsc.cli", "s-table", *(x for kv in argv.items() for x in kv)],
+        capture_output=True, text=True, check=False, env=_checkout_env(), timeout=20,
+    )
+    doc = json.loads(proc.stdout)
+    assert proc.returncode == 2 and doc["status"] == "error"
+    assert limit in doc["diagnostics"][0] and option[2:] in doc["diagnostics"][0]
+
+
+def test_s_table_limits_reach_the_closed_forms(capsys):
+    from nsc.normalform import closed_form_s1, closed_form_s2
+    from nsc.rational import format_rational
+
+    code, doc = run_json(capsys, "s-table", "--genus", "40", "--m-max", "43", "--j-max", "2")
+    assert code == 0
+    values = {(e["m"], e["j"]): e["value"] for e in doc["payload"]["entries"]}
+    assert values[(41, 1)] == format_rational(closed_form_s1(40))
+    assert values[(41, 2)] == format_rational(closed_form_s2(40))
+    code, _ = run_cli(capsys, "s-table", "--genus", "48", "--m-max", "64", "--j-max", "1")
+    assert code == 0
+
+
 def test_bad_weights_literal_is_usage_error(tmp_path, capsys):
     ia = tmp_path / "Ia.json"
     run_json(capsys, "zoo", "emit", "Ia", str(ia))
@@ -212,13 +242,34 @@ def test_output_byte_identical_across_runs(capsys):
     assert out3 == out4
 
 
-def test_installed_entry_point_runs():
-    # the subprocess imports this checkout's package, installed or not
+def _checkout_env():
+    # a subprocess imports this checkout's package, installed or not
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_installed_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "nsc.cli", "zoo", "list"],
-        capture_output=True, text=True, check=False, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=False, env=_checkout_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "pass"
+
+
+def test_closed_stdout_exits_two_without_traceback():
+    # stdout is a pipe whose read end is closed before the child writes, as
+    # when the output is piped into a reader that has already exited
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "nsc.cli", "verify", "--suite", "c0"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, check=False,
+            env=_checkout_env(), timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr

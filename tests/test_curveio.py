@@ -101,3 +101,19 @@ def test_divisor_grammar():
     for bad in ("p0", "2*", "2*p9", "2 p0", "*p0"):
         with pytest.raises(ValidationError):
             parse_divisor(bad, cur)
+
+
+def test_equal_curves_loaded_twice_share_one_validation_entry(tmp_path):
+    from nsc.curves import _validate_cached, validate
+
+    path = tmp_path / "ccusp7.json"
+    dump_curve(zoo("ccusp7"), str(path))
+    first, second = load_curve(str(path)), load_curve(str(path))
+    assert first is not second and first == second
+    assert hash(first) == hash(second)
+    assert hash(first.singularities[0]) == hash(second.singularities[0])
+    validate(first)
+    size = _validate_cached.cache_info().currsize
+    validate(second)
+    assert _validate_cached.cache_info().currsize == size
+    assert {first: 1}[second] == 1

@@ -3,10 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from nsc.curves import INF, CurveModel, Divisor, MarkedPoint, h1, validate
-from nsc.errors import CohomologyError, ValidationError
-from nsc.sections import alpha_beta, canonical_parameter, f_sections, rescale_tangent
-from nsc.zoo import ZOO_IDS, zoo
+from nsc import linalg
+from nsc.curves import (
+    INF, CurveModel, Divisor, MarkedPoint, arithmetic_genus, constraints, h1, validate,
+)
+from nsc.errors import CohomologyError, TruncationError, ValidationError
+from nsc.laurent import LaurentSeries, ParamChange
+from nsc.sections import _expansion, alpha_beta, canonical_parameter, f_sections, rescale_tangent
+from nsc.zoo import ZOO_IDS, glued_cusps, zoo
 
 
 def mp(point, tangent=1, weight=None):
@@ -181,3 +185,147 @@ def test_canonical_parameter_needs_a_step():
         with pytest.raises(ValidationError, match=f"m_max = {m_max}"):
             canonical_parameter(cur, {"p0": 2}, "p0", m_max)
     assert canonical_parameter(cur, {"p0": 2}, "p0", 3).is_identity()
+
+
+# ---------------------------------------------------------------------------
+# second route: the ambient-element solve
+# ---------------------------------------------------------------------------
+# f_i[-m] solved over every ambient element of weights + m p_i, each expanded
+# at p_i through the parameter, with the targets appended to the jet rows;
+# the canonical parameter re-solves it from scratch after each correction.
+# Weights are keyed p0, p1, ... here.
+
+def reference_section(curve, weights, i, m, params=None, tail=6):
+    params = params or {}
+    a_i = weights.get(i, 0)
+    divisor = Divisor.of({**weights, i: m})
+    elts, rows = constraints(curve, divisor)
+    rhs = [Fraction(0)] * len(rows)
+    per_elt = [_expansion(curve, i, -m, 1, [(1, elt)], params.get(i)) for elt in elts]
+    targets = [(-m, 1)] + [(e, 0) for e in range(-m + 1, -a_i)] + [(0, 0)]
+    for e, value in targets:
+        rows.append([s.coefficient(e) for s in per_elt])
+        rhs.append(Fraction(value))
+    solved = linalg.solve_affine(rows, rhs)
+    if solved is None:
+        raise CohomologyError(
+            f"no section with principal part u^-{m} at {i}: h1 obstruction (weights {weights})"
+        )
+    x, kernel = solved
+    if kernel:
+        raise CohomologyError(f"section of order {m} at {i} is not unique: h1({divisor.items}) != 0")
+    expansions = {
+        pid: _expansion(curve, pid, -m if pid == i else -weights.get(pid, 0), tail, zip(x, elts),
+                        params.get(pid))
+        for pid in curve.point_ids()
+    }
+    return elts, x, expansions
+
+
+def reference_canonical(curve, weights, i, m_max, order=None):
+    a_i = weights.get(i, 0)
+    pc = ParamChange.identity("u", order=m_max + 6 if order is None else order)
+    for m in range(a_i + 1, m_max + 1):
+        _, _, expansions = reference_section(curve, weights, i, m, {i: pc}, tail=-a_i + 1)
+        alpha = expansions[i].coefficient(-a_i)
+        if alpha:
+            r = m - a_i + 1
+            pc = pc.compose(ParamChange(LaurentSeries("u", 1, [1] + [0] * (r - 2) + [alpha / m])))
+    return pc
+
+
+def outcome(fn, *args, **kwargs):
+    """("ok", value), or the error's type name and, for a cohomology error
+    (whose text reaches the CLI), its message."""
+    try:
+        return "ok", fn(*args, **kwargs)
+    except CohomologyError as exc:
+        return "CohomologyError", str(exc)
+    except TruncationError:
+        return "TruncationError", None
+
+
+def _draw_point(rng, avoid):
+    while True:
+        p = Fraction(rng.randint(-12, 12), rng.randint(1, 4))
+        if p not in avoid:
+            return p
+
+
+def second_route_curves():
+    """Every zoo case twice with seeded marked points and tangents (the
+    first with its second point at infinity), ccusp<a> with a seeded second
+    point, and glued cusps, marked at infinity and at finite points."""
+    rng = random.Random(4049)
+    tangents = (Fraction(1), Fraction(2), Fraction(-1), Fraction(1, 2))
+    out = []
+    for case in ZOO_IDS:
+        base = zoo(case)
+        avoid = {br.point for sing in base.singularities for br in sing.branches}
+        for k in range(2):
+            p0 = _draw_point(rng, avoid)
+            p1 = INF if k == 0 else _draw_point(rng, avoid | {p0})
+            marks = tuple(MarkedPoint("c0", p, rng.choice(tangents)) for p in (p0, p1))
+            out.append((f"{case}-{k}", CurveModel(base.components, base.singularities, marks)))
+    for a in (1, 3, 4):
+        marks = (mp(INF, weight=a), mp(_draw_point(rng, {Fraction(0)}), rng.choice(tangents)))
+        out.append((f"ccusp{a}", zoo(f"ccusp{a}", marked=marks)))
+    for a1, a2 in ((1, 1), (2, 1)):
+        cur = glued_cusps(a1, a2)
+        out.append((f"glued_cusps({a1},{a2})", cur))
+        marks = tuple(MarkedPoint(c, _draw_point(rng, {Fraction(0)}), rng.choice(tangents))
+                      for c in cur.components)
+        out.append((f"glued_cusps({a1},{a2})-finite", CurveModel(cur.components, cur.singularities, marks)))
+    return [(name, validate(cur)) for name, cur in out]
+
+
+SECOND_ROUTE_CURVES = second_route_curves()
+
+
+def _weight_splits(curve):
+    g = arithmetic_genus(curve)
+    return [{"p0": a, "p1": g - a} for a in range(g + 1)]
+
+
+@pytest.mark.parametrize("name, curve", SECOND_ROUTE_CURVES, ids=[n for n, _ in SECOND_ROUTE_CURVES])
+def test_basis_solver_matches_ambient_element_route(name, curve):
+    for weights in _weight_splits(curve):
+        for i in ("p0", "p1"):
+            a_i = weights[i]
+            m_max = a_i + 4
+            got = outcome(canonical_parameter, curve, weights, i, m_max)
+            assert got == outcome(reference_canonical, curve, weights, i, m_max)
+            pc = got[1] if got[0] == "ok" else ParamChange.from_coeffs(
+                "u", [Fraction(1, 3), Fraction(-2)], order=m_max + 6)
+            j = "p1" if i == "p0" else "p0"
+            for params in (None, {i: pc}, {j: pc}):
+                for m in range(a_i + 1, m_max + 1):
+                    sec = outcome(f_sections, curve, weights, i, m, params=params, tail=4)
+                    ref = outcome(reference_section, curve, weights, i, m, params=params, tail=4)
+                    if sec[0] == "ok":
+                        sec = "ok", (sec[1].function.elts, sec[1].function.coords, sec[1].expansions)
+                    assert sec == ref, (weights, i, m, params)
+
+
+def test_second_route_covers_steps_and_special_points():
+    steps = errors = 0
+    for _, curve in SECOND_ROUTE_CURVES:
+        for weights in _weight_splits(curve):
+            for i in ("p0", "p1"):
+                got = outcome(reference_canonical, curve, weights, i, weights[i] + 4)
+                errors += got[0] == "CohomologyError"
+                steps += got[0] == "ok" and not got[1].is_identity()
+    assert steps >= 20 and errors >= 3
+
+
+@pytest.mark.parametrize("order", range(2, 12))
+def test_basis_solver_truncation_matches_ambient_element_route(order):
+    # a parameter known below u^order: the same parameter, the same
+    # cohomology error, or a truncation error on both routes
+    for name in ("Ic-1", "IIc-C0-0", "IIc-C0-1", "ccusp3"):
+        curve = dict(SECOND_ROUTE_CURVES)[name]
+        for weights in _weight_splits(curve):
+            for i in ("p0", "p1"):
+                m_max = weights[i] + 5
+                got = outcome(canonical_parameter, curve, weights, i, m_max, order=order)
+                assert got == outcome(reference_canonical, curve, weights, i, m_max, order=order)
