@@ -25,7 +25,7 @@ from .genus2 import (
     solve_c,
     universal_relations,
 )
-from .laurent import LaurentSeries, ParamChange, revert, series_substitute
+from .laurent import LaurentSeries, ParamChange, series_substitute
 from .multipoly import MonomialOrder, MultiPoly, PolyRing, poly_reduce, s_polynomial
 from .normalform import closed_form_check, correction_monomial_check, run_recursion
 from .rational import Rational, format_rational, parse_rational
@@ -65,7 +65,6 @@ __all__ = [
     "normalize_presentation",
     "parse_rational",
     "poly_reduce",
-    "revert",
     "run_recursion",
     "s_polynomial",
     "series_substitute",

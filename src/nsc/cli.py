@@ -6,8 +6,8 @@ Every command prints a single JSON document
 
 with sorted keys and all numbers as exact rational literals.  Exit codes:
 0 = pass, 1 = mathematical mismatch, 2 = usage or input error.  Divisor
-multiplicities, `curve canonical --m-max` and the `s-table` genus, m-max and
-j-max are bounded (see README).
+multiplicities, `curve canonical --m-max`, the `s-table` genus, m-max and
+j-max, and a spec's jet width per singular point are bounded (see README).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import os
 import sys
 
 from .curveio import curve_to_jsonable, dump_curve, load_curve, parse_divisor
-from .curves import arithmetic_genus, h0, h1
+from .curves import MAX_JET_WIDTH, arithmetic_genus, h0, h1
 from .errors import (
     CohomologyError,
     InternalInconsistencyError,
@@ -192,7 +192,8 @@ def _cmd_curve(args) -> int:
 
 def _cmd_zoo(args) -> int:
     if args.action == "list":
-        _print_result("pass", {"cases": list(ZOO_IDS), "family": "ccusp<a> for a >= 1"})
+        _print_result("pass", {"cases": list(ZOO_IDS),
+                               "family": f"ccusp<a> for a >= 1, jet order 2(a+1) <= {MAX_JET_WIDTH}"})
         return EXIT_PASS
     if args.case_id is None or args.out_file is None:
         _print_result("error", None, ["zoo emit needs CASE_ID and OUT_FILE"])

@@ -26,6 +26,7 @@ from .curves import (
     Divisor,
     MarkedPoint,
     SingularPoint,
+    check_jet_width,
     format_point,
     validate,
 )
@@ -46,6 +47,13 @@ def _require(cond, message):
         raise ValidationError(message)
 
 
+def _list(entry: dict, key: str) -> list:
+    """The list under key (empty when the key is absent)."""
+    value = entry.get(key, [])
+    _require(isinstance(value, list), f"{key} must be a list")
+    return value
+
+
 def curve_from_jsonable(doc) -> CurveModel:
     """Build and validate a CurveModel from a parsed spec document."""
     _require(isinstance(doc, dict), "curve spec must be a JSON object")
@@ -55,23 +63,24 @@ def curve_from_jsonable(doc) -> CurveModel:
     _require(isinstance(comps, list) and all(isinstance(c, str) for c in comps),
              "components must be a list of labels")
     sings = []
-    for entry in doc["singularities"]:
+    for entry in _list(doc, "singularities"):
         _require(isinstance(entry, dict), "singularity entries must be objects")
         branches = []
-        for br in entry.get("branches", []):
-            _require(isinstance(br, dict) and "component" in br and "point" in br,
+        for br in _list(entry, "branches"):
+            _require(isinstance(br, dict) and isinstance(br.get("component"), str) and "point" in br,
                      "branch entries need component and point")
             branches.append(Branch(br["component"], parse_point(br["point"])))
         _require(isinstance(entry.get("jet_order"), int), "jet_order must be an integer")
         _require(isinstance(entry.get("conductor"), int), "conductor must be an integer")
+        check_jet_width(len(branches), entry["jet_order"])
         basis = []
-        for vec in entry.get("algebra_basis", []):
+        for vec in _list(entry, "algebra_basis"):
             _require(isinstance(vec, list), "algebra basis vectors must be lists")
             basis.append(tuple(parse_rational(x) for x in vec))
         sings.append(SingularPoint(tuple(branches), entry["jet_order"], entry["conductor"], tuple(basis)))
     marked = []
-    for entry in doc["marked"]:
-        _require(isinstance(entry, dict) and "component" in entry and "point" in entry,
+    for entry in _list(doc, "marked"):
+        _require(isinstance(entry, dict) and isinstance(entry.get("component"), str) and "point" in entry,
                  "marked entries need component and point")
         tangent = parse_rational(entry.get("tangent", "1"))
         weight = entry.get("weight")

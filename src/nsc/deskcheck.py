@@ -22,7 +22,7 @@ from fractions import Fraction
 from .curves import MarkedPoint
 from .normalform import run_recursion
 from .rational import format_rational
-from .sections import canonical_parameter, f_sections
+from .sections import _canonicalise, _combine, _regular_basis, _solve_section
 from .zoo import zoo
 
 M_MAX = 6
@@ -67,12 +67,13 @@ def pinched_curve_alpha_table(m_max: int = M_MAX, q_max: int = J_MAX - 2) -> dic
     curve = zoo("IIc-C0", marked=(MarkedPoint("c0", Fraction(1), Fraction(1), 2),))
     weights = {"p0": GENUS}
     depth = m_max + q_max + 2
-    pc = canonical_parameter(curve, weights, "p0", depth, order=depth + 6)
+    _, _, expansions = _regular_basis(curve, weights, "p0", depth, q_max + 1)
+    _, expansions = _canonicalise(weights, "p0", depth, expansions, depth + 6)
     table = {}
     for m in range(GENUS + 1, m_max + 1):
-        sec = f_sections(curve, weights, "p0", m, params={"p0": pc}, tail=q_max + 1)
+        section = _combine(_solve_section(weights, "p0", m, expansions, depth + 6), expansions)
         for q in range(-GENUS + 1, q_max + 1):
-            table[(m, q)] = sec.expansions["p0"].coefficient(q)
+            table[(m, q)] = section.coefficient(q)
     return table
 
 

@@ -19,7 +19,7 @@ from .curves import CurveModel, Divisor, arithmetic_genus, h0, validate
 from .errors import CohomologyError, InternalInconsistencyError, ValidationError
 from .laurent import LaurentSeries
 from .multipoly import MultiPoly, PolyRing, poly_reduce, s_polynomial
-from .sections import f_sections, rescale_tangent
+from .sections import _combine, _normalize_weights, _regular_basis, _solve_section, rescale_tangent
 
 Q_VARIABLES = ("q1", "q20", "q21", "q30", "q31")
 Q_WEIGHTS = (4, 5, 2, 6, 3)
@@ -482,14 +482,13 @@ def presentation_from_series(sf: LaurentSeries, sh: LaurentSeries, sk: LaurentSe
 
 
 def section_series(curve: CurveModel, point_id: str, tail: int = 24):
-    """Expansions of the degree 3, 4, 5 section generators at the marked point."""
+    """Expansions of the degree 3, 4, 5 section generators at the marked point,
+    solved over one basis of the regular functions."""
     pid = f"p{curve.point_index(point_id)}"
-    weights = {pid: 2}
-    out = []
-    for m in (3, 4, 5):
-        sec = f_sections(curve, weights, pid, m, tail=tail)
-        out.append(sec.expansions[pid])
-    return tuple(out)
+    validate(curve)
+    weights = _normalize_weights(curve, {pid: 2})
+    _, _, expansions = _regular_basis(curve, weights, pid, 5, tail)
+    return tuple(_combine(_solve_section(weights, pid, m, expansions, None), expansions) for m in (3, 4, 5))
 
 
 def relations_vanish_on_series(rels: G2Relations, sf, sh, sk) -> bool:

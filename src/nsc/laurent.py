@@ -11,13 +11,12 @@ Composition has two closed forms that need no series product:
 
 * a negative power p^n = lead^n u^(nv) (1+h)^n is one pass of J.C.P.
   Miller's power recurrence, on the window [nv, min(cut, p.cut + (n-1)v));
-* a substitution through an exact two-term change t = u + eps*u^r expands
-  u^e -> sum_i C(e,i) eps^i u^(e + i(r-1)) with the generalized binomial
-  C(e,i), which covers e < 0 too, on the window below min(cut, s.cut).
+* `series_substitute` takes exact two-term changes t = u + eps*u^r only,
+  and expands u^e -> sum_i C(e,i) eps^i u^(e + i(r-1)) with the generalized
+  binomial C(e,i), which covers e < 0 too, on the window below
+  min(cut, s.cut).
 
-On every non-empty window both agree, window and coefficients, with the
-product route (one inverse and |n|-1 products; one product per exponent of
-s).  A negative power asked for below its valuation returns the empty window
+A negative power asked for below its valuation returns the empty window
 [nv, nv).
 
 Coefficients are `Fraction` (an int is stored as one) or `Graded`, the
@@ -309,11 +308,6 @@ class ParamChange:
     def identity(cls, var: str, order: int | None = None):
         return cls(LaurentSeries.monomial(var, 1, 1, cut=order))
 
-    @classmethod
-    def from_coeffs(cls, var: str, tail, order: int | None = None):
-        """Build t = u + tail[0]*u^2 + tail[1]*u^3 + ..."""
-        return cls(LaurentSeries(var, 1, [1, *tail], cut=order))
-
     def order(self) -> int | None:
         return self.series.cut
 
@@ -324,7 +318,8 @@ class ParamChange:
         return all(not c for e, c in self.series.known_items() if e != 1)
 
     def compose(self, inner: "ParamChange") -> "ParamChange":
-        """Substitution for t = self(inner(w)): apply inner inside self."""
+        """Substitution for t = self(inner(w)): apply inner, an exact two-term
+        change, inside self."""
         return ParamChange(series_substitute(self.series, inner))
 
     def __eq__(self, other):
@@ -335,26 +330,20 @@ class ParamChange:
 
 
 def series_substitute(s: LaurentSeries, pc: ParamChange, cut: int | None = None) -> LaurentSeries:
-    """Exact coefficients of s(t) with t = pc(u), on the tightest sound window.
+    """Exact coefficients of s(t) with t = pc(u), for an exact two-term change
+    t = u + eps*u^r, on the window below min(cut, s.cut).
 
-    The window ends at min(cut, s.cut, pc.cut - 1 + s.low); it is unbounded
-    only for an exact s with s.low >= 0 under an exact change, and an exact s
-    with a pole under an exact change raises (the tail is infinite).
-
-    An exact two-term change t = u + eps*u^r expands each monomial in closed
-    form, u^e -> sum_i C(e,i) eps^i u^(e + i(r-1)) with the generalized
-    binomial C(e,i), so no series product is needed.  Any other change
-    expands s through pc^k0 (Miller's recurrence when k0 < 0) and one product
-    with pc per further exponent.
+    Each monomial expands in closed form, u^e -> sum_i C(e,i) eps^i
+    u^(e + i(r-1)) with the generalized binomial C(e,i), so no series
+    product is needed.  The window is unbounded only for an exact s with
+    s.low >= 0; an exact s with a pole raises (the tail is infinite).  Any
+    other change raises ValidationError.
     """
     p = pc.series
-    bounds = []
-    if s.cut is not None:
-        bounds.append(s.cut)
-    if p.cut is not None:
-        bounds.append(p.cut - 1 + s.low)
-    if cut is not None:
-        bounds.append(cut)
+    shape = _binomial_shape(p)
+    if shape is None:
+        raise ValidationError(f"series_substitute takes an exact change u + eps*u^r, not {p}")
+    bounds = [c for c in (s.cut, cut) if c is not None]
     if bounds:
         out_cut = min(bounds)
     else:
@@ -366,21 +355,7 @@ def series_substitute(s: LaurentSeries, pc: ParamChange, cut: int | None = None)
     items = [(e, c) for e, c in s.known_items() if c and (out_cut is None or e < out_cut)]
     if not items:
         return LaurentSeries.zero(p.var, out_cut)
-    shape = _binomial_shape(p)
-    if shape is not None:
-        return _substitute_binomial(items, *shape, p.var, out_cut)
-    out = LaurentSeries.zero(p.var, out_cut)
-    k0 = items[0][0]
-    power = p.pow(k0, cut=out_cut)
-    k_prev = k0
-    for e, c in items:
-        while k_prev < e:
-            power = power * p
-            if out_cut is not None:
-                power = power.truncate(out_cut)
-            k_prev += 1
-        out = out + power.scale(c)
-    return out
+    return _substitute_binomial(items, *shape, p.var, out_cut)
 
 
 def _binomial_shape(p: LaurentSeries):
@@ -417,21 +392,3 @@ def _substitute_binomial(items, eps, r, var, out_cut) -> LaurentSeries:
             binom = binom * (e - i + 1) / i
             acc[e - k0 + i * (r - 1)] += c * eps_pows[i] * binom
     return LaurentSeries(var, k0, acc, out_cut)
-
-
-def revert(pc: ParamChange, order: int | None = None) -> ParamChange:
-    """Compositional inverse: pc(revert(pc)) = identity to the truncation order."""
-    T = order if order is not None else pc.order()
-    if T is None:
-        if pc.is_identity():
-            return ParamChange.identity(pc.series.var)
-        raise TruncationError("reversion of an exact polynomial change needs an explicit order")
-    var = pc.series.var
-    r = LaurentSeries.monomial(var, 1, 1, cut=T)
-    while True:
-        err = series_substitute(pc.series, ParamChange(r), cut=T) - LaurentSeries.monomial(var, 1, 1, cut=T)
-        v = err.valuation()
-        if v is None:
-            break
-        r = r - LaurentSeries.monomial(var, v, err.coefficient(v), cut=T)
-    return ParamChange(r)

@@ -30,14 +30,6 @@ from .laurent import LaurentSeries, ParamChange, series_substitute
 from .rational import Graded, format_rational
 
 
-def filtration_representative(g: int, m: int) -> LaurentSeries:
-    """The leading-polar-term input F[-m]: t^-(g+1) - lam t^-g at m = g+1,
-    the bare monomial t^-m for every m >= g+2."""
-    if m == g + 1:
-        return LaurentSeries("u", -m, [1, Graded(-1, 1)])
-    return LaurentSeries.monomial("u", -m)
-
-
 def _monomial_value(c, degree: int) -> Fraction:
     """The rational r with c = r * lam^degree; rejects anything else."""
     if not c:
@@ -109,7 +101,7 @@ def run_recursion(g: int, m_max: int | None = None, j_max: int = 6) -> NormalFor
     stages_total = (m_max - g) + j_max + 1
 
     total = ParamChange.identity("u", order=stages_total + j_max + 2)
-    current = {g + 1: filtration_representative(g, g + 1).with_cut(cut)}
+    current = {g + 1: LaurentSeries("u", -(g + 1), [1, Graded(-1, 1)], cut)}  # F[-(g+1)]
     corrections = []
     stages = [StageRecord(1, None, None, ())]
 
@@ -124,7 +116,7 @@ def run_recursion(g: int, m_max: int | None = None, j_max: int = 6) -> NormalFor
             raise InternalInconsistencyError(
                 f"stage {n}: correction failed to kill the u^-{g} coefficient"
             )
-        work = series_substitute(filtration_representative(g, g + n), total, cut=cut)
+        work = total.series.pow(-(g + n), cut)  # F[-(g+n)] = t^-(g+n) in the current parameter
         multipliers = []
         for i in range(1, n):
             p_i = work.coefficient(-g - n + i)

@@ -7,15 +7,16 @@ p_j whose expansion at p_i in the chosen parameter is
 
     u^-m  +  (nothing between exponents -m and -a_i)  +  c_{-a_i} u^-a_i + ...
 
-with constant term zero.  There is one way to solve for it: over a basis of
-the regular functions with poles bounded by m_max p_i + sum_{j != i} a_j p_j,
-taken once by one nullspace of the jet conditions and expanded once at p_i.
+with constant term zero.  One solver serves every caller.  It takes a basis
+of the regular functions with poles bounded by m_max p_i + sum_{j != i} a_j
+p_j once, by one nullspace of the jet conditions, and expands it once at p_i.
 The basis is triangular in the pole order at p_i, so f_i[-m] for m <= m_max
 is a small solve over the basis functions with poles of order at most m.
 The canonical parameter at p_i is the unique tangent-compatible parameter
 making the coefficient at u^-a_i vanish for every m; it is found order by
-order, advancing the basis expansions through each exact correction step
-rather than solving every section again.
+order, advancing the basis expansions through each exact correction step.
+The sections in the canonical parameter are solved over those advanced
+expansions; their expansions at the other marked points need no change.
 """
 
 from __future__ import annotations
@@ -51,10 +52,9 @@ def _normalize_weights(curve: CurveModel, weights: dict) -> dict:
     return out
 
 
-def _expansion(curve, pid, low, high, terms, param_change=None) -> LaurentSeries:
+def _expansion(curve, pid, low, high, terms) -> LaurentSeries:
     """Expansion at a marked point of the sum of x*elt over the (x, elt) terms,
-    in the tangent-rescaled parameter u = s/v, then through the optional
-    parameter change u = pc(w)."""
+    in the tangent-rescaled parameter u = s/v."""
     mp = curve.marked(pid)
     coeffs = [Fraction(0)] * (high - low)
     for x, elt in terms:
@@ -63,10 +63,7 @@ def _expansion(curve, pid, low, high, terms, param_change=None) -> LaurentSeries
         for i, c in enumerate(_elt_expansion(elt, mp.component, mp.point, low, high)):
             coeffs[i] += x * c
     v = mp.tangent
-    series = LaurentSeries("u", low, [c * v ** (low + i) for i, c in enumerate(coeffs)], cut=high)
-    if param_change is not None:
-        series = series_substitute(series, param_change)
-    return series
+    return LaurentSeries("u", low, [c * v ** (low + i) for i, c in enumerate(coeffs)], cut=high)
 
 
 @dataclass(frozen=True)
@@ -81,15 +78,16 @@ class Section:
         return self.expansions[other_id].coefficient(exponent)
 
 
-def _regular_basis(curve, weights, i, m_max, param_change=None):
+def _regular_basis(curve, weights, i, m_max, high):
     """(ambient basis, regular-function basis, expansions at p_i) for the
     divisor weights + m_max p_i: one nullspace of the jet conditions (the
     identity when there are none), each basis function expanded at p_i on
-    exponents [-m_max, 1) in u = s/v, then through the optional change.
+    exponents [-m_max, high) in u = s/v.
 
     The poles at p_i are the last columns eliminated, by order, so each
-    kernel vector ends at its free column: the basis functions with a pole of
-    order at most m at p_i span every such function."""
+    kernel vector ends at its free column: the basis is triangular in the
+    pole order at p_i, and its first functions, those with a pole of order at
+    most m there, span every such function."""
     elts, rows = constraints(curve, Divisor.of({**weights, i: m_max}))
     mp = curve.marked(i)
     at_i = ("pole", mp.component, mp.point)
@@ -97,21 +95,43 @@ def _regular_basis(curve, weights, i, m_max, param_change=None):
     kernel = linalg.nullspace([[row[c] for c in cols] for row in rows], ncols=len(elts))
     back = sorted(range(len(cols)), key=cols.__getitem__)  # the inverse permutation
     basis = [[v[k] for k in back] for v in kernel]
-    return elts, basis, [_expansion(curve, i, -m_max, 1, zip(b, elts), param_change) for b in basis]
+    return elts, basis, [_expansion(curve, i, -m_max, high, zip(b, elts)) for b in basis]
+
+
+def _canonicalise(weights, i, m_max, expansions, order):
+    """(pc, expansions): the tangent-compatible change at p_i, known below
+    u^order, making the coefficient at u^-a_i of every f_i[-m] with
+    a_i < m <= m_max vanish, and the basis expansions advanced through it.
+
+    Each correction u -> u + (alpha/m) u^r is exact, so the expansions
+    advance by it with no loss of window."""
+    a_i = weights.get(i, 0)
+    pc = ParamChange.identity("u", order=order)
+    for m in range(a_i + 1, m_max + 1):
+        y = _solve_section(weights, i, m, expansions, order)
+        alpha = sum(c * s.coefficient(-a_i) for c, s in zip(y, expansions) if c)
+        if alpha:
+            r = m - a_i + 1
+            step = ParamChange(LaurentSeries("u", 1, [1] + [0] * (r - 2) + [alpha / m]))
+            pc = pc.compose(step)
+            expansions = [series_substitute(s, step) for s in expansions]
+    return pc, expansions
 
 
 def _solve_section(weights, i, m, expansions, cut):
-    """Coordinates of f_i[-m] over basis functions with poles of order at
-    most m at p_i, given by their expansions there: the unique combination
-    with coefficient 1 at -m, none on (-m, -a_i) and constant term zero.  The
-    expansions are in a parameter known below u^cut (None: exact)."""
+    """Coordinates of f_i[-m] over the first basis functions, those with a
+    pole of order at most m at p_i, given the basis expansions there: the
+    unique combination with coefficient 1 at -m, none on (-m, -a_i) and
+    constant term zero.  The expansions are in a parameter known below u^cut
+    (None: exact); a valuation-1 change keeps each expansion's valuation."""
     if cut is not None and cut <= m + 1:
         raise TruncationError(
             f"a parameter known below u^{cut} cannot fix the constant term of "
             f"f_{i}[-{m}]: it must be known below u^{m + 2}"
         )
+    near = [s for s in expansions if s.low >= -m]
     targets = [(-m, 1)] + [(e, 0) for e in range(-m + 1, -weights.get(i, 0))] + [(0, 0)]
-    rows = [[s.coefficient(e) for s in expansions] for e, _ in targets]
+    rows = [[s.coefficient(e) for s in near] for e, _ in targets]
     solved = linalg.solve_affine(rows, [value for _, value in targets])
     if solved is None:
         raise CohomologyError(
@@ -127,27 +147,34 @@ def _solve_section(weights, i, m, expansions, cut):
     return y
 
 
-def f_sections(curve: CurveModel, weights: dict, i: str, m: int,
-               params: dict | None = None, tail: int = 6) -> Section:
+def _combine(y, series) -> LaurentSeries:
+    """The combination sum_k y_k series_k, for coordinates y with a nonzero
+    entry: a section's expansion from the basis expansions."""
+    terms = [s.scale(c) for c, s in zip(y, series) if c]
+    return sum(terms[1:], terms[0])
+
+
+def _function(curve, elts, basis, y) -> FunctionOnCurve:
+    """The function with coordinates y over the (first) basis functions."""
+    return FunctionOnCurve(curve, elts, [sum(c * b[k] for c, b in zip(y, basis) if c)
+                                         for k in range(len(elts))])
+
+
+def f_sections(curve: CurveModel, weights: dict, i: str, m: int, tail: int = 6) -> Section:
     """Solve for f_i[-m]; expansions are returned at every marked point to
-    exponents < tail, in each point's (optionally changed) parameter."""
+    exponents < tail, in each point's parameter u = s/v."""
     validate(curve)
     weights = _normalize_weights(curve, weights)
     i = f"p{curve.point_index(i)}"
     a_i = weights.get(i, 0)
     if m <= a_i:
         raise ValidationError(f"need m > a_i = {a_i}, got m = {m}")
-    params = {f"p{curve.point_index(k)}": v for k, v in (params or {}).items()}
-
-    pc_i = params.get(i)
-    elts, basis, expansions = _regular_basis(curve, weights, i, m, pc_i)
-    y = _solve_section(weights, i, m, expansions, pc_i.order() if pc_i else None)
-    fn = FunctionOnCurve(curve, elts, [sum(c * b[k] for c, b in zip(y, basis) if c)
-                                       for k in range(len(elts))])
+    elts, basis, expansions = _regular_basis(curve, weights, i, m, 1)
+    fn = _function(curve, elts, basis, _solve_section(weights, i, m, expansions, None))
     expansions = {}
     for pid in curve.point_ids():
         low = -m if pid == i else -weights.get(pid, 0)
-        expansions[pid] = _expansion(curve, pid, low, tail, zip(fn.coords, fn.elts), params.get(pid))
+        expansions[pid] = _expansion(curve, pid, low, tail, zip(fn.coords, fn.elts))
     return Section(i, m, fn, expansions)
 
 
@@ -155,34 +182,16 @@ def canonical_parameter(curve: CurveModel, weights: dict, i: str, m_max: int,
                         order: int | None = None) -> ParamChange:
     """Tangent-compatible parameter change at p_i making the coefficient at
     u^-a_i of every f_i[-m], m <= m_max, vanish exactly; m_max must exceed
-    a_i, or there is no correction to compute.
-
-    The regular-function basis of weights + m_max p_i is expanded once; each
-    correction u -> u + (alpha/m) u^r is exact, so the expansions advance by
-    it with no loss of window, and the returned change is their composition
-    known below u^order."""
+    a_i, or there is no correction to compute.  The change is the
+    composition of the exact correction steps, known below u^order."""
     validate(curve)
     weights = _normalize_weights(curve, weights)
     i = f"p{curve.point_index(i)}"
     a_i = weights.get(i, 0)
     if m_max <= a_i:
         raise ValidationError(f"need m_max > a_i = {a_i} for a correction step, got m_max = {m_max}")
-    if order is None:
-        order = m_max + 6
-    pc = ParamChange.identity("u", order=order)
-    _, _, expansions = _regular_basis(curve, weights, i, m_max)
-    for m in range(a_i + 1, m_max + 1):
-        # the functions with poles of order at most m at p_i: a valuation-1
-        # change keeps each expansion's valuation
-        near = [s for s in expansions if s.low >= -m]
-        y = _solve_section(weights, i, m, near, order)
-        alpha = sum(c * s.coefficient(-a_i) for c, s in zip(y, near) if c)
-        if alpha:
-            r = m - a_i + 1
-            step = ParamChange(LaurentSeries("u", 1, [1] + [0] * (r - 2) + [alpha / m]))
-            pc = pc.compose(step)
-            expansions = [series_substitute(s, step) for s in expansions]
-    return pc
+    _, _, expansions = _regular_basis(curve, weights, i, m_max, 1)
+    return _canonicalise(weights, i, m_max, expansions, m_max + 6 if order is None else order)[0]
 
 
 def alpha_beta(curve: CurveModel, i: str = "p0", j: str = "p1",
@@ -199,10 +208,14 @@ def alpha_beta(curve: CurveModel, i: str = "p0", j: str = "p1",
     weights = _normalize_weights(curve, weights)
     if weights.get(j, 0) < 1:
         raise ValidationError("the second point must carry weight >= 1")
-    pc = canonical_parameter(curve, weights, i, g + 1, order=g + 4)
-    sec_g = f_sections(curve, weights, i, g, params={i: pc}, tail=1)
-    sec_g1 = f_sections(curve, weights, i, g + 1, params={i: pc}, tail=1)
-    return sec_g.alpha(j, -1), sec_g1.alpha(j, -1)
+    elts, basis, expansions = _regular_basis(curve, weights, i, g + 1, 1)
+    _, expansions = _canonicalise(weights, i, g + 1, expansions, g + 4)
+    out = []
+    for m in (g, g + 1):
+        fn = _function(curve, elts, basis, _solve_section(weights, i, m, expansions, g + 4))
+        # the expansion at p_j needs no parameter change: only p_i's moves
+        out.append(_expansion(curve, j, -weights[j], 1, zip(fn.coords, fn.elts)).coefficient(-1))
+    return tuple(out)
 
 
 def rescale_tangent(curve: CurveModel, point_id: str, factor) -> CurveModel:

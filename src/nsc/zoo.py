@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .curves import INF, Branch, CurveModel, MarkedPoint, SingularPoint, validate
+from .curves import INF, Branch, CurveModel, MarkedPoint, SingularPoint, check_jet_width, validate
 from .errors import ValidationError
 
 ZOO_IDS = (
@@ -84,9 +84,11 @@ def cusp_node(component, a, b) -> SingularPoint:
 
 def deep_cusp(component, point, delta: int) -> SingularPoint:
     """Unibranch point whose local functions are constants plus everything
-    vanishing to order > delta; its delta invariant is delta."""
+    vanishing to order > delta; its delta invariant is delta and its jet
+    order 2 (delta + 1), at most MAX_JET_WIDTH."""
     c = delta + 1
     k = 2 * c
+    check_jet_width(1, k)
     basis = [_unit(k, 0)] + _tail_units(k, k, 1, c)
     return SingularPoint((Branch(component, point),), k, c, tuple(basis))
 

@@ -145,15 +145,65 @@ def test_curve_usage_errors(tmp_path, capsys):
     ("--genus", "100000", "limit is 48"),
 ])
 def test_unbounded_s_table_inputs_are_usage_errors(option, value, limit):
-    # run in a subprocess so that unbounded work fails the test by its timeout
     argv = {"--genus": "2", option: value}
-    proc = subprocess.run(
-        [sys.executable, "-m", "nsc.cli", "s-table", *(x for kv in argv.items() for x in kv)],
-        capture_output=True, text=True, check=False, env=_checkout_env(), timeout=20,
-    )
-    doc = json.loads(proc.stdout)
+    proc, doc = run_bounded("s-table", *(x for kv in argv.items() for x in kv))
     assert proc.returncode == 2 and doc["status"] == "error"
     assert limit in doc["diagnostics"][0] and option[2:] in doc["diagnostics"][0]
+
+
+def run_bounded(*argv):
+    """Run nsc in a subprocess, so that unbounded work fails the test by its
+    timeout: (the process, its JSON document)."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "nsc.cli", *argv],
+        capture_output=True, text=True, check=False, env=_checkout_env(), timeout=20,
+    )
+    return proc, json.loads(proc.stdout)
+
+
+def _one_point_spec(branches, jet_order):
+    return {"components": ["c0"], "marked": [],
+            "singularities": [{"branches": [{"component": "c0", "point": str(b)} for b in range(branches)],
+                               "jet_order": jet_order, "conductor": 1, "algebra_basis": []}]}
+
+
+@pytest.mark.parametrize("branches, jet_order", [(1, 65), (1, 4000), (33, 2)])
+def test_wide_jet_spaces_are_usage_errors(tmp_path, branches, jet_order):
+    spec = tmp_path / "wide.json"
+    spec.write_text(json.dumps(_one_point_spec(branches, jet_order)))
+    proc, doc = run_bounded("curve", "genus", str(spec))
+    assert proc.returncode == 2 and doc["status"] == "error"
+    assert "limit is branches x jet_order <= 64" in doc["diagnostics"][0]
+
+
+@pytest.mark.parametrize("case, code", [("ccusp31", 0), ("ccusp32", 2), ("ccusp120", 2)])
+def test_zoo_cusps_are_bounded_by_the_jet_width(tmp_path, case, code):
+    proc, doc = run_bounded("zoo", "emit", case, str(tmp_path / "cusp.json"))
+    assert proc.returncode == code
+    if code:
+        assert doc["status"] == "error" and "limit is branches x jet_order <= 64" in doc["diagnostics"][0]
+    else:
+        proc, doc = run_bounded("curve", "genus", str(tmp_path / "cusp.json"))
+        assert proc.returncode == 0 and doc["payload"] == {"genus": 31}
+
+
+@pytest.mark.parametrize("entry, key", [
+    ("spec", "singularities"), ("spec", "marked"), ("singularity", "branches"), ("singularity", "algebra_basis"),
+    ("branch", "component"), ("marked", "component"),
+])
+def test_spec_fields_of_the_wrong_type_are_usage_errors(tmp_path, capsys, entry, key):
+    # a list where a label belongs, 5 where a list belongs
+    value, diagnostic = ((["c0"], f"{entry} entries need component and point") if key == "component"
+                         else (5, f"{key} must be a list"))
+    cusp = {"branches": [{"component": "c0", "point": "0"}], "jet_order": 4, "conductor": 2,
+            "algebra_basis": [["1", "0", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]}
+    doc = {"components": ["c0"], "singularities": [cusp], "marked": [{"component": "c0", "point": "1"}]}
+    target = {"spec": doc, "singularity": cusp, "branch": cusp["branches"][0], "marked": doc["marked"][0]}
+    target[entry][key] = value
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    code, out = run_json(capsys, "curve", "genus", str(spec))
+    assert code == 2 and out["status"] == "error" and out["diagnostics"] == [diagnostic]
 
 
 def test_s_table_limits_reach_the_closed_forms(capsys):

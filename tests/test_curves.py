@@ -208,6 +208,49 @@ def test_genus_deep_cusp_family():
         assert arithmetic_genus(zoo(f"ccusp{a}")) == a
 
 
+def semigroup(gens):
+    """(elements below the conductor, conductor, gap count) of the numerical
+    semigroup generated by gens, whose first two are coprime, by a sieve: no
+    linear algebra.  The largest gap is below gens[0] * gens[1]."""
+    bound = gens[0] * gens[1]
+    member = [True] + [False] * (bound - 1)
+    for n in range(1, bound):
+        member[n] = any(n >= a and member[n - a] for a in gens)
+    gaps = [n for n in range(bound) if not member[n]]
+    conductor = gaps[-1] + 1
+    return [n for n in range(conductor) if member[n]], conductor, len(gaps)
+
+
+@pytest.mark.parametrize("gens", [(3, 4), (3, 5), (4, 5, 6), (5, 7), (2, 9), (4, 7, 9)])
+def test_monomial_cusps_against_the_numerical_semigroup(gens):
+    # the cusp t -> (t^a, t^b, ...) at t = 0: its local functions are spanned
+    # by the monomials s^e with e in the semigroup; delta is the gap count
+    from nsc.curveio import curve_from_jsonable
+
+    elements, conductor, gap_count = semigroup(gens)
+    k = max(conductor, 2)
+    spec = {
+        "components": ["c0"],
+        "singularities": [{
+            "branches": [{"component": "c0", "point": "0"}], "jet_order": k, "conductor": conductor,
+            "algebra_basis": [[str(int(d == e)) for d in range(k)] for e in elements],
+        }],
+        "marked": [{"component": "c0", "point": "inf"}, {"component": "c0", "point": "1"}],
+    }
+    cur = curve_from_jsonable(spec)
+    assert delta_invariant(cur, cur.singularities[0]) == gap_count
+    assert arithmetic_genus(cur) == gap_count
+    for n0 in range(-1, k + 3):
+        if n0 >= 0:
+            # the polynomials of degree <= n0 whose exponents lie in the semigroup
+            members = sum(1 for e in range(n0 + 1) if e >= k or e in elements)
+            assert h0(cur, Divisor.of({"p0": n0})).dimension == members
+        for n1 in range(-1, 3):
+            d = Divisor.of({"p0": n0, "p1": n1})
+            assert h0(cur, d).dimension - h1_corank(cur, d) == d.degree() + 1 - gap_count
+            assert h1(cur, d) == h1_corank(cur, d)
+
+
 # -- h0 / h1 -------------------------------------------------------------------
 
 def test_h0_projective_line():

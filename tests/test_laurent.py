@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nsc.errors import InternalInconsistencyError, TruncationError, ValidationError
-from nsc.laurent import LaurentSeries, ParamChange, revert, series_substitute
+from nsc.laurent import LaurentSeries, ParamChange, series_substitute
 from nsc.rational import Graded
 
 
@@ -86,7 +86,7 @@ def test_substitute_polar_expansion_reference_coefficients():
     # t^(-g-1) - lam*t^(-g) under t = u - (lam/(g+1)) u^2, with lam of degree 1.
     for g, expect_m2 in ((2, Fraction(0)), (3, Fraction(-1, 8))):
         s = LaurentSeries("t", -g - 1, [1, Graded(-1, 1)], cut=None)
-        pc = ParamChange.from_coeffs("t", [Graded(Fraction(-1, g + 1), 1)])
+        pc = ParamChange(LaurentSeries("t", 1, [1, Graded(Fraction(-1, g + 1), 1)]))
         out = series_substitute(s, pc, cut=1)
         assert out.coefficient(-g - 1) == 1
         assert not out.coefficient(-g)
@@ -100,79 +100,6 @@ def test_substitute_polar_expansion_reference_coefficients():
         # coefficient of u^(-g+2) is (-g^2+g+3)/(3(g+1)^2) * lam^3
         c3 = out.coefficient(-g + 2)
         assert c3 == Graded(Fraction(-g * g + g + 3, 3 * (g + 1) ** 2), 3)
-
-
-def test_substitute_round_trip():
-    s = ser(-2, [1, 0, 3, -5], cut=4)
-    pc = ParamChange.from_coeffs("t", [Fraction(1, 2), -2, 0, 7], order=8)
-    back = series_substitute(series_substitute(s, pc), revert(pc))
-    for e in range(-2, back.cut):
-        assert back.coefficient(e) == s.coefficient(e)
-
-
-def test_revert_identity():
-    pc = ParamChange.identity("t")
-    assert revert(pc).is_identity()
-
-
-def test_revert_against_lagrange_oracle():
-    # Independent oracle: coefficients of the inverse of t = u + a u^2 from the
-    # Lagrange inversion formula  [t^n] u = (1/n) [u^(n-1)] (u / t(u))^n,
-    # evaluated by direct convolution, not via ParamChange machinery.
-    for a in (Fraction(1), Fraction(-3, 2), Fraction(2, 7)):
-        # (u/t(u))^n = (1 + a u)^(-n); [u^(n-1)] = binom(-n, n-1) a^(n-1)
-        def lagrange_coeff(n):
-            binom = Fraction(1)
-            for i in range(n - 1):
-                binom *= Fraction(-n - i, i + 1)
-            return binom * a ** (n - 1) / n
-
-        pc = ParamChange.from_coeffs("t", [a], order=4)
-        rev = revert(pc)
-        assert rev.coefficient(1) == 1 == lagrange_coeff(1)
-        assert rev.coefficient(2) == -a == lagrange_coeff(2)
-        assert rev.coefficient(3) == 2 * a * a == lagrange_coeff(3)
-
-
-def test_revert_is_involutive():
-    pc = ParamChange.from_coeffs("t", [3, Fraction(-1, 5), 0, 2], order=7)
-    assert revert(revert(pc)) == pc
-
-
-small_rats = st.fractions(min_value=-40, max_value=40, max_denominator=12)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(min_value=-3, max_value=2),
-    st.lists(small_rats, min_size=1, max_size=5),
-    st.integers(min_value=-2, max_value=2),
-    st.lists(small_rats, min_size=1, max_size=5),
-    st.lists(small_rats, min_size=1, max_size=4),
-)
-def test_substitute_is_ring_homomorphism(la, ca, lb, cb, tail):
-    a = ser(la, ca, cut=la + len(ca))
-    b = ser(lb, cb, cut=lb + len(cb))
-    pc = ParamChange.from_coeffs("t", tail, order=len(tail) + 2)
-    lhs = series_substitute(a * b, pc)
-    rhs = series_substitute(a, pc) * series_substitute(b, pc)
-    cut = min(lhs.cut, rhs.cut)
-    assert lhs.truncate(cut) == rhs.truncate(cut)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(small_rats, min_size=1, max_size=4), st.lists(small_rats, min_size=1, max_size=4))
-@example(ca=[Fraction(1)], cb=[Fraction(-1), Fraction(1)])
-def test_substitute_respects_addition(ca, cb):
-    # when a + b cancels its lowest term, its substitution knows more
-    # exponents than the sum of the substitutions: compare on the common window
-    a = ser(0, ca, cut=6)
-    b = ser(0, cb, cut=6)
-    pc = ParamChange.from_coeffs("t", [1, -1], order=6)
-    lhs = series_substitute(a + b, pc)
-    rhs = series_substitute(a, pc) + series_substitute(b, pc)
-    assert lhs.cut >= rhs.cut
-    assert lhs.truncate(rhs.cut) == rhs
 
 
 # -- the closed-form engine against the product route ---------------------------
@@ -266,9 +193,12 @@ def binomial_changes(draw, graded):
 
 
 def substitute_by_powers(s, p, out_cut):
-    """sum_e c_e p^e with p^e from pow and products, on the window below out_cut."""
+    """sum_e c_e p^e with p^e from pow and products, on the window below
+    out_cut: the product route, for any change p."""
     terms = [p.pow(e, out_cut).scale(c) for e, c in s.known_items()
              if c and (out_cut is None or e < out_cut)]
+    if not terms:
+        return LaurentSeries.zero(p.var, out_cut)
     total = sum(terms[1:], terms[0])
     return total if out_cut is None else total.with_cut(out_cut)
 
@@ -296,13 +226,45 @@ def test_exact_pole_through_exact_change_needs_a_cut(args):
     assert series_substitute(s, pc, cut=s.low + 3).cut == s.low + 3
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.data())
-def test_change_composed_with_its_reversion_is_identity(data):
-    w = -1 if data.draw(st.booleans()) else None
-    size = data.draw(st.integers(1, 5))
-    tail = [data.draw(coefficients(w, 2 + i)) for i in range(size)]
-    order = size + 2 + data.draw(st.integers(0, 3))
-    pc = ParamChange.from_coeffs("u", tail, order=order)
-    back = pc.compose(revert(pc))
-    assert back.is_identity() and back.order() == order
+small_rats = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=-3, max_value=2),
+    st.lists(small_rats, min_size=1, max_size=5),
+    st.integers(min_value=-2, max_value=2),
+    st.lists(small_rats, min_size=1, max_size=5),
+    binomial_changes(False),
+)
+def test_substitute_is_ring_homomorphism(la, ca, lb, cb, pc):
+    a = ser(la, ca, cut=la + len(ca))
+    b = ser(lb, cb, cut=lb + len(cb))
+    lhs = series_substitute(a * b, pc)
+    rhs = series_substitute(a, pc) * series_substitute(b, pc)
+    cut = min(lhs.cut, rhs.cut)
+    assert lhs.truncate(cut) == rhs.truncate(cut)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(small_rats, min_size=1, max_size=4), st.lists(small_rats, min_size=1, max_size=4),
+       binomial_changes(False))
+@example(ca=[Fraction(1)], cb=[Fraction(-1), Fraction(1)], pc=ParamChange(LaurentSeries("u", 1, [1, 1])))
+def test_substitute_respects_addition(ca, cb, pc):
+    # an exact change keeps the window of a + b even when the sum cancels its
+    # lowest term
+    a = ser(0, ca, cut=6)
+    b = ser(0, cb, cut=6)
+    assert series_substitute(a + b, pc) == series_substitute(a, pc) + series_substitute(b, pc)
+
+
+def test_substitute_takes_exact_two_term_changes_only():
+    changes = (
+        LaurentSeries("u", 1, [1, 2, 3]),         # three terms
+        LaurentSeries("u", 1, [1, 0, 5], cut=6),  # two terms, known below u^6 only
+        LaurentSeries("u", 1, [1], cut=4),        # a truncated identity
+    )
+    for p in changes:
+        for s in (ser(-2, [1, 3], cut=4), ser(0, [1, 1]), LaurentSeries.zero("t", 3)):
+            with pytest.raises(ValidationError):
+                series_substitute(s, ParamChange(p))

@@ -9,7 +9,11 @@ from nsc.curves import (
 )
 from nsc.errors import CohomologyError, TruncationError, ValidationError
 from nsc.laurent import LaurentSeries, ParamChange
-from nsc.sections import _expansion, alpha_beta, canonical_parameter, f_sections, rescale_tangent
+from nsc.sections import (
+    _canonicalise, _combine, _expansion, _function, _regular_basis, _solve_section, alpha_beta,
+    canonical_parameter, f_sections, rescale_tangent,
+)
+from test_laurent import substitute_by_powers
 from nsc.zoo import ZOO_IDS, glued_cusps, zoo
 
 
@@ -107,8 +111,8 @@ def test_canonical_parameter_postcondition_and_idempotence():
     pc = canonical_parameter(cur, w, "p0", 6)
     assert not pc.is_identity()
     for m in range(2, 7):
-        sec = f_sections(cur, w, "p0", m, params={"p0": pc}, tail=0)
-        assert sec.expansions["p0"].coefficient(-1) == 0
+        _, _, expansions = reference_section(cur, w, "p0", m, pc, tail=0)
+        assert expansions["p0"].coefficient(-1) == 0
     # running the search again on top of the canonical parameter changes nothing
     pc2 = canonical_parameter(cur, w, "p0", 6)
     assert pc2 == pc
@@ -191,17 +195,25 @@ def test_canonical_parameter_needs_a_step():
 # second route: the ambient-element solve
 # ---------------------------------------------------------------------------
 # f_i[-m] solved over every ambient element of weights + m p_i, each expanded
-# at p_i through the parameter, with the targets appended to the jet rows;
-# the canonical parameter re-solves it from scratch after each correction.
-# Weights are keyed p0, p1, ... here.
+# at p_i and then substituted through the parameter by the product route,
+# with the targets appended to the jet rows; the canonical parameter re-solves
+# it from scratch after each correction.  Weights are keyed p0, p1, ... here.
 
-def reference_section(curve, weights, i, m, params=None, tail=6):
-    params = params or {}
+def through(series, pc):
+    """The series in the parameter t = pc(u), by the product route, on the
+    window below min(series.cut, pc.order() - 1 + series.low)."""
+    if pc is None:
+        return series
+    bounds = [series.cut] + ([] if pc.order() is None else [pc.order() - 1 + series.low])
+    return substitute_by_powers(series, pc.series, min(bounds))
+
+
+def reference_section(curve, weights, i, m, pc=None, tail=6):
     a_i = weights.get(i, 0)
     divisor = Divisor.of({**weights, i: m})
     elts, rows = constraints(curve, divisor)
     rhs = [Fraction(0)] * len(rows)
-    per_elt = [_expansion(curve, i, -m, 1, [(1, elt)], params.get(i)) for elt in elts]
+    per_elt = [through(_expansion(curve, i, -m, 1, [(1, elt)]), pc) for elt in elts]
     targets = [(-m, 1)] + [(e, 0) for e in range(-m + 1, -a_i)] + [(0, 0)]
     for e, value in targets:
         rows.append([s.coefficient(e) for s in per_elt])
@@ -215,8 +227,8 @@ def reference_section(curve, weights, i, m, params=None, tail=6):
     if kernel:
         raise CohomologyError(f"section of order {m} at {i} is not unique: h1({divisor.items}) != 0")
     expansions = {
-        pid: _expansion(curve, pid, -m if pid == i else -weights.get(pid, 0), tail, zip(x, elts),
-                        params.get(pid))
+        pid: through(_expansion(curve, pid, -m if pid == i else -weights.get(pid, 0), tail, zip(x, elts)),
+                     pc if pid == i else None)
         for pid in curve.point_ids()
     }
     return elts, x, expansions
@@ -226,12 +238,41 @@ def reference_canonical(curve, weights, i, m_max, order=None):
     a_i = weights.get(i, 0)
     pc = ParamChange.identity("u", order=m_max + 6 if order is None else order)
     for m in range(a_i + 1, m_max + 1):
-        _, _, expansions = reference_section(curve, weights, i, m, {i: pc}, tail=-a_i + 1)
+        _, _, expansions = reference_section(curve, weights, i, m, pc, tail=-a_i + 1)
         alpha = expansions[i].coefficient(-a_i)
         if alpha:
             r = m - a_i + 1
             pc = pc.compose(ParamChange(LaurentSeries("u", 1, [1] + [0] * (r - 2) + [alpha / m])))
     return pc
+
+
+def reference_alpha_beta(curve, weights, i, j):
+    g = arithmetic_genus(curve)
+    pc = reference_canonical(curve, weights, i, g + 1, order=g + 4)
+    return tuple(reference_section(curve, weights, i, m, pc, tail=1)[2][j].coefficient(-1) for m in (g, g + 1))
+
+
+def canonical_sections(curve, weights, i, m_max):
+    """f_i[-m] for a_i < m <= m_max in the canonical parameter, from the
+    solver's steps as alpha_beta composes them: m -> the outcome of (nonzero
+    coordinates, expansions at every marked point to exponents < 1)."""
+    order = m_max + 6
+    elts, basis, expansions = _regular_basis(curve, weights, i, m_max, 1)
+    _, expansions = _canonicalise(weights, i, m_max, expansions, order)
+    out = {}
+    for m in range(weights[i] + 1, m_max + 1):
+        got = outcome(_solve_section, weights, i, m, expansions, order)
+        if got[0] == "ok":
+            fn = _function(curve, elts, basis, got[1])
+            at = {pid: _expansion(curve, pid, -weights[pid], 1, zip(fn.coords, fn.elts))
+                  for pid in curve.point_ids() if pid != i}
+            got = "ok", (nonzero_coords(fn.elts, fn.coords), {**at, i: _combine(got[1], expansions)})
+        out[m] = got
+    return out
+
+
+def nonzero_coords(elts, coords):
+    return {elt: x for elt, x in zip(elts, coords) if x}
 
 
 def outcome(fn, *args, **kwargs):
@@ -295,16 +336,26 @@ def test_basis_solver_matches_ambient_element_route(name, curve):
             m_max = a_i + 4
             got = outcome(canonical_parameter, curve, weights, i, m_max)
             assert got == outcome(reference_canonical, curve, weights, i, m_max)
-            pc = got[1] if got[0] == "ok" else ParamChange.from_coeffs(
-                "u", [Fraction(1, 3), Fraction(-2)], order=m_max + 6)
-            j = "p1" if i == "p0" else "p0"
-            for params in (None, {i: pc}, {j: pc}):
-                for m in range(a_i + 1, m_max + 1):
-                    sec = outcome(f_sections, curve, weights, i, m, params=params, tail=4)
-                    ref = outcome(reference_section, curve, weights, i, m, params=params, tail=4)
-                    if sec[0] == "ok":
-                        sec = "ok", (sec[1].function.elts, sec[1].function.coords, sec[1].expansions)
-                    assert sec == ref, (weights, i, m, params)
+            for m in range(a_i + 1, m_max + 1):
+                sec = outcome(f_sections, curve, weights, i, m, tail=4)
+                ref = outcome(reference_section, curve, weights, i, m, tail=4)
+                if sec[0] == "ok":
+                    sec = "ok", (sec[1].function.elts, sec[1].function.coords, sec[1].expansions)
+                assert sec == ref, (weights, i, m)
+            if got[0] != "ok":
+                continue
+            # the sections in the canonical parameter, solved over the
+            # advanced basis expansions, against the product route
+            for m, sec in canonical_sections(curve, weights, i, m_max).items():
+                ref = outcome(reference_section, curve, weights, i, m, got[1], tail=1)
+                if ref[0] == "ok":
+                    elts, x, expansions = ref[1]
+                    ref = "ok", (nonzero_coords(elts, x), expansions)
+                assert sec == ref, (weights, i, m)
+        j = "p1" if i == "p0" else "p0"
+        if weights[j] >= 1:
+            got = outcome(alpha_beta, curve, i, j, weights)
+            assert got == outcome(reference_alpha_beta, curve, weights, i, j), (weights, i)
 
 
 def test_second_route_covers_steps_and_special_points():
