@@ -5,9 +5,11 @@ Every command prints a single JSON document
     {"status": "pass" | "fail" | "error", "payload": ..., "diagnostics": [...]}
 
 with sorted keys and all numbers as exact rational literals.  Exit codes:
-0 = pass, 1 = mathematical mismatch, 2 = usage or input error.  Divisor
+0 = pass, 1 = mathematical mismatch, 2 = usage or input error, or any
+unexpected exception, reported by its type and message.  Divisor
 multiplicities, `curve canonical --m-max`, the `s-table` genus, m-max and
-j-max, and a spec's jet width per singular point are bounded (see README).
+j-max, and a spec's jet width and algebra basis size per singular point are
+bounded (see README).
 """
 
 from __future__ import annotations
@@ -243,6 +245,9 @@ def _run(argv) -> int:
         return EXIT_FAIL
     except NscError as exc:
         _print_result("error", None, [str(exc)])
+        return EXIT_USAGE
+    except Exception as exc:  # any other failure still gives one JSON document, not a traceback
+        _print_result("error", None, [f"internal error: {type(exc).__name__}: {exc}"])
         return EXIT_USAGE
 
 

@@ -47,6 +47,11 @@ def _require(cond, message):
         raise ValidationError(message)
 
 
+def _integer(value) -> bool:
+    """True for a JSON integer; JSON true/false load as bool, a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _list(entry: dict, key: str) -> list:
     """The list under key (empty when the key is absent)."""
     value = entry.get(key, [])
@@ -70,11 +75,18 @@ def curve_from_jsonable(doc) -> CurveModel:
             _require(isinstance(br, dict) and isinstance(br.get("component"), str) and "point" in br,
                      "branch entries need component and point")
             branches.append(Branch(br["component"], parse_point(br["point"])))
-        _require(isinstance(entry.get("jet_order"), int), "jet_order must be an integer")
-        _require(isinstance(entry.get("conductor"), int), "conductor must be an integer")
+        _require(_integer(entry.get("jet_order")), "jet_order must be an integer")
+        _require(_integer(entry.get("conductor")), "conductor must be an integer")
         check_jet_width(len(branches), entry["jet_order"])
+        # the subalgebra check is quadratic in the basis size; a basis longer
+        # than the jet width cannot be linearly independent
+        vectors = _list(entry, "algebra_basis")
+        width = len(branches) * entry["jet_order"]
+        _require(len(vectors) <= width,
+                 f"algebra_basis has {len(vectors)} vectors: the limit is the jet width, "
+                 f"branches x jet_order = {width}")
         basis = []
-        for vec in _list(entry, "algebra_basis"):
+        for vec in vectors:
             _require(isinstance(vec, list), "algebra basis vectors must be lists")
             basis.append(tuple(parse_rational(x) for x in vec))
         sings.append(SingularPoint(tuple(branches), entry["jet_order"], entry["conductor"], tuple(basis)))
@@ -84,7 +96,7 @@ def curve_from_jsonable(doc) -> CurveModel:
                  "marked entries need component and point")
         tangent = parse_rational(entry.get("tangent", "1"))
         weight = entry.get("weight")
-        _require(weight is None or isinstance(weight, int), "weight must be an integer when present")
+        _require(weight is None or _integer(weight), "weight must be an integer when present")
         marked.append(MarkedPoint(entry["component"], parse_point(entry["point"]), tangent, weight))
     return validate(CurveModel(tuple(comps), tuple(sings), tuple(marked)))
 

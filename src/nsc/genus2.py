@@ -416,20 +416,6 @@ def _into_ring(ring: PolyRing, value):
 # fitting the parameters from a concrete curve
 # ---------------------------------------------------------------------------
 
-_BASIS_BY_POLE = (
-    # (name, pole order, (exponent of f, has h, has k))
-    ("f2h", 10, (2, 1, 0)),
-    ("f3", 9, (3, 0, 0)),
-    ("fk", 8, (1, 0, 1)),
-    ("fh", 7, (1, 1, 0)),
-    ("f2", 6, (2, 0, 0)),
-    ("k", 5, (0, 0, 1)),
-    ("h", 4, (0, 1, 0)),
-    ("f", 3, (1, 0, 0)),
-    ("one", 0, (0, 0, 0)),
-)
-
-
 def presentation_from_series(sf: LaurentSeries, sh: LaurentSeries, sk: LaurentSeries) -> GeneralPresentation:
     """Expand h^2, hk, k^2 on the basis f^n, f^n h, f^n k by matching principal
     parts at the marked point, checking that the residual tail vanishes
@@ -437,21 +423,22 @@ def presentation_from_series(sf: LaurentSeries, sh: LaurentSeries, sk: LaurentSe
     ring = coefficient_f_ring()
     f = ring.var("f")
 
+    f2 = sf * sf
     one = LaurentSeries.monomial(sf.var, 0, 1, cut=sf.cut)
-    basis_series = {}
-    for name, pole, (a, bh, bk) in _BASIS_BY_POLE:
-        basis_series[name] = one * sf.pow(a) * sh.pow(bh) * sk.pow(bk)
+    # (name, pole order at the marked point, series), poles descending
+    basis = (("f2h", 10, f2 * sh), ("f3", 9, f2 * sf), ("fk", 8, sf * sk), ("fh", 7, sf * sh),
+             ("f2", 6, f2), ("k", 5, sk), ("h", 4, sh), ("f", 3, sf), ("one", 0, one))
 
     def match(target: LaurentSeries, pole_bound: int):
         residual = target
         coords = {}
-        for name, pole, _ in _BASIS_BY_POLE:
+        for name, pole, series in basis:
             if pole > pole_bound:
                 continue
             x = residual.coefficient(-pole)
             coords[name] = x
             if x:
-                residual = residual - basis_series[name].scale(x)
+                residual = residual - series.scale(x)
         if not residual.is_known_zero():
             raise InternalInconsistencyError(
                 f"pole-{pole_bound} product does not lie on the section basis: residual {residual}"

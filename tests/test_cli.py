@@ -187,6 +187,15 @@ def test_zoo_cusps_are_bounded_by_the_jet_width(tmp_path, case, code):
         assert proc.returncode == 0 and doc["payload"] == {"genus": 31}
 
 
+def _cusp_spec():
+    """(spec, its parts by name): the cusp y^2 = x^3 at 0, jet order 4, one
+    marked point."""
+    cusp = {"branches": [{"component": "c0", "point": "0"}], "jet_order": 4, "conductor": 2,
+            "algebra_basis": [["1", "0", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]}
+    doc = {"components": ["c0"], "singularities": [cusp], "marked": [{"component": "c0", "point": "1"}]}
+    return doc, {"spec": doc, "singularity": cusp, "branch": cusp["branches"][0], "marked": doc["marked"][0]}
+
+
 @pytest.mark.parametrize("entry, key", [
     ("spec", "singularities"), ("spec", "marked"), ("singularity", "branches"), ("singularity", "algebra_basis"),
     ("branch", "component"), ("marked", "component"),
@@ -195,15 +204,69 @@ def test_spec_fields_of_the_wrong_type_are_usage_errors(tmp_path, capsys, entry,
     # a list where a label belongs, 5 where a list belongs
     value, diagnostic = ((["c0"], f"{entry} entries need component and point") if key == "component"
                          else (5, f"{key} must be a list"))
-    cusp = {"branches": [{"component": "c0", "point": "0"}], "jet_order": 4, "conductor": 2,
-            "algebra_basis": [["1", "0", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]}
-    doc = {"components": ["c0"], "singularities": [cusp], "marked": [{"component": "c0", "point": "1"}]}
-    target = {"spec": doc, "singularity": cusp, "branch": cusp["branches"][0], "marked": doc["marked"][0]}
+    doc, target = _cusp_spec()
     target[entry][key] = value
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(doc))
     code, out = run_json(capsys, "curve", "genus", str(spec))
     assert code == 2 and out["status"] == "error" and out["diagnostics"] == [diagnostic]
+
+
+@pytest.mark.parametrize("entry, key, value, diagnostic", [
+    ("singularity", "jet_order", True, "jet_order must be an integer"),
+    ("singularity", "conductor", True, "conductor must be an integer"),
+    ("marked", "weight", True, "weight must be an integer when present"),
+    ("marked", "weight", False, "weight must be an integer when present"),
+])
+def test_json_booleans_are_not_integers(tmp_path, capsys, entry, key, value, diagnostic):
+    # json loads true/false as bool, which isinstance counts as int
+    doc, target = _cusp_spec()
+    target[entry][key] = value
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    code, out = run_json(capsys, "curve", "genus", str(spec))
+    assert code == 2 and out["status"] == "error" and out["diagnostics"] == [diagnostic]
+
+
+@pytest.mark.parametrize("vectors, code", [(4, 0), (5, 2), (1603, 2)])
+def test_algebra_basis_is_bounded_by_the_jet_width(tmp_path, vectors, code):
+    # the cusp's three vectors, then the jet s^2 again and again: a spanning
+    # set is accepted up to the jet width 4, and the subalgebra check, which
+    # is quadratic in the count, never sees a longer one
+    doc, target = _cusp_spec()
+    basis = target["singularity"]["algebra_basis"]
+    basis += [basis[1]] * (vectors - len(basis))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    proc, out = run_bounded("curve", "genus", str(spec))
+    assert proc.returncode == code
+    if code:
+        assert out["diagnostics"] == [
+            f"algebra_basis has {vectors} vectors: the limit is the jet width, branches x jet_order = 4"]
+    else:
+        assert out["payload"] == {"genus": 1}
+
+
+def test_unexpected_exceptions_print_one_error_document(monkeypatch, capsys):
+    def broken(args):
+        raise KeyError("boom")
+
+    monkeypatch.setattr("nsc.cli._cmd_zoo", broken)
+    code = main(["zoo", "list"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out) == {"status": "error", "payload": None,
+                                        "diagnostics": ["internal error: KeyError: 'boom'"]}
+    assert "Traceback" not in captured.err
+
+
+def test_keyboard_interrupt_is_not_caught(monkeypatch):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("nsc.cli._cmd_zoo", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["zoo", "list"])
 
 
 def test_s_table_limits_reach_the_closed_forms(capsys):

@@ -1,10 +1,125 @@
+import math
 from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
 
 from nsc import linalg
 
 
 def apply(rows, x):
     return [sum(Fraction(a) * b for a, b in zip(row, x)) for row in rows]
+
+
+def reference_rref(rows):
+    """Dense Gauss-Jordan over Fraction rows: the elimination linalg used
+    before it moved to integer rows, kept as the second route."""
+    m = [list(map(Fraction, r)) for r in rows]
+    pivots = []
+    r = 0
+    ncols = len(m[0]) if m else 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = Fraction(1) / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
+# mostly zeros and small entries, as in the jet-condition rows, plus ints and
+# rationals with numerators and denominators of about 100 bits
+ENTRIES = st.one_of(
+    st.just(0),
+    st.just(Fraction(0)),
+    st.integers(-3, 3),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+    st.builds(Fraction, st.integers(-2**100, 2**100), st.integers(1, 2**100)),
+)
+
+
+@st.composite
+def matrices(draw, max_rows=7, max_cols=8):
+    """Empty, wide, tall, with zero rows, and rank-deficient: some rows are
+    combinations of the others (all-zero coefficients give a zero row)."""
+    ncols = draw(st.integers(0, max_cols))
+    rows = draw(st.lists(st.lists(ENTRIES, min_size=ncols, max_size=ncols), max_size=max_rows))
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        coeffs = draw(st.lists(ENTRIES, min_size=len(rows), max_size=len(rows)))
+        combination = [sum(Fraction(c) * row[j] for c, row in zip(coeffs, rows)) for j in range(ncols)]
+        rows.insert(draw(st.integers(0, len(rows))), combination)
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_rref_and_rank_match_the_dense_reference(rows):
+    expected = reference_rref(rows)
+    got = linalg.rref(rows)
+    assert got == expected
+    assert repr(got) == repr(expected)
+    assert all(type(x) is Fraction for row in got[0] for x in row)
+    assert linalg.rank(rows) == len(expected[0])
+
+
+@settings(max_examples=75, deadline=None)
+@given(matrices())
+def test_elimination_keeps_its_integer_rows_primitive(rows):
+    # content 1 after every change is what keeps the integers small; the
+    # result would be the same without it, only slower
+    reduced, pivots = linalg._eliminate(rows)
+    assert pivots == reference_rref(rows)[1]
+    for row, c in zip(reduced, pivots):
+        assert all(type(v) is int and v for v in row.values())
+        assert math.gcd(*row.values()) == 1
+        assert min(row) == c
+        assert all(p == c or p not in row for p in pivots)
+
+
+@settings(max_examples=75, deadline=None)
+@given(matrices(), st.integers(0, 8))
+def test_nullspace_vectors_are_killed_by_the_rows(rows, ncols):
+    ncols = len(rows[0]) if rows else ncols
+    kernel = linalg.nullspace(rows, ncols=ncols)
+    assert len(kernel) == ncols - len(reference_rref(rows)[0])
+    for v in kernel:
+        assert len(v) == ncols
+        assert apply(rows, v) == [0] * len(rows)
+    assert linalg.rank(kernel) == len(kernel)
+
+
+@settings(max_examples=75, deadline=None)
+@given(matrices(), st.data())
+def test_solve_affine_agrees_with_the_reference(rows, data):
+    ncols = len(rows[0]) if rows else 0
+    if data.draw(st.booleans()):  # consistent by construction
+        x0 = data.draw(st.lists(ENTRIES, min_size=ncols, max_size=ncols))
+        rhs = apply(rows, x0)
+    else:
+        rhs = data.draw(st.lists(ENTRIES, min_size=len(rows), max_size=len(rows)))
+    solved = linalg.solve_affine(rows, rhs)
+    if not rows:
+        assert solved is None
+        return
+    red, pivots = reference_rref([list(r) + [b] for r, b in zip(rows, rhs)])
+    assert (solved is None) == (ncols in pivots)
+    if solved is None:
+        return
+    x, kernel = solved
+    particular = [Fraction(0)] * ncols
+    for i, p in enumerate(pivots):
+        particular[p] = red[i][ncols]
+    assert x == particular
+    assert apply(rows, x) == [Fraction(b) for b in rhs]
+    assert kernel == linalg.nullspace(rows)
 
 
 def test_solve_affine_inconsistent_is_none():
