@@ -22,18 +22,11 @@ import sys
 
 from .curveio import curve_to_jsonable, dump_curve, load_curve, parse_divisor
 from .curves import MAX_JET_WIDTH, arithmetic_genus, h0, h1
-from .errors import (
-    CohomologyError,
-    InternalInconsistencyError,
-    NscError,
-    TruncationError,
-    ValidationError,
-    VerificationError,
-)
+from .errors import InternalInconsistencyError, NscError, ValidationError, VerificationError
 from .genus2 import fit_parameters
 from .normalform import run_recursion
 from .rational import format_rational
-from .sections import canonical_parameter
+from .sections import alpha_beta, canonical_parameter
 from .suites import SUITE_NAMES, parse_genus_range, run_suite
 from .zoo import ZOO_IDS, zoo
 
@@ -91,12 +84,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_s_table(args) -> int:
     if args.genus < 2:
-        _print_result("error", None, [f"genus must be >= 2, got {args.genus}"])
-        return EXIT_USAGE
+        raise ValidationError(f"genus must be >= 2, got {args.genus}")
     m_max = args.m_max if args.m_max is not None else args.genus + 6
     if m_max <= args.genus or args.j_max < 0:
-        _print_result("error", None, ["need m-max > genus and j-max >= 0"])
-        return EXIT_USAGE
+        raise ValidationError("need m-max > genus and j-max >= 0")
     limits = (("genus", args.genus, MAX_TABLE_GENUS), ("m-max", m_max, MAX_TABLE_M_MAX),
               ("j-max", args.j_max, MAX_TABLE_J_MAX))
     for name, value, limit in limits:
@@ -160,8 +151,6 @@ def _cmd_curve(args) -> int:
             raise ValidationError("alphabeta needs a second marked point")
         jid = others[0]
         weights = _parse_weights(curve, args.weights) if args.weights else {pid: g - 1, jid: 1}
-        from .sections import alpha_beta
-
         alpha, beta = alpha_beta(curve, pid, jid, weights=weights)
         _print_result("pass", {
             "alpha": format_rational(alpha),
@@ -198,8 +187,7 @@ def _cmd_zoo(args) -> int:
                                "family": f"ccusp<a> for a >= 1, jet order 2(a+1) <= {MAX_JET_WIDTH}"})
         return EXIT_PASS
     if args.case_id is None or args.out_file is None:
-        _print_result("error", None, ["zoo emit needs CASE_ID and OUT_FILE"])
-        return EXIT_USAGE
+        raise ValidationError("zoo emit needs CASE_ID and OUT_FILE")
     curve = zoo(args.case_id)
     dump_curve(curve, args.out_file)
     _print_result("pass", {"case": args.case_id, "written": args.out_file,
@@ -224,26 +212,16 @@ def main(argv=None) -> int:
 def _run(argv) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        if args.command == "s-table":
-            return _cmd_s_table(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "curve":
-            return _cmd_curve(args)
-        if args.command == "zoo":
-            return _cmd_zoo(args)
-        return EXIT_USAGE
+        commands = {"s-table": _cmd_s_table, "verify": _cmd_verify, "curve": _cmd_curve, "zoo": _cmd_zoo}
+        return commands[args.command](args)
     except SystemExit as exc:  # --help; parse errors raise ValidationError
         return EXIT_USAGE if exc.code not in (0,) else 0
     except BrokenPipeError:
         raise
-    except (ValidationError, CohomologyError, TruncationError, OSError, ValueError) as exc:
-        _print_result("error", None, [str(exc)])
-        return EXIT_USAGE
     except (VerificationError, InternalInconsistencyError) as exc:
         _print_result("fail", None, [str(exc)])
         return EXIT_FAIL
-    except NscError as exc:
+    except (NscError, OSError, ValueError) as exc:
         _print_result("error", None, [str(exc)])
         return EXIT_USAGE
     except Exception as exc:  # any other failure still gives one JSON document, not a traceback

@@ -118,9 +118,6 @@ class CurveModel:
     def _hash(self):
         return hash((self.components, self.singularities, self.marked_points))
 
-    def point_id(self, index: int) -> str:
-        return f"p{index}"
-
     def point_ids(self):
         return [f"p{i}" for i in range(len(self.marked_points))]
 
@@ -155,13 +152,6 @@ class Divisor:
 
     def degree(self) -> int:
         return sum(n for _, n in self.items)
-
-    def mapping(self) -> dict:
-        return dict(self.items)
-
-    def __le__(self, other: "Divisor") -> bool:
-        ids = {pid for pid, _ in self.items} | {pid for pid, _ in other.items}
-        return all(self.multiplicity(i) <= other.multiplicity(i) for i in ids)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +220,15 @@ def _validate_cached(curve: CurveModel) -> bool:
 
     branch_points = set()
     for sing in curve.singularities:
+        # the subalgebra check is quadratic in the basis size; a basis longer
+        # than the jet width cannot be linearly independent
+        check_jet_width(len(sing.branches), sing.jet_order)
+        width = len(sing.branches) * sing.jet_order
+        if len(sing.algebra_basis) > width:
+            raise ValidationError(
+                f"algebra_basis has {len(sing.algebra_basis)} vectors: the limit is the jet width, "
+                f"branches x jet_order = {width}"
+            )
         if not sing.branches:
             raise ValidationError("singularity with no branches")
         if sing.conductor < 1:
@@ -250,7 +249,6 @@ def _validate_cached(curve: CurveModel) -> bool:
             if key in branch_points:
                 raise ValidationError(f"branch point {format_point(br.point)} on {br.component} reused")
             branch_points.add(key)
-        width = len(sing.branches) * sing.jet_order
         for v in sing.algebra_basis:
             if len(v) != width:
                 raise ValidationError("algebra basis vector has wrong length")
@@ -512,7 +510,7 @@ def constraints(curve: CurveModel, divisor: Divisor):
     zero of the negative part."""
     validate(curve)
     divisor = _canonical_divisor(curve, divisor)
-    mults = [divisor.multiplicity(curve.point_id(idx)) for idx in range(len(curve.marked_points))]
+    mults = [divisor.multiplicity(pid) for pid in curve.point_ids()]
     elts = [("const", c) for c in curve.components]
     for mp, n in zip(curve.marked_points, mults):
         for j in range(1, n + 1):

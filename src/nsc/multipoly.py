@@ -37,9 +37,6 @@ class MonomialOrder:
         """Key increasing with the order; usable with max()."""
         return (self.weighted_degree(exps), tuple(-e for e in reversed(exps)))
 
-    def greater(self, a, b) -> bool:
-        return self.sort_key(a) > self.sort_key(b)
-
 
 class PolyRing:
     """Polynomial ring with named weighted variables over QQ or another PolyRing."""
@@ -285,12 +282,12 @@ class MultiPoly:
 
     # -- structure --------------------------------------------------------------
 
-    def leading_term(self, order: MonomialOrder | None = None):
-        """(exponents, coefficient) of the largest monomial; None for zero."""
+    def leading_term(self):
+        """(exponents, coefficient) of the largest monomial in the ring's
+        order; None for zero."""
         if not self.terms:
             return None
-        order = order or self.ring.order
-        exps = max(self.terms, key=order.sort_key)
+        exps = max(self.terms, key=self.ring.order.sort_key)
         return exps, self.terms[exps]
 
     def monomials(self):
@@ -377,7 +374,7 @@ def _divides(a, b) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def poly_reduce(f: MultiPoly, basis, order: MonomialOrder | None = None):
+def poly_reduce(f: MultiPoly, basis):
     """Multivariate division: f = sum(q_i * basis_i) + remainder.
 
     No remainder term is divisible by any basis leading monomial.  Divisor
@@ -389,10 +386,9 @@ def poly_reduce(f: MultiPoly, basis, order: MonomialOrder | None = None):
     if not basis:
         raise ValidationError("empty basis")
     ring = f.ring
-    order = order or ring.order
     lts = []
     for b in basis:
-        lt = b.leading_term(order)
+        lt = b.leading_term()
         if lt is None:
             raise ValidationError("zero basis element")
         lts.append(lt)
@@ -400,7 +396,7 @@ def poly_reduce(f: MultiPoly, basis, order: MonomialOrder | None = None):
     remainder = ring.zero()
     p = f
     while p.terms:
-        exps, c = p.leading_term(order)
+        exps, c = p.leading_term()
         for i, (lexps, lc) in enumerate(lts):
             if _divides(lexps, exps):
                 q_exps = tuple(a - b for a, b in zip(exps, lexps))
@@ -415,13 +411,12 @@ def poly_reduce(f: MultiPoly, basis, order: MonomialOrder | None = None):
     return quotients, remainder
 
 
-def s_polynomial(f: MultiPoly, g: MultiPoly, order: MonomialOrder | None = None) -> MultiPoly:
+def s_polynomial(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """S-polynomial: the lcm-of-leading-monomials combination cancelling leads."""
     if not f.terms or not g.terms:
         raise ValidationError("s_polynomial requires nonzero inputs")
     ring = f.ring
-    order = order or ring.order
-    (ef, cf), (eg, cg) = f.leading_term(order), g.leading_term(order)
+    (ef, cf), (eg, cg) = f.leading_term(), g.leading_term()
     lcm = tuple(max(a, b) for a, b in zip(ef, eg))
     mf = MultiPoly(ring, {tuple(l - a for l, a in zip(lcm, ef)): _coeff_invert(cf)})
     mg = MultiPoly(ring, {tuple(l - a for l, a in zip(lcm, eg)): _coeff_invert(cg)})

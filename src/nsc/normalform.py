@@ -79,7 +79,6 @@ class NormalFormResult:
     m_max: int
     j_max: int
     param_change: ParamChange                # t1 in terms of the final parameter
-    corrections: tuple                       # per-step changes u_{n-1} = phi_n(u_n)
     normal_forms: dict                       # m -> LaurentSeries in the final parameter
     s_table: STable
     stages: tuple                            # StageRecord per stage
@@ -102,16 +101,14 @@ def run_recursion(g: int, m_max: int | None = None, j_max: int = 6) -> NormalFor
 
     total = ParamChange.identity("u", order=stages_total + j_max + 2)
     current = {g + 1: LaurentSeries("u", -(g + 1), [1, Graded(-1, 1)], cut)}  # F[-(g+1)]
-    corrections = []
     stages = [StageRecord(1, None, None, ())]
 
     for n in range(2, stages_total + 1):
         c = current[g + n - 1].coefficient(-g)
-        eps = c / (g + n - 1)
-        phi = ParamChange(LaurentSeries("u", 1, [1] + [0] * (n - 2) + [eps]))
-        total = total.compose(phi)
+        eps = c / (g + n - 1)  # the step u_{n-1} = u_n + eps*u_n^n
+        total = total.compose(eps, n)
         for m in list(current):
-            current[m] = series_substitute(current[m], phi)
+            current[m] = series_substitute(current[m], eps, n)
         if current[g + n - 1].coefficient(-g):
             raise InternalInconsistencyError(
                 f"stage {n}: correction failed to kill the u^-{g} coefficient"
@@ -129,7 +126,6 @@ def run_recursion(g: int, m_max: int | None = None, j_max: int = 6) -> NormalFor
                     f"stage {n}: exponent {e} not cleared in f[-{g + n}]"
                 )
         current[g + n] = work
-        corrections.append(phi)
         stages.append(StageRecord(n, c, eps, tuple(multipliers)))
 
     entries = {}
@@ -143,7 +139,6 @@ def run_recursion(g: int, m_max: int | None = None, j_max: int = 6) -> NormalFor
         m_max=m_max,
         j_max=j_max,
         param_change=ParamChange(total.series.truncate(stages_total + 1)),
-        corrections=tuple(corrections),
         normal_forms=normal_forms,
         s_table=STable(g, entries),
         stages=tuple(stages),

@@ -111,22 +111,22 @@ def _canonicalise(weights, i, m_max, expansions, order):
         y = _solve_section(weights, i, m, expansions, order)
         alpha = sum(c * s.coefficient(-a_i) for c, s in zip(y, expansions) if c)
         if alpha:
-            r = m - a_i + 1
-            step = ParamChange(LaurentSeries("u", 1, [1] + [0] * (r - 2) + [alpha / m]))
-            pc = pc.compose(step)
-            expansions = [series_substitute(s, step) for s in expansions]
+            eps, r = alpha / m, m - a_i + 1
+            pc = pc.compose(eps, r)
+            expansions = [series_substitute(s, eps, r) for s in expansions]
     return pc, expansions
 
 
-def _solve_section(weights, i, m, expansions, cut):
+def _solve_section(weights, i, m, expansions, order):
     """Coordinates of f_i[-m] over the first basis functions, those with a
     pole of order at most m at p_i, given the basis expansions there: the
     unique combination with coefficient 1 at -m, none on (-m, -a_i) and
-    constant term zero.  The expansions are in a parameter known below u^cut
-    (None: exact); a valuation-1 change keeps each expansion's valuation."""
-    if cut is not None and cut <= m + 1:
+    constant term zero.  The expansions are in a parameter known below
+    u^order (None: u = s/v itself); a valuation-1 change keeps each
+    expansion's valuation."""
+    if order is not None and order <= m + 1:
         raise TruncationError(
-            f"a parameter known below u^{cut} cannot fix the constant term of "
+            f"a parameter known below u^{order} cannot fix the constant term of "
             f"f_{i}[-{m}]: it must be known below u^{m + 2}"
         )
     near = [s for s in expansions if s.low >= -m]

@@ -52,7 +52,7 @@ def test_criterion_01_closed_forms_genus_2_to_12():
 
 def test_criterion_02_genus2_recursion_intermediates():
     res = run_recursion(2, 5, 2)
-    ok1 = res.corrections[0].coefficient(2) == Graded(Fraction(-1, 3), 1)
+    ok1 = res.stages[1].correction == Graded(Fraction(-1, 3), 1)
     ok2 = res.stages[2].pole_coefficient == Graded(Fraction(10, 9), 2)
     ok3 = res.normal_forms[3].coefficient(-1) == Graded(Fraction(-5, 6), 2)
     report(2, ok1 and ok2 and ok3,

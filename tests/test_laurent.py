@@ -8,7 +8,7 @@ from nsc.laurent import LaurentSeries, ParamChange, series_substitute
 from nsc.rational import Graded
 
 
-def ser(low, coeffs, cut=None):
+def ser(low, coeffs, cut):
     return LaurentSeries("t", low, coeffs, cut)
 
 
@@ -39,8 +39,8 @@ def test_product_with_an_empty_window_knows_nothing_above_its_cut():
 
 def test_coefficients_are_exact_scalars():
     with pytest.raises(ValidationError):
-        ser(0, [0.5])
-    assert ser(0, [2]).coefficient(0) == Fraction(2)
+        ser(0, [0.5], cut=1)
+    assert ser(0, [2], cut=1).coefficient(0) == Fraction(2)
 
 
 def test_graded_scalar_arithmetic():
@@ -60,7 +60,7 @@ def test_mixing_lam_degrees_raises():
     with pytest.raises(InternalInconsistencyError):
         Graded(1, 1) - 1
     with pytest.raises(InternalInconsistencyError):
-        LaurentSeries("u", 0, [Graded(1, 1)]) + LaurentSeries("u", 0, [Graded(1, 2)])
+        LaurentSeries("u", 0, [Graded(1, 1)], 1) + LaurentSeries("u", 0, [Graded(1, 2)], 1)
 
 
 def test_coefficient_below_window_is_zero():
@@ -70,24 +70,33 @@ def test_coefficient_below_window_is_zero():
 
 
 def test_inverse_geometric():
-    one_minus_t = ser(0, [1, -1])
+    one_minus_t = ser(0, [1, -1], cut=6)
     inv = one_minus_t.inverse(cut=5)
     assert [inv.coefficient(i) for i in range(5)] == [1, 1, 1, 1, 1]
     assert (one_minus_t * inv).truncate(5) == ser(0, [1], cut=5)
 
 
 def test_substitute_identity():
-    s = ser(-1, [1])
-    pc = ParamChange.identity("t")
-    assert series_substitute(s, pc, cut=3).coefficient(-1) == 1
+    s = ser(-1, [1, 0, 5], cut=3)
+    assert series_substitute(s, Fraction(0), 2) == s
+    pc = ParamChange.identity("t", order=5)
+    assert pc.compose(Fraction(0), 3) == pc
+
+
+def test_a_step_keeps_the_tangent():
+    # u + eps*u^r with r < 2 is no correction step: r = 1 rescales the
+    # tangent, and the binomial expansion would divide by r - 1 = 0
+    s = ser(-1, [1, 0, 5], cut=3)
+    for r in (1, 0, -2):
+        with pytest.raises(ValidationError, match=f"r = {r}"):
+            series_substitute(s, Fraction(1), r)
 
 
 def test_substitute_polar_expansion_reference_coefficients():
     # t^(-g-1) - lam*t^(-g) under t = u - (lam/(g+1)) u^2, with lam of degree 1.
     for g, expect_m2 in ((2, Fraction(0)), (3, Fraction(-1, 8))):
-        s = LaurentSeries("t", -g - 1, [1, Graded(-1, 1)], cut=None)
-        pc = ParamChange(LaurentSeries("t", 1, [1, Graded(Fraction(-1, g + 1), 1)]))
-        out = series_substitute(s, pc, cut=1)
+        s = LaurentSeries("t", -g - 1, [1, Graded(-1, 1)], cut=1)
+        out = series_substitute(s, Graded(Fraction(-1, g + 1), 1), 2)
         assert out.coefficient(-g - 1) == 1
         assert not out.coefficient(-g)
         # coefficient of u^(-g+1) is (2-g)/(2(g+1)) * lam^2
@@ -124,28 +133,35 @@ def coefficients(draw, w, e, unit=False):
     return r if w is None else Graded(r, e + w)
 
 
+
+
 @st.composite
-def series(draw, w, low=st.integers(-3, 3), truncated=st.booleans(), max_tail=5):
-    """lead*u^low + tail, exact or truncated at or past the stored terms; the
-    lead has r = 1 half of the time, as for a parameter change (a Graded lead
-    equals 1 only at degree 0)."""
+def series(draw, w, low=st.integers(-3, 3), max_tail=5):
+    """lead*u^low + tail, truncated at or past the stored terms; the lead has
+    r = 1 half of the time, as for a parameter change (a Graded lead equals 1
+    only at degree 0)."""
     low = draw(low)
     lead = draw(st.just(None) | coefficients(w, low, unit=True))
     if lead is None:
         lead = 1 if w is None else Graded(1, low + w)
     size = draw(st.integers(0, max_tail))
     tail = [draw(coefficients(w, low + 1 + i)) for i in range(size)]
-    cut = low + 1 + size + draw(st.integers(0, 2)) if draw(truncated) else None
-    return LaurentSeries("u", low, [lead, *tail], cut)
+    return LaurentSeries("u", low, [lead, *tail], low + 1 + size + draw(st.integers(0, 2)))
 
 
 def product_power(x, n, cut):
-    """x^n for n < 0 by one inverse and |n|-1 series products."""
-    v = x.valuation()
-    base = x.inverse(cut=None if cut is None else cut + (-n - 1) * v)
-    out = base
-    for _ in range(-n - 1):
-        out = out * base
+    """x^n by series products: n copies of x for n > 0, else one inverse and
+    |n| - 1 more copies of it, times x for n = 0."""
+    if n > 0:
+        out = x
+        for _ in range(n - 1):
+            out = out * x
+    else:
+        v = x.valuation()
+        base = x.inverse(cut=None if cut is None else cut + (-n - 1) * v)
+        out = x * base if n == 0 else base
+        for _ in range(-n - 1):
+            out = out * base
     return out if cut is None else out.truncate(cut)
 
 
@@ -155,14 +171,32 @@ def test_negative_power_matches_product_route(data):
     x = data.draw(series(data.draw(kinds)))
     n = data.draw(st.integers(-30, -1))
     v = x.valuation()
-    # an exact series with more than one term has an infinite inverse
-    needs_cut = x.cut is None and len(x.coeffs) > 1
-    cut = data.draw(st.integers(n * v + 1, n * v + 10) | (st.nothing() if needs_cut else st.none()))
+    cut = data.draw(st.integers(n * v + 1, n * v + 10) | st.none())
     power = x.pow(n, cut)
     assert window(power) == window(product_power(x, n, cut))
     if n == -1:
         for e, c in (x * power).known_items():
             assert c == (1 if e == 0 else 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_power_window_is_one_formula(data):
+    # every n, zero and positive included, has the window
+    # [n*v, min(cut, x.cut + (n-1)*v)), empty at n*v when that is empty
+    x = data.draw(series(data.draw(kinds)))
+    n = data.draw(st.integers(-6, 6))
+    v = x.valuation()
+    cut = data.draw(st.integers(n * v - 3, n * v + 12) | st.none())
+    power = x.pow(n, cut)
+    high = x.cut + (n - 1) * v if cut is None else min(cut, x.cut + (n - 1) * v)
+    assert (power.low, power.cut) == (n * v, max(n * v, high))
+    assert window(power) == window(product_power(x, n, cut))
+    if n > 0:
+        repeated = x
+        for _ in range(n - 1):
+            repeated = repeated * x
+        assert window(power) == window(repeated if cut is None else repeated.truncate(cut))
 
 
 @settings(max_examples=30, deadline=None)
@@ -177,30 +211,27 @@ def test_negative_power_on_an_empty_window_is_sound(x, n, shift):
         power.coefficient(n * v)
 
 
-def test_exact_polynomial_inverse_needs_a_cut():
-    with pytest.raises(ValidationError):
-        ser(0, [1, 1]).pow(-3)
-    assert ser(2, [Fraction(1, 3)]).pow(-3) == ser(-6, [27])
-
-
 @st.composite
-def binomial_changes(draw, graded):
-    """The exact change u + eps*u^r (the identity when eps = 0), with eps of
-    lam-degree r - 1 if graded."""
+def steps(draw, graded):
+    """A correction step (eps, r): the change u + eps*u^r (the identity when
+    eps = 0), with eps of lam-degree r - 1 if graded."""
     r = draw(st.integers(2, 6))
-    eps = draw(coefficients(-1 if graded else None, r))
-    return ParamChange(LaurentSeries("u", 1, [1] + [0] * (r - 2) + [eps]))
+    return draw(coefficients(-1 if graded else None, r)), r
+
+
+def step_series(eps, r, s):
+    """u + eps*u^r as a series known far enough that every power the product
+    route takes of it is known on the whole window of s."""
+    return LaurentSeries("u", 1, [1] + [0] * (r - 2) + [eps], max(r, s.cut - s.low) + 1)
 
 
 def substitute_by_powers(s, p, out_cut):
     """sum_e c_e p^e with p^e from pow and products, on the window below
     out_cut: the product route, for any change p."""
-    terms = [p.pow(e, out_cut).scale(c) for e, c in s.known_items()
-             if c and (out_cut is None or e < out_cut)]
+    terms = [p.pow(e, out_cut).scale(c) for e, c in s.known_items() if c and e < out_cut]
     if not terms:
         return LaurentSeries.zero(p.var, out_cut)
-    total = sum(terms[1:], terms[0])
-    return total if out_cut is None else total.with_cut(out_cut)
+    return sum(terms[1:], terms[0])
 
 
 @settings(max_examples=80, deadline=None)
@@ -208,22 +239,9 @@ def substitute_by_powers(s, p, out_cut):
 def test_binomial_change_matches_sum_of_powers(data):
     w = data.draw(kinds)
     s = data.draw(series(w, low=st.integers(-6, 4)))
-    pc = data.draw(binomial_changes(w is not None))
-    exact_tail = s.cut is None and s.low < 0
-    cut = data.draw(st.integers(s.low + 1, s.low + 14) | (st.nothing() if exact_tail else st.none()))
-    out_cut = min((c for c in (s.cut, cut) if c is not None), default=None)
-    out = series_substitute(s, pc, cut)
-    assert window(out) == window(substitute_by_powers(s, pc.series, out_cut))
-
-
-@settings(max_examples=30, deadline=None)
-@given(kinds.flatmap(lambda w: st.tuples(
-    series(w, low=st.integers(-6, -1), truncated=st.just(False)), binomial_changes(w is not None))))
-def test_exact_pole_through_exact_change_needs_a_cut(args):
-    s, pc = args
-    with pytest.raises(TruncationError):
-        series_substitute(s, pc)
-    assert series_substitute(s, pc, cut=s.low + 3).cut == s.low + 3
+    eps, r = data.draw(steps(w is not None))
+    out = series_substitute(s, eps, r)
+    assert window(out) == window(substitute_by_powers(s, step_series(eps, r, s), s.cut))
 
 
 small_rats = st.fractions(min_value=-40, max_value=40, max_denominator=12)
@@ -235,36 +253,24 @@ small_rats = st.fractions(min_value=-40, max_value=40, max_denominator=12)
     st.lists(small_rats, min_size=1, max_size=5),
     st.integers(min_value=-2, max_value=2),
     st.lists(small_rats, min_size=1, max_size=5),
-    binomial_changes(False),
+    steps(False),
 )
-def test_substitute_is_ring_homomorphism(la, ca, lb, cb, pc):
+def test_substitute_is_ring_homomorphism(la, ca, lb, cb, step):
     a = ser(la, ca, cut=la + len(ca))
     b = ser(lb, cb, cut=lb + len(cb))
-    lhs = series_substitute(a * b, pc)
-    rhs = series_substitute(a, pc) * series_substitute(b, pc)
+    lhs = series_substitute(a * b, *step)
+    rhs = series_substitute(a, *step) * series_substitute(b, *step)
     cut = min(lhs.cut, rhs.cut)
     assert lhs.truncate(cut) == rhs.truncate(cut)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(small_rats, min_size=1, max_size=4), st.lists(small_rats, min_size=1, max_size=4),
-       binomial_changes(False))
-@example(ca=[Fraction(1)], cb=[Fraction(-1), Fraction(1)], pc=ParamChange(LaurentSeries("u", 1, [1, 1])))
-def test_substitute_respects_addition(ca, cb, pc):
-    # an exact change keeps the window of a + b even when the sum cancels its
-    # lowest term
+       steps(False))
+@example(ca=[Fraction(1)], cb=[Fraction(-1), Fraction(1)], step=(Fraction(1), 2))
+def test_substitute_respects_addition(ca, cb, step):
+    # a step keeps the window of a + b even when the sum cancels its lowest
+    # term
     a = ser(0, ca, cut=6)
     b = ser(0, cb, cut=6)
-    assert series_substitute(a + b, pc) == series_substitute(a, pc) + series_substitute(b, pc)
-
-
-def test_substitute_takes_exact_two_term_changes_only():
-    changes = (
-        LaurentSeries("u", 1, [1, 2, 3]),         # three terms
-        LaurentSeries("u", 1, [1, 0, 5], cut=6),  # two terms, known below u^6 only
-        LaurentSeries("u", 1, [1], cut=4),        # a truncated identity
-    )
-    for p in changes:
-        for s in (ser(-2, [1, 3], cut=4), ser(0, [1, 1]), LaurentSeries.zero("t", 3)):
-            with pytest.raises(ValidationError):
-                series_substitute(s, ParamChange(p))
+    assert series_substitute(a + b, *step) == series_substitute(a, *step) + series_substitute(b, *step)

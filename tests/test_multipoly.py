@@ -33,12 +33,12 @@ def genus2_monomial_relations(ring):
 def test_degrevlex_convention_largest_variable_first():
     order = MonomialOrder(("k", "h", "f"), (5, 4, 3))
     # exponent vectors (k, h, f)
-    assert order.greater((0, 2, 0), (1, 0, 1))  # h^2 > fk
-    assert order.greater((1, 1, 0), (0, 0, 3))  # hk > f^3
-    assert order.greater((2, 0, 0), (0, 1, 2))  # k^2 > f^2 h
+    assert order.sort_key((0, 2, 0)) > order.sort_key((1, 0, 1))  # h^2 > fk
+    assert order.sort_key((1, 1, 0)) > order.sort_key((0, 0, 3))  # hk > f^3
+    assert order.sort_key((2, 0, 0)) > order.sort_key((0, 1, 2))  # k^2 > f^2 h
     # transposed listing (smallest first) would invert the hk vs f^3 call
     flipped = MonomialOrder(("f", "h", "k"), (3, 4, 5))
-    assert flipped.greater((3, 0, 0), (0, 1, 1))  # f^3 > hk there
+    assert flipped.sort_key((3, 0, 0)) > flipped.sort_key((0, 1, 1))  # f^3 > hk there
 
 
 def test_relation_shapes_lead_correctly():

@@ -16,8 +16,7 @@ from nsc.rational import Graded
 def test_first_correction_g2():
     # t1 = u2 - (lam/3) u2^2
     res = run_recursion(2, 5, 2)
-    phi2 = res.corrections[0]
-    assert phi2.coefficient(2) == Graded(Fraction(-1, 3), 1)
+    assert res.stages[1].correction == Graded(Fraction(-1, 3), 1)
 
 
 def test_stage3_pole_coefficient_g2():

@@ -8,7 +8,7 @@ from nsc.curves import (
     INF, CurveModel, Divisor, MarkedPoint, arithmetic_genus, constraints, h1, validate,
 )
 from nsc.errors import CohomologyError, TruncationError, ValidationError
-from nsc.laurent import LaurentSeries, ParamChange
+from nsc.laurent import ParamChange
 from nsc.sections import (
     _canonicalise, _combine, _expansion, _function, _regular_basis, _solve_section, alpha_beta,
     canonical_parameter, f_sections, rescale_tangent,
@@ -204,8 +204,7 @@ def through(series, pc):
     window below min(series.cut, pc.order() - 1 + series.low)."""
     if pc is None:
         return series
-    bounds = [series.cut] + ([] if pc.order() is None else [pc.order() - 1 + series.low])
-    return substitute_by_powers(series, pc.series, min(bounds))
+    return substitute_by_powers(series, pc.series, min(series.cut, pc.order() - 1 + series.low))
 
 
 def reference_section(curve, weights, i, m, pc=None, tail=6):
@@ -242,7 +241,7 @@ def reference_canonical(curve, weights, i, m_max, order=None):
         alpha = expansions[i].coefficient(-a_i)
         if alpha:
             r = m - a_i + 1
-            pc = pc.compose(ParamChange(LaurentSeries("u", 1, [1] + [0] * (r - 2) + [alpha / m])))
+            pc = pc.compose(alpha / m, r)
     return pc
 
 
