@@ -8,8 +8,8 @@ with sorted keys and all numbers as exact rational literals.  Exit codes:
 0 = pass, 1 = mathematical mismatch, 2 = usage or input error, or any
 unexpected exception, reported by its type and message.  Divisor
 multiplicities, `curve canonical --m-max`, the `s-table` genus, m-max and
-j-max, and a spec's jet width and algebra basis size per singular point are
-bounded (see README).
+j-max, the largest genus of `verify --genus-range`, and a spec's jet width
+and algebra basis size per singular point are bounded (see README).
 """
 
 from __future__ import annotations
@@ -104,7 +104,13 @@ def _cmd_s_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    genus_range = parse_genus_range(args.genus_range) if args.genus_range else None
+    if args.perturb is not None and args.suite != "buchberger":
+        raise ValidationError("--perturb applies to --suite buchberger only")
+    if args.genus_range is not None and args.suite != "closed-forms":
+        raise ValidationError("--genus-range applies to --suite closed-forms only")
+    genus_range = parse_genus_range(args.genus_range) if args.genus_range is not None else None
+    if genus_range is not None and genus_range[-1] > MAX_TABLE_GENUS:
+        raise ValidationError(f"genus {genus_range[-1]} is out of range: the limit is {MAX_TABLE_GENUS}")
     ok, payload = run_suite(args.suite, genus_range=genus_range, perturb=args.perturb)
     _print_result("pass" if ok else "fail", payload)
     return EXIT_PASS if ok else EXIT_FAIL

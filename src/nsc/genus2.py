@@ -2,11 +2,14 @@
 
 The affine curve minus its marked point is cut out, in variables f, h, k of
 weights 3, 4, 5, by three relations whose coefficients are polynomials in the
-five parameters q1, q20, q21, q30, q31 (weights 4, 5, 2, 6, 3).  Everything
-here is exact: Buchberger verification of the relations, the closed-form
-solution for the inhomogeneous coefficients c1, c2, c3, the (A, B, C)
-normalization of a general presentation, and the fit of the five parameters
-from a concrete curve via its section expansions at the marked point.
+five parameters q1, q20, q21, q30, q31 (weights 4, 5, 2, 6, 3).  The
+relations are those of one normalized presentation, written once in
+`normal_presentation`: the relations, the symbolic solve for the
+inhomogeneous coefficients c1, c2, c3 (`solve_c`) and the fit's closed-form
+check all read it.  Everything here is exact: Buchberger verification of the
+relations, that solve, the (A, B, C) normalization of a general
+presentation, and the fit of the five parameters from a concrete curve via
+its section expansions at the marked point.
 """
 
 from __future__ import annotations
@@ -61,7 +64,11 @@ class G2Params:
         return (self.q1, self.q20, self.q21, self.q30, self.q31)
 
     def base_ring(self):
-        return None if self.is_numeric() else parameter_ring()
+        """The ring the values live in: None for rationals, else their PolyRing."""
+        for v in self.astuple():
+            if isinstance(v, MultiPoly):
+                return v.ring
+        return None
 
 
 @dataclass(frozen=True)
@@ -78,15 +85,7 @@ class G2Relations:
 
 def universal_relations(params: G2Params) -> G2Relations:
     """The three displayed relations, as polynomials vanishing on the curve."""
-    ring = relation_ring(params.base_ring())
-    k, h, f = ring.gens()
-    q1, q20, q21, q30, q31 = (ring.const(v) for v in params.astuple())
-    q2 = q20 + q21 * f
-    q3 = q30 + q31 * f + f * f
-    rel1 = h * h - (f * k + q1 * h + 2 * q1 * q1 + f * q2)
-    rel2 = h * k - (f * q3 - q1 * k + q2 * h + q1 * q2)
-    rel3 = k * k - (q3 * h + q2 * q2 - 2 * q1 * q3)
-    return G2Relations(ring, (rel1, rel2, rel3))
+    return normal_presentation(params).relations()
 
 
 @dataclass(frozen=True)
@@ -137,8 +136,7 @@ def _deg(p: MultiPoly) -> int:
 
 
 def _fcoeff(p: MultiPoly, i: int):
-    c = p.coefficient((i,))
-    return c
+    return p.coefficient((i,))
 
 
 @dataclass(frozen=True)
@@ -207,8 +205,6 @@ class GeneralPresentation:
         """Read the five coordinates off a normalized presentation."""
         if not self.is_normalized():
             raise ValidationError("presentation is not normalized")
-        if _fcoeff(self.q3, 2) != self.ring.coeff_one():
-            raise ValidationError("q3 must stay monic")
         return G2Params(
             q1=_fcoeff(self.q1, 0),
             q20=_fcoeff(self.q2, 0),
@@ -216,6 +212,24 @@ class GeneralPresentation:
             q30=_fcoeff(self.q3, 0),
             q31=_fcoeff(self.q3, 1),
         )
+
+
+def normal_presentation(params: G2Params, c=None) -> GeneralPresentation:
+    """The normalized presentation with coordinates params: p1 = f, p2 = -q1,
+    p3 = 0, q2 = q20 + q21 f, q3 = q30 + q31 f + f^2.
+
+    c = (c1, c2, c3) defaults to the closed forms c1 = 2 q1^2 + f q2,
+    c2 = f q3 + q1 q2, c3 = q2^2 - 2 q1 q3.  The coefficients live in
+    params.base_ring().
+    """
+    ring = coefficient_f_ring(params.base_ring())
+    f = ring.var("f")
+    q1, q20, q21, q30, q31 = (ring.const(v) for v in params.astuple())
+    q2 = q20 + q21 * f
+    q3 = q30 + q31 * f + f * f
+    if c is None:
+        c = (2 * q1 * q1 + f * q2, f * q3 + q1 * q2, q2 * q2 - 2 * q1 * q3)
+    return GeneralPresentation(f, -q1, ring.zero(), q1, q2, q3, *c)
 
 
 def transform_presentation(pres: GeneralPresentation, A: MultiPoly, B, C: MultiPoly,
@@ -280,7 +294,7 @@ C_WEIGHTS = (8, 5, 2, 9, 6, 3, 10, 7, 4, 1)
 
 @dataclass(frozen=True)
 class SolveCReport:
-    solution: dict            # c-variable name -> MultiPoly in the q-ring (or Fraction)
+    solution: dict            # c-variable name -> MultiPoly in Q[q..., c...]
     matches_closed_forms: bool
     closed_forms: dict
     residuals: tuple
@@ -290,53 +304,28 @@ class SolveCReport:
         return self.matches_closed_forms and not self.residuals
 
 
-def closed_form_c(params: G2Params):
-    """c1 = 2 q1^2 + f q2,  c2 = f q3 + q1 q2,  c3 = q2^2 - 2 q1 q3."""
-    ring = coefficient_f_ring(params.base_ring())
-    f = ring.var("f")
-    q1, q20, q21, q30, q31 = (ring.const(v) for v in params.astuple())
-    q2 = q20 + q21 * f
-    q3 = q30 + q31 * f + f * f
-    return {"c1": 2 * q1 * q1 + f * q2, "c2": f * q3 + q1 * q2, "c3": q2 * q2 - 2 * q1 * q3}
-
-
-def solve_c(params: G2Params | None = None) -> SolveCReport:
+def solve_c() -> SolveCReport:
     """Impose that all three S-polynomials reduce to zero on the normalized
-    presentation with indeterminate c-coefficients; solve the resulting
-    equations exactly by successive elimination.
+    presentation over Q[q...] with indeterminate c-coefficients; solve the
+    resulting equations exactly by successive elimination, and compare the
+    solution with the closed forms of normal_presentation."""
+    big = PolyRing(Q_VARIABLES + C_VARIABLES, Q_WEIGHTS + C_WEIGHTS)
+    params = G2Params(*(big.var(v) for v in Q_VARIABLES))
+    fring = coefficient_f_ring(big)
+    f = fring.var("f")
 
-    params=None runs the fully symbolic mode over Q[q...]; numeric parameter
-    values run the specialized system.
-    """
-    if params is None:
-        big = PolyRing(Q_VARIABLES + C_VARIABLES, Q_WEIGHTS + C_WEIGHTS)
-        qvals = [big.var(v) for v in Q_VARIABLES]
-    else:
-        if not params.is_numeric():
-            raise ValidationError("solve_c takes numeric parameters or None for symbolic mode")
-        big = PolyRing(C_VARIABLES, C_WEIGHTS)
-        qvals = [big.const(v) for v in params.astuple()]
-    q1, q20, q21, q30, q31 = qvals
-    ring = relation_ring(big)
-    k, h, f = ring.gens()
+    def unknown(i: int, degree: int) -> MultiPoly:
+        """c_i with the indeterminate c_ij as its f^j coefficient, j <= degree."""
+        out = fring.zero()
+        for j in range(degree + 1):
+            out = out + fring.const(big.var(f"c{i}{j}")) * f ** j
+        return out
 
-    def cst(p):
-        return ring.const(p)
-
-    q2 = cst(q20) + cst(q21) * f
-    q3 = cst(q30) + cst(q31) * f + f * f
-    c1 = cst(big.var("c10")) + cst(big.var("c11")) * f + cst(big.var("c12")) * f * f
-    c2 = cst(big.var("c20")) + cst(big.var("c21")) * f + cst(big.var("c22")) * f * f + f ** 3
-    c3 = (cst(big.var("c30")) + cst(big.var("c31")) * f + cst(big.var("c32")) * f * f
-          + cst(big.var("c33")) * f ** 3)
-    rels = (
-        h * h - (f * k + cst(q1) * h + c1),
-        h * k - (-cst(q1) * k + q2 * h + c2),
-        k * k - (q3 * h + c3),
-    )
+    cs = (unknown(1, 2), unknown(2, 2) + f ** 3, unknown(3, 3))
+    rels = normal_presentation(params, cs).relations().relations
     equations = []
     for a, b in itertools.combinations(range(3), 2):
-        _, rem = poly_reduce(s_polynomial(rels[a], rels[b]), list(rels))
+        _, rem = poly_reduce(s_polynomial(rels[a], rels[b]), rels)
         equations.extend(rem.terms.values())
 
     solution = {}
@@ -352,35 +341,23 @@ def solve_c(params: G2Params | None = None) -> SolveCReport:
             var_exp = tuple(1 if v == name else 0 for v in big.variables)
             rest = MultiPoly(big, {e: c for e, c in eq.terms.items() if e != var_exp})
             value = rest / (-coeff)
+            # earlier values may name this variable; no later one will
+            solution = {n: v.substitute({name: value}) for n, v in solution.items()}
             solution[name] = value
             remaining = [e.substitute({name: value}) for e in remaining]
             remaining = [e for e in remaining if e]
             progress = True
             break
     residuals = tuple(remaining)
-    # resolve chained references among the solved values
-    changed = True
-    while changed:
-        changed = False
-        for name, value in list(solution.items()):
-            resolved = value.substitute(solution)
-            if resolved != value:
-                solution[name] = resolved
-                changed = True
 
-    expected = closed_form_c(params if params is not None else G2Params.symbolic())
-    names_by_poly = {"c1": ("c10", "c11", "c12"), "c2": ("c20", "c21", "c22"),
-                     "c3": ("c30", "c31", "c32", "c33")}
-    matches = not residuals and len(solution) == len(C_VARIABLES)
-    if matches:
-        for cname, varnames in names_by_poly.items():
-            for i, vname in enumerate(varnames):
-                got = solution[vname]
-                want = _fcoeff(expected[cname], i)
-                want_big = _into_ring(big, want)
-                if got != want_big:
-                    matches = False
-    return SolveCReport(solution, matches, expected, residuals)
+    expected = normal_presentation(params)
+    closed_forms = {"c1": expected.c1, "c2": expected.c2, "c3": expected.c3}
+    # c_ij is the f^j coefficient of c_i
+    matches = not residuals and all(
+        name in solution and solution[name] == _fcoeff(closed_forms[name[:2]], int(name[2]))
+        for name in C_VARIABLES
+    )
+    return SolveCReport(solution, matches, closed_forms, residuals)
 
 
 def _unit_linear_pivot(ring: PolyRing, eq: MultiPoly):
@@ -396,20 +373,6 @@ def _unit_linear_pivot(ring: PolyRing, eq: MultiPoly):
         if e[idx] == 1 and all(x == 0 for p, x in enumerate(e) if p != idx):
             return name, eq.terms[e]
     return None
-
-
-def _into_ring(ring: PolyRing, value):
-    """Coerce a Fraction or a parameter_ring() element into the big ring."""
-    if isinstance(value, (int, Fraction)):
-        return ring.const(value)
-    out = ring.zero()
-    for exps, c in value.terms.items():
-        mono = ring.const(c)
-        for vname, e in zip(value.ring.variables, exps):
-            if e:
-                mono = mono * ring.var(vname) ** e
-        out = out + mono
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -478,16 +441,22 @@ def section_series(curve: CurveModel, point_id: str, tail: int = 24):
     return tuple(_combine(_solve_section(weights, pid, m, expansions, None), expansions) for m in (3, 4, 5))
 
 
+def _at_series(p: MultiPoly, series: tuple) -> LaurentSeries:
+    """p evaluated at one series per ring variable, the f series last (both
+    (k, h, f) and (f,) end in f).  Each term is its coefficient as a
+    1 + O(u^cut) monomial, cut that of the f series, times the powers."""
+    sf = series[-1]
+    acc = LaurentSeries.zero(sf.var, cut=sf.cut)
+    for exps, coeff in p.terms.items():
+        term = LaurentSeries.monomial(sf.var, 0, Fraction(coeff), cut=sf.cut)
+        for s, e in zip(series, exps):
+            term = term * s.pow(e)
+        acc = acc + term
+    return acc
+
+
 def relations_vanish_on_series(rels: G2Relations, sf, sh, sk) -> bool:
-    for rel in rels.relations:
-        acc = None
-        for (ek, eh, ef), coeff in rel.terms.items():
-            term = LaurentSeries.monomial(sf.var, 0, Fraction(coeff), cut=sf.cut)
-            term = term * sk.pow(ek) * sh.pow(eh) * sf.pow(ef)
-            acc = term if acc is None else acc + term
-        if acc is not None and not acc.is_known_zero():
-            return False
-    return True
+    return all(_at_series(rel, (sk, sh, sf)).is_known_zero() for rel in rels.relations)
 
 
 def fit_parameters(curve: CurveModel, point_id: str, tangent=None) -> G2Params:
@@ -507,13 +476,11 @@ def fit_parameters(curve: CurveModel, point_id: str, tangent=None) -> G2Params:
     pres = presentation_from_series(sf, sh, sk)
     normalized, _ = normalize_presentation(pres)
     params = normalized.parameters()
-    cert = buchberger_verify(universal_relations(params))
-    if not cert.ok:
+    expected = normal_presentation(params)
+    if not buchberger_verify(expected.relations()).ok:
         raise InternalInconsistencyError("fitted parameters fail the Groebner verification")
-    expected_c = closed_form_c(params)
-    for key, got in (("c1", normalized.c1), ("c2", normalized.c2), ("c3", normalized.c3)):
-        if got != expected_c[key]:
-            raise InternalInconsistencyError(f"normalized {key} disagrees with its closed form")
+    if normalized != expected:
+        raise InternalInconsistencyError("normalized c1, c2, c3 disagree with their closed forms")
     return params
 
 
@@ -526,14 +493,7 @@ def fit_relations_vanish(curve: CurveModel, point_id: str) -> bool:
     pres = presentation_from_series(sf, sh, sk)
     normalized, (A, B, C, shift) = normalize_presentation(pres)
     params = normalized.parameters()
-
-    def evaluate(p: MultiPoly, base: LaurentSeries) -> LaurentSeries:
-        acc = LaurentSeries.zero(base.var, cut=base.cut)
-        for (e,), coeff in p.terms.items():
-            acc = acc + LaurentSeries.monomial(base.var, 0, Fraction(coeff), cut=base.cut) * base.pow(e)
-        return acc
-
     nsf = sf + LaurentSeries.monomial(sf.var, 0, Fraction(shift), cut=sf.cut)
-    nsh = sh + evaluate(A, sf)
-    nsk = sk + sh.scale(Fraction(B)) + evaluate(C, sf)
+    nsh = sh + _at_series(A, (sf,))
+    nsk = sk + sh.scale(Fraction(B)) + _at_series(C, (sf,))
     return relations_vanish_on_series(universal_relations(params), nsf, nsh, nsk)

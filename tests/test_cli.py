@@ -161,6 +161,18 @@ def run_bounded(*argv):
     return proc, json.loads(proc.stdout)
 
 
+@pytest.mark.parametrize("argv, diagnostic", [
+    (["closed-forms", "--genus-range", "2..99999999999999"],
+     "genus 99999999999999 is out of range: the limit is 48"),
+    (["closed-forms", "--genus-range", "2..49"], "genus 49 is out of range: the limit is 48"),
+    (["c0", "--perturb", "c1"], "--perturb applies to --suite buchberger only"),
+    (["grading", "--genus-range", "2..3"], "--genus-range applies to --suite closed-forms only"),
+])
+def test_verify_options_are_bounded_and_suite_specific(argv, diagnostic):
+    proc, doc = run_bounded("verify", "--suite", *argv)
+    assert proc.returncode == 2 and doc["status"] == "error" and doc["diagnostics"] == [diagnostic]
+
+
 def _one_point_spec(branches, jet_order):
     return {"components": ["c0"], "marked": [],
             "singularities": [{"branches": [{"component": "c0", "point": str(b)} for b in range(branches)],

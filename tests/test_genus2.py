@@ -9,13 +9,14 @@ from nsc.genus2 import (
     GeneralPresentation,
     RELATION_DEGREES,
     buchberger_verify,
-    closed_form_c,
     coefficient_f_ring,
     fit_parameters,
     fit_relations_vanish,
+    normal_presentation,
     normalize_presentation,
     parameter_ring,
     presentation_from_series,
+    relation_ring,
     section_series,
     solve_c,
     transform_presentation,
@@ -27,6 +28,33 @@ from nsc.zoo import zoo
 
 def symbolic_relations():
     return universal_relations(G2Params.symbolic())
+
+
+def reference_relations(params):
+    """The three displayed relations, written out by hand."""
+    ring = relation_ring(params.base_ring())
+    k, h, f = ring.gens()
+    q1, q20, q21, q30, q31 = (ring.const(v) for v in params.astuple())
+    q2 = q20 + q21 * f
+    q3 = q30 + q31 * f + f * f
+    rel1 = h * h - (f * k + q1 * h + 2 * q1 * q1 + f * q2)
+    rel2 = h * k - (f * q3 - q1 * k + q2 * h + q1 * q2)
+    rel3 = k * k - (q3 * h + q2 * q2 - 2 * q1 * q3)
+    return rel1, rel2, rel3
+
+
+def random_params(rng):
+    return G2Params(*(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(5)))
+
+
+def test_relations_match_the_hand_written_reference():
+    rng = random.Random(2024)
+    for params in [G2Params.symbolic(), G2Params.zero()] + [random_params(rng) for _ in range(20)]:
+        rels = universal_relations(params)
+        reference = reference_relations(params)
+        assert rels.ring == relation_ring(params.base_ring())
+        assert [r.terms for r in rels.relations] == [r.terms for r in reference]
+        assert [str(r) for r in rels.relations] == [str(r) for r in reference]
 
 
 def test_displayed_relations_term_by_term():
@@ -134,28 +162,26 @@ def test_solve_c_symbolic_closed_forms():
     assert report.ok
 
 
-def test_solve_c_numeric_spot_checks():
-    # q1 = 1, everything else 0: c1 = 2, c2 = f^3 + ..., c3 = -2 q1 q3
-    report = solve_c(G2Params(Fraction(1), Fraction(0), Fraction(0), Fraction(0), Fraction(0)))
-    assert report.ok
+def test_normal_presentation_numeric_spot_checks():
+    # q1 = 1, everything else 0: c1 = 2, c2 = f^3, c3 = -2 q1 q3 = -2 f^2
+    pres = normal_presentation(G2Params(Fraction(1), Fraction(0), Fraction(0), Fraction(0), Fraction(0)))
     ring = coefficient_f_ring()
     f = ring.var("f")
-    assert report.closed_forms["c1"] == ring.const(2)
-    assert report.closed_forms["c2"] == f ** 3
-    assert report.closed_forms["c3"] == -2 * f * f
-    report0 = solve_c(G2Params.zero())
-    assert report0.ok
-    assert report0.closed_forms["c1"].is_zero()
-    assert (report0.closed_forms["c2"] - f ** 3).is_zero()
-    assert report0.closed_forms["c3"].is_zero()
+    assert pres.c1 == ring.const(2)
+    assert pres.c2 == f ** 3
+    assert pres.c3 == -2 * f * f
+    assert buchberger_verify(pres.relations()).ok
+    pres0 = normal_presentation(G2Params.zero())
+    assert pres0.c1.is_zero()
+    assert (pres0.c2 - f ** 3).is_zero()
+    assert pres0.c3.is_zero()
+    assert buchberger_verify(pres0.relations()).ok
 
 
-def test_solve_c_agrees_with_buchberger_on_random_samples():
+def test_buchberger_passes_on_random_samples():
     rng = random.Random(424242)
     for _ in range(20):
-        params = G2Params(*(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(5)))
-        assert solve_c(params).ok
-        assert buchberger_verify(universal_relations(params)).ok
+        assert buchberger_verify(universal_relations(random_params(rng))).ok
 
 
 def random_presentation(rng, base_ring):
@@ -181,19 +207,23 @@ def random_presentation(rng, base_ring):
     )
 
 
-def test_normalize_identity_fixed_point():
-    params = G2Params(*(Fraction(x) for x in (1, 2, 3, 4, 5)))
-    rels = universal_relations(params)
+def hand_normal_presentation(params):
+    """The normalized presentation of numeric params, its c's written out."""
     ring = coefficient_f_ring()
     f = ring.var("f")
-    cf = closed_form_c(params)
-    pres = GeneralPresentation(
-        p1=f, p2=ring.const(-params.q1), p3=ring.zero(),
-        q1=ring.const(params.q1),
-        q2=ring.const(params.q20) + ring.const(params.q21) * f,
-        q3=ring.const(params.q30) + ring.const(params.q31) * f + f * f,
-        c1=cf["c1"], c2=cf["c2"], c3=cf["c3"],
+    q1, q20, q21, q30, q31 = (ring.const(v) for v in params.astuple())
+    return GeneralPresentation(
+        p1=f, p2=-q1, p3=ring.zero(), q1=q1, q2=q20 + q21 * f, q3=q30 + q31 * f + f * f,
+        c1=2 * q1 * q1 + q20 * f + q21 * f * f,
+        c2=q1 * q20 + (q30 + q1 * q21) * f + q31 * f * f + f ** 3,
+        c3=(q20 * q20 - 2 * q1 * q30) + (2 * q20 * q21 - 2 * q1 * q31) * f + (q21 * q21 - 2 * q1) * f * f,
     )
+
+
+def test_normalize_identity_fixed_point():
+    params = G2Params(*(Fraction(x) for x in (1, 2, 3, 4, 5)))
+    pres = hand_normal_presentation(params)
+    assert normal_presentation(params) == pres
     normalized, (A, B, C, shift) = normalize_presentation(pres)
     assert A.is_zero() and C.is_zero() and B == 0 and shift == 0
     assert normalized == pres
@@ -246,14 +276,7 @@ def test_normalize_round_trip_recovers_parameters():
     params = G2Params(*(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(5)))
     ring = coefficient_f_ring()
     f = ring.var("f")
-    cf = closed_form_c(params)
-    pres = GeneralPresentation(
-        p1=f, p2=ring.const(-params.q1), p3=ring.zero(),
-        q1=ring.const(params.q1),
-        q2=ring.const(params.q20) + ring.const(params.q21) * f,
-        q3=ring.const(params.q30) + ring.const(params.q31) * f + f * f,
-        c1=cf["c1"], c2=cf["c2"], c3=cf["c3"],
-    )
+    pres = hand_normal_presentation(params)
     for _ in range(10):
         A = ring.const(Fraction(rng.randint(-3, 3))) + ring.const(Fraction(rng.randint(-3, 3))) * f
         B = Fraction(rng.randint(-3, 3))
