@@ -18,6 +18,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 
 from .curveio import curve_to_jsonable, dump_curve, load_curve, parse_divisor
@@ -25,7 +26,7 @@ from .curves import MAX_JET_WIDTH, arithmetic_genus, h0, h1
 from .errors import InternalInconsistencyError, NscError, ValidationError, VerificationError
 from .genus2 import fit_parameters
 from .normalform import run_recursion
-from .rational import format_rational
+from .rational import INTEGER, format_rational
 from .sections import alpha_beta, canonical_parameter
 from .suites import SUITE_NAMES, parse_genus_range, run_suite
 from .zoo import ZOO_IDS, zoo
@@ -49,15 +50,22 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+def _int_option(text: str) -> int:
+    """The argparse type of integer options: ASCII digits only, unlike int()."""
+    if not re.fullmatch(INTEGER, text.strip()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}, expected an integer in ASCII digits")
+    return int(text)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="nsc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("s-table", help="coefficient table of the polar-term recursion")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--m-max", type=int, default=None)
-    p.add_argument("--j-max", type=int, default=6)
+    p.add_argument("--genus", type=_int_option, required=True)
+    p.add_argument("--m-max", type=_int_option, default=None)
+    p.add_argument("--j-max", type=_int_option, default=6)
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", default=True)
     fmt.add_argument("--table", action="store_true")
@@ -73,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--divisor", default=None)
     p.add_argument("--weights", default=None)
     p.add_argument("--point", default=None)
-    p.add_argument("--m-max", type=int, default=None)
+    p.add_argument("--m-max", type=_int_option, default=None)
 
     p = sub.add_parser("zoo", help="built-in curves")
     p.add_argument("action", choices=("list", "emit"))
@@ -117,13 +125,11 @@ def _cmd_verify(args) -> int:
 
 
 def _parse_weights(curve, text):
-    values = [int(x) for x in text.split(",")]
-    ids = curve.point_ids()
-    if len(values) != len(ids):
-        raise ValidationError(
-            f"--weights needs {len(ids)} comma-separated integers (one per marked point)"
-        )
-    return dict(zip(ids, values))
+    ids, values = curve.point_ids(), text.split(",")
+    if len(values) != len(ids) or not all(re.fullmatch(INTEGER, v.strip()) for v in values):
+        raise ValidationError(f"--weights: expected {len(ids)} comma-separated integers in ASCII digits, "
+                              f"one per marked point, got {text!r}")
+    return dict(zip(ids, map(int, values)))
 
 
 def _cmd_curve(args) -> int:
@@ -149,7 +155,7 @@ def _cmd_curve(args) -> int:
         return EXIT_PASS
     if args.point is None:
         raise ValidationError(f"{op} needs --point")
-    pid = f"p{curve.point_index(args.point)}"
+    pid = f"p{curve.point_index(args.point, '--point')}"
     g = arithmetic_genus(curve)
     if op == "alphabeta":
         others = [q for q in curve.point_ids() if q != pid]

@@ -30,15 +30,13 @@ from .curves import (
     validate,
 )
 from .errors import ValidationError
-from .rational import format_rational, parse_rational
+from .rational import INTEGER, format_rational, parse_rational
 
 
-def parse_point(text: str):
-    if not isinstance(text, str):
-        raise ValidationError(f"point must be a string literal, got {text!r}")
-    if text.strip() == "inf":
+def parse_point(text: str, what: str = "point"):
+    if isinstance(text, str) and text.strip() == "inf":
         return INF
-    return parse_rational(text)
+    return parse_rational(text, f"{what} (or 'inf')")
 
 
 def _require(cond, message):
@@ -73,22 +71,23 @@ def curve_from_jsonable(doc) -> CurveModel:
         for br in _list(entry, "branches"):
             _require(isinstance(br, dict) and isinstance(br.get("component"), str) and "point" in br,
                      "branch entries need component and point")
-            branches.append(Branch(br["component"], parse_point(br["point"])))
+            branches.append(Branch(br["component"], parse_point(br["point"], "branch point")))
         _require(_integer(entry.get("jet_order")), "jet_order must be an integer")
         _require(_integer(entry.get("conductor")), "conductor must be an integer")
         basis = []
         for vec in _list(entry, "algebra_basis"):
             _require(isinstance(vec, list), "algebra basis vectors must be lists")
-            basis.append(tuple(parse_rational(x) for x in vec))
+            basis.append(tuple(parse_rational(x, "algebra_basis entry") for x in vec))
         sings.append(SingularPoint(tuple(branches), entry["jet_order"], entry["conductor"], tuple(basis)))
     marked = []
     for entry in _list(doc, "marked"):
         _require(isinstance(entry, dict) and isinstance(entry.get("component"), str) and "point" in entry,
                  "marked entries need component and point")
-        tangent = parse_rational(entry.get("tangent", "1"))
+        tangent = parse_rational(entry.get("tangent", "1"), "marked tangent")
         weight = entry.get("weight")
         _require(weight is None or _integer(weight), "weight must be an integer when present")
-        marked.append(MarkedPoint(entry["component"], parse_point(entry["point"]), tangent, weight))
+        point = parse_point(entry["point"], "marked point")
+        marked.append(MarkedPoint(entry["component"], point, tangent, weight))
     return validate(CurveModel(tuple(comps), tuple(sings), tuple(marked)))
 
 
@@ -131,14 +130,14 @@ def dump_curve(curve: CurveModel, path: str) -> None:
 
 MAX_MULTIPLICITY = 64
 
-_DIVISOR_TERM = re.compile(r"^(-?\d+)\*(p(?:\d+|inf))$")
+_DIVISOR_TERM = re.compile(rf"({INTEGER})\*(p(?:[0-9]+|inf))")
 
 
 def parse_divisor(text: str, curve: CurveModel) -> Divisor:
     """Parse INT "*" POINT_ID ("+"|"-" ...), e.g. "2*p0" or "3*p0-1*p1"."""
     _require(isinstance(text, str) and text.strip(), "empty divisor spec")
     compact = text.replace(" ", "")
-    chunks = re.split(r"(?<=[0-9a-z])([+-])(?=\d)", compact)
+    chunks = re.split(r"(?<=[0-9a-z])([+-])(?=[0-9])", compact)
     mapping: dict = {}
     sign = 1
     for chunk in chunks:
@@ -148,10 +147,11 @@ def parse_divisor(text: str, curve: CurveModel) -> Divisor:
         if chunk == "-":
             sign = -1
             continue
-        m = _DIVISOR_TERM.match(chunk)
-        _require(m is not None, f"bad divisor term {chunk!r}")
+        m = _DIVISOR_TERM.fullmatch(chunk)
+        _require(m is not None, f"divisor: bad term {chunk!r}, expected INT*p<index> or INT*pinf "
+                                "in ASCII digits, as in 2*p0-1*p1")
         n = sign * int(m.group(1))
-        pid = f"p{curve.point_index(m.group(2))}"
+        pid = f"p{curve.point_index(m.group(2), 'divisor point id')}"
         mapping[pid] = mapping.get(pid, 0) + n
         sign = 1
     for pid, n in mapping.items():

@@ -22,6 +22,7 @@ fraction basis {1} + {(t-a)^-j} + {t^j at infinity}.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -124,17 +125,18 @@ class CurveModel:
     def marked(self, point_id: str) -> MarkedPoint:
         return self.marked_points[self.point_index(point_id)]
 
-    def point_index(self, point_id: str) -> int:
+    def point_index(self, point_id: str, what: str = "marked point id") -> int:
         if point_id == "pinf":
             hits = [i for i, p in enumerate(self.marked_points) if isinstance(p.point, Infinity)]
             if len(hits) != 1:
-                raise ValidationError("no unique marked point at infinity for id 'pinf'")
+                raise ValidationError(f"{what}: no unique marked point at infinity for id 'pinf'")
             return hits[0]
-        if point_id.startswith("p") and point_id[1:].isdigit():
+        if isinstance(point_id, str) and re.fullmatch("p[0-9]+", point_id):
             i = int(point_id[1:])
             if i < len(self.marked_points):
                 return i
-        raise ValidationError(f"unknown marked point id {point_id!r}")
+        raise ValidationError(f"{what}: unknown id {point_id!r}, expected p0..p{len(self.marked_points) - 1} "
+                              "or pinf")
 
 
 @dataclass(frozen=True)

@@ -57,9 +57,6 @@ class G2Params:
     def zero(cls) -> "G2Params":
         return cls(*(Fraction(0),) * 5)
 
-    def is_numeric(self) -> bool:
-        return all(isinstance(v, (int, Fraction)) for v in self.astuple())
-
     def astuple(self):
         return (self.q1, self.q20, self.q21, self.q30, self.q31)
 

@@ -16,16 +16,17 @@ from .errors import InternalInconsistencyError, ValidationError
 
 Rational = Fraction
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
+# ASCII digits only: \d, str.isdigit and int() also take other scripts' digits
+INTEGER = "-?[0-9]+"
+_RATIONAL_RE = re.compile(rf"({INTEGER})(?:/([1-9][0-9]*))?")
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse a decimal-free rational literal ``p`` or ``p/q``."""
-    if not isinstance(text, str):
-        raise ValidationError(f"rational literal must be a string, got {text!r}")
-    m = _RATIONAL_RE.match(text.strip())
+def parse_rational(text: str, what: str = "rational") -> Fraction:
+    """Parse a decimal-free rational literal ``p`` or ``p/q``; the error
+    names `what`."""
+    m = _RATIONAL_RE.fullmatch(text.strip()) if isinstance(text, str) else None
     if m is None:
-        raise ValidationError(f"not a rational literal 'p' or 'p/q': {text!r}")
+        raise ValidationError(f"{what}: expected a string 'p' or 'p/q' in ASCII digits, got {text!r}")
     num = int(m.group(1))
     den = int(m.group(2)) if m.group(2) else 1
     return Fraction(num, den)

@@ -8,6 +8,7 @@ directly.
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 from .curves import INF, Divisor, MarkedPoint, arithmetic_genus, delta_invariant, h0, h1
@@ -21,7 +22,7 @@ from .genus2 import (
     universal_relations,
 )
 from .normalform import closed_form_check
-from .rational import format_rational
+from .rational import INTEGER, format_rational
 from .sections import alpha_beta
 from .zoo import ZOO_IDS, zoo
 
@@ -29,12 +30,11 @@ SUITE_NAMES = ("closed-forms", "buchberger", "grading", "zoo-genus", "c0", "ab-e
 
 
 def parse_genus_range(text: str):
-    parts = text.split("..")
-    if len(parts) != 2 or not all(p.lstrip("-").isdigit() for p in parts):
-        raise ValidationError(f"bad genus range {text!r}, expected like 2..12")
-    a, b = int(parts[0]), int(parts[1])
+    m = re.fullmatch(rf"({INTEGER})\.\.({INTEGER})", text)
+    a, b = (int(m[1]), int(m[2])) if m else (0, 0)
     if a < 2 or b < a:
-        raise ValidationError(f"bad genus range {text!r}")
+        raise ValidationError(f"--genus-range: expected A..B in ASCII digits with 2 <= A <= B, as in 2..12, "
+                              f"got {text!r}")
     return range(a, b + 1)
 
 

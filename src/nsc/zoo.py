@@ -9,6 +9,7 @@ and the cuspidal family "ccusp<a>" carries p0 at inf (weight a) and p1 at t=1.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .curves import INF, Branch, CurveModel, MarkedPoint, SingularPoint, check_jet_width, validate
@@ -124,7 +125,7 @@ def zoo(case_id: str, marked=None) -> CurveModel:
         sings = (deep_cusp(c0, _q(0), 2),)
     elif case_id == "IIc-C0":
         sings = (semigroup_two_five(c0, _q(0)),)
-    elif case_id.startswith("ccusp") and case_id[5:].isdigit() and int(case_id[5:]) >= 1:
+    elif re.fullmatch("ccusp[0-9]+", case_id) and int(case_id[5:]) >= 1:
         a = int(case_id[5:])
         sings = (deep_cusp(c0, _q(0), a),)
         if marked is None:

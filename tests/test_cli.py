@@ -47,6 +47,15 @@ def test_s_table_bytes_pinned(capsys, g):
     assert hashlib.sha256(out.encode()).hexdigest() == S_TABLE_SHA256[g]
 
 
+def test_largest_admitted_s_table_bytes_pinned(capsys):
+    # the slowest s-table the limits admit; its numerators reach 234 bits
+    code, out = run_cli(capsys, "s-table", "--genus", "2", "--m-max", "64", "--j-max", "16")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ba37ea76216cf0f045e84d4a7ea0fa48d22d89552ce83a0d42bfdd67ec7e3119"
+    )
+
+
 def test_s_table_empty_table_passes(capsys):
     code, doc = run_json(capsys, "s-table", "--genus", "2", "--m-max", "3", "--j-max", "0")
     assert code == 0
@@ -299,6 +308,27 @@ def test_bad_weights_literal_is_usage_error(tmp_path, capsys):
     run_json(capsys, "zoo", "emit", "Ia", str(ia))
     code, doc = run_json(capsys, "curve", "canonical", str(ia), "--point", "p0", "--weights", "x,0")
     assert code == 2 and doc["status"] == "error"
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["curve", "canonical", "Ia.json", "--point", "p0", "--weights", "\u0662,0"], "--weights"),
+    (["curve", "canonical", "Ia.json", "--point", "p0", "--weights", "x,0"], "--weights"),
+    (["curve", "h0", "Ia.json", "--divisor", "\u0662*p0"], "divisor"),
+    (["curve", "alphabeta", "Ia.json", "--point", "p\u00b2"], "--point"),
+    (["curve", "alphabeta", "Ia.json", "--point", "p\u0661"], "--point"),
+    (["verify", "--suite", "closed-forms", "--genus-range", "2..3\u00b2"], "--genus-range"),
+    (["s-table", "--genus", "\u0662"], "argument --genus"),
+    (["zoo", "emit", "ccusp\u0662", "out.json"], "zoo case"),
+])
+def test_integers_are_ascii_digits_only(tmp_path, monkeypatch, capsys, argv, names):
+    # \d, str.isdigit and int() also accept other scripts' digits, and int()
+    # rejects superscripts with a message that names no option
+    monkeypatch.chdir(tmp_path)
+    run_json(capsys, "zoo", "emit", "Ia", "Ia.json")
+    code, doc = run_json(capsys, *argv)
+    assert code == 2 and doc["status"] == "error"
+    assert names in doc["diagnostics"][0] and "invalid literal" not in doc["diagnostics"][0]
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_directory_as_curve_file_is_usage_error(tmp_path, capsys):

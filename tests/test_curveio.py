@@ -39,7 +39,7 @@ def test_rational_literals():
     assert parse_rational("-3/4") == Fraction(-3, 4)
     assert parse_rational("17") == 17
     assert format_rational(Fraction(10, 27)) == "10/27"
-    for bad in ("1.5", "3/-4", "1/0", "a", ""):
+    for bad in ("1.5", "3/-4", "1/0", "a", "", "\u0662", "1/\u0663", "2\u00b2"):
         with pytest.raises(ValidationError):
             parse_rational(bad)
 

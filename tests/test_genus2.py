@@ -297,7 +297,7 @@ def test_fit_deep_cusp_is_origin():
 def test_fit_two_node_curve_generic_point():
     cur = zoo("Ia")
     params = fit_parameters(cur, "p0")
-    assert params.is_numeric()
+    assert params.base_ring() is None
     assert buchberger_verify(universal_relations(params)).ok
     assert fit_relations_vanish(cur, "p0")
     assert any(v != 0 for v in params.astuple())

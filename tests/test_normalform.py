@@ -1,9 +1,17 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nsc.errors import ValidationError
+from nsc.errors import InternalInconsistencyError, ValidationError
+from nsc.laurent import LaurentSeries, ParamChange, series_substitute
 from nsc.normalform import (
+    NormalFormResult,
+    StageRecord,
+    STable,
+    _monomial_value,
+    _Series,
     closed_form_check,
     closed_form_s1,
     closed_form_s2,
@@ -11,6 +19,67 @@ from nsc.normalform import (
     run_recursion,
 )
 from nsc.rational import Graded
+
+
+def reference_recursion(g: int, m_max: int | None = None, j_max: int = 6) -> NormalFormResult:
+    """The recursion over `Graded` series, reading t^-(g+n) off the parameter
+    change by one Miller pass per stage: the route the integer form replaced."""
+    if not (isinstance(g, int) and g >= 2):
+        raise ValidationError("genus must be an integer >= 2")
+    if m_max is None:
+        m_max = g + 6
+    if not (isinstance(m_max, int) and m_max >= g + 1):
+        raise ValidationError("m_max must be an integer >= g+1")
+    if not (isinstance(j_max, int) and j_max >= 0):
+        raise ValidationError("j_max must be an integer >= 0")
+
+    cut = -g + j_max + 1
+    stages_total = (m_max - g) + j_max + 1
+
+    total = ParamChange.identity("u", order=stages_total + j_max + 2)
+    current = {g + 1: LaurentSeries("u", -(g + 1), [1, Graded(-1, 1)], cut)}  # F[-(g+1)]
+    stages = [StageRecord(1, None, None, ())]
+
+    for n in range(2, stages_total + 1):
+        c = current[g + n - 1].coefficient(-g)
+        eps = c / (g + n - 1)  # the step u_{n-1} = u_n + eps*u_n^n
+        total = total.compose(eps, n)
+        for m in list(current):
+            current[m] = series_substitute(current[m], eps, n)
+        if current[g + n - 1].coefficient(-g):
+            raise InternalInconsistencyError(
+                f"stage {n}: correction failed to kill the u^-{g} coefficient"
+            )
+        work = total.series.pow(-(g + n), cut)  # F[-(g+n)] = t^-(g+n) in the current parameter
+        multipliers = []
+        for i in range(1, n):
+            p_i = work.coefficient(-g - n + i)
+            multipliers.append(p_i)
+            if p_i:
+                work = work - current[g + n - i].scale(p_i)
+        for e in range(-g - n + 1, -g):
+            if work.coefficient(e):
+                raise InternalInconsistencyError(
+                    f"stage {n}: exponent {e} not cleared in f[-{g + n}]"
+                )
+        current[g + n] = work
+        stages.append(StageRecord(n, c, eps, tuple(multipliers)))
+
+    entries = {}
+    for m in range(g + 1, m_max + 1):
+        for j in range(1, j_max + 1):
+            entries[(m, j)] = _monomial_value(current[m].coefficient(-g + j), m - g + j)
+
+    normal_forms = {m: current[m] for m in range(g + 1, m_max + 1)}
+    return NormalFormResult(
+        genus=g,
+        m_max=m_max,
+        j_max=j_max,
+        param_change=ParamChange(total.series.truncate(stages_total + 1)),
+        normal_forms=normal_forms,
+        s_table=STable(g, entries),
+        stages=tuple(stages),
+    )
 
 
 def test_first_correction_g2():
@@ -148,3 +217,76 @@ def test_stable_json_form():
     tbl = run_recursion(2, 4, 1).s_table.to_jsonable()
     assert tbl["genus"] == 2
     assert {"m": 3, "j": 1, "value": "-5/6"} in tbl["entries"]
+
+
+# the (genus, stage depth d) grid of the benchmark's recursion workload, which
+# runs run_recursion(g, g + d, d), and the closed-form check's arguments
+RECURSION_GRID = [(g, g + d, d) for d in (2, 3, 4, 5, 6) for g in (2, 4, 6, 8)] + [(3, 11, 8), (6, 18, 12)]
+
+
+@pytest.mark.parametrize("args", RECURSION_GRID + [(g, g + 3, 2) for g in (2, 9, 16)] + [(2, 40, 16)])
+def test_integer_form_matches_the_graded_route(args):
+    # every field: s-table, normal forms, parameter change and stage records;
+    # Graded equality compares the lam-degree of every nonzero value
+    new, old = run_recursion(*args), reference_recursion(*args)
+    assert new == old
+    assert {m: str(s) for m, s in new.normal_forms.items()} == {m: str(s) for m, s in old.normal_forms.items()}
+
+
+rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
+
+
+@st.composite
+def graded_series(draw):
+    """(a Graded series whose coefficient at u^e has lam-degree w + e, w)."""
+    w, low = draw(st.integers(-4, 4)), draw(st.integers(-8, 3))
+    values = draw(st.lists(rationals, max_size=12))
+    coeffs = [Graded(r, w + low + k) for k, r in enumerate(values)]
+    return LaurentSeries("u", low, coeffs, low + len(values) + draw(st.integers(0, 1))), w
+
+
+def integer_form(s: LaurentSeries, w: int) -> _Series:
+    values = [Fraction(c.r if isinstance(c, Graded) else c) for _, c in s.known_items()]
+    den = lcm(*(v.denominator for v in values))
+    return _Series(s.low, [v.numerator * (den // v.denominator) for v in values], den, w)
+
+
+def in_lowest_terms(x: _Series) -> bool:
+    return x.den > 0 and gcd(x.den, *x.nums) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(graded_series(), rationals, st.integers(2, 5))
+def test_integer_step_matches_series_substitute(sw, r_eps, r):
+    s, w = sw
+    eps = Graded(r_eps, r - 1)
+    out = integer_form(s, w).substitute(eps, r)
+    assert in_lowest_terms(out)
+    assert out.to_laurent() == series_substitute(s, eps, r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graded_series(), graded_series(), rationals)
+def test_integer_product_and_subtraction_match_laurent_series(aw, bw, r):
+    (a, wa), (b, wb) = aw, bw
+    product = integer_form(a, wa) * integer_form(b, wb)
+    assert in_lowest_terms(product)
+    assert product.to_laurent() == a * b
+    if b.low >= a.low:
+        c = Graded(r, wa - wb)
+        difference = integer_form(a, wa).minus(c, integer_form(b, wb))
+        assert in_lowest_terms(difference)
+        assert difference.to_laurent() == a - b.scale(c)
+
+
+def test_integer_form_checks_lam_degrees():
+    s = _Series(-3, [2, 0, 6, 9], 4, 3)  # (1/2) u^-3 + (3/2) lam^2 u^-1 + (9/4) lam^3
+    assert (s.nums, s.den) == ([2, 0, 6, 9], 4)
+    assert s.coefficient(-1) == Graded(Fraction(3, 2), 2) and s.coefficient(-1).d == 2
+    assert s.coefficient(0).d == 3
+    s.substitute(Graded(5, 2), 3)
+    with pytest.raises(InternalInconsistencyError):
+        s.substitute(Graded(5, 3), 3)  # the step u + eps*u^3 needs eps of degree 2
+    s.minus(Graded(1, 1), _Series(-2, [1, 0, 0], 1, 2))
+    with pytest.raises(InternalInconsistencyError):
+        s.minus(Graded(1, 2), _Series(-2, [1, 0, 0], 1, 2))
