@@ -61,12 +61,13 @@ def pinched_curve_alpha_table(m_max: int = M_MAX, q_max: int = J_MAX - 2) -> dic
     the marked point t=1, tangent 1, weight 2.
 
     The canonical parameter must be computed past m_max: the correction of
-    order m'-1 first moves exponent m'-m-2 of f[-m], so entries up to
-    (m_max, q_max) need corrections for every m' <= m_max + q_max + 2.
+    order m'-g+1 first moves exponent m'-m-g of f[-m], g the genus, so
+    entries up to (m_max, q_max) need corrections for every
+    m' <= m_max + q_max + g.
     """
     curve = zoo("IIc-C0", marked=(MarkedPoint("c0", Fraction(1), Fraction(1), 2),))
     weights = {"p0": GENUS}
-    depth = m_max + q_max + 2
+    depth = m_max + q_max + GENUS
     _, _, expansions = _regular_basis(curve, weights, "p0", depth, q_max + 1)
     _, expansions = _canonicalise(weights, "p0", depth, expansions, depth + 6)
     table = {}

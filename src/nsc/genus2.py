@@ -230,7 +230,7 @@ def normal_presentation(params: G2Params, c=None) -> GeneralPresentation:
 
 
 def transform_presentation(pres: GeneralPresentation, A: MultiPoly, B, C: MultiPoly,
-                           shift=None) -> GeneralPresentation:
+                           shift) -> GeneralPresentation:
     """Presentation in the generators h + A(f), k + B h + C(f), f + shift.
 
     A and C have degree <= 1, B and shift are scalars.  The new relation
@@ -252,12 +252,9 @@ def transform_presentation(pres: GeneralPresentation, A: MultiPoly, B, C: MultiP
     nq3 = q3 + B * B * q1 + 2 * B * q2 - B * p3 - B * B * B * p1 - 2 * B * B * p2
     nc3 = c3 + B * B * c1 + 2 * B * c2 + C * C - C * np3 - A * nq3
 
-    out = [p1, np2, np3, nq1, nq2, nq3, nc1, nc2, nc3]
-    if shift is not None:
-        f = ring.var("f")
-        shifted = f - ring.const(shift)
-        out = [p.substitute({"f": shifted}) for p in out]
-    return GeneralPresentation(*out)
+    shifted = ring.var("f") - ring.const(shift)
+    return GeneralPresentation(*(p.substitute({"f": shifted})
+                                 for p in (p1, np2, np3, nq1, nq2, nq3, nc1, nc2, nc3)))
 
 
 def normalize_presentation(pres: GeneralPresentation):
@@ -273,9 +270,8 @@ def normalize_presentation(pres: GeneralPresentation):
     B = (_fcoeff(pres.q1, 1) - 2 * _fcoeff(pres.p2, 1)) * third
     Bc = ring.coerce_coeff(B)
     C = pres.p3 * (-half) - pres.p1 * (Bc * Bc) * half - pres.p2 * Bc
-    staged = transform_presentation(pres, A, B, C, shift=None)
-    shift = _fcoeff(staged.p1, 0)
-    normalized = transform_presentation(staged, ring.zero(), 0, ring.zero(), shift=shift)
+    shift = _fcoeff(pres.p1, 0)  # the transform leaves p1 as it is
+    normalized = transform_presentation(pres, A, B, C, shift)
     if not normalized.is_normalized():
         raise InternalInconsistencyError("normalization postconditions failed")
     return normalized, (A, B, C, shift)

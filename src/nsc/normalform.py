@@ -1,9 +1,10 @@
 """Leading-polar-term recursion for the canonical parameter at a moving point.
 
 The model works over Q[lam] with lam a graded indeterminate of weight 1.  Each
-coefficient is a monomial r*lam^(m+e) at u^e in f[-m]: a series is integer
-numerators over one denominator with a weight w = m, and it leaves as a
-series of `Graded` scalars.  The inputs are the filtration representatives
+coefficient is a monomial r*lam^(m+e) at u^e in f[-m]: every series of the
+recursion is a `LaurentSeries` of weight w = m (integer numerators over one
+denominator), read as `Graded` scalars.  The inputs are the filtration
+representatives
 
     F[-(g+1)] = t^-(g+1) - lam * t^-g,      F[-m] = t^-m   (m >= g+2),
 
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .errors import InternalInconsistencyError, ValidationError
 from .laurent import LaurentSeries, ParamChange, series_substitute
@@ -41,69 +41,6 @@ def _monomial_value(c, degree: int) -> Fraction:
             f"expected a pure lam^{degree} monomial, got {c}"
         )
     return c.r
-
-
-class _Series:
-    """A series of the recursion in integer form: its coefficient at u^e is
-    nums[e - low] / den * lam^(w + e), known for low <= e < low + len(nums).
-    Each operation divides out the content once; each checks the lam-degrees
-    of its scalar operands against the weights, as `Graded` sums would."""
-
-    __slots__ = ("low", "nums", "den", "w")
-
-    def __init__(self, low: int, nums: list, den: int, w: int):
-        content = gcd(den, *nums)
-        self.low, self.nums, self.den, self.w = low, [x // content for x in nums], den // content, w
-
-    def coefficient(self, e: int) -> Graded:
-        return Graded(Fraction(self.nums[e - self.low], self.den), self.w + e)
-
-    def substitute(self, eps: Graded, r: int) -> "_Series":
-        """The series in u_n after the step u = u_n + eps*u_n^r, as
-        `series_substitute` gives it: u^e -> sum_i C(e,i) eps^i u^(e+i(r-1)),
-        with eps = p/q folded into the denominator as q^top."""
-        if eps and eps.d != r - 1:
-            raise InternalInconsistencyError(f"a step u + ({eps!r})*u^{r} needs a lam^{r - 1} coefficient")
-        p, q, size = eps.r.numerator, eps.r.denominator, len(self.nums)
-        top = max(size - 1, 0) // (r - 1) if p else 0  # the largest index i the window reaches
-        pq = [p ** i * q ** (top - i) for i in range(top + 1)]
-        acc = [0] * size
-        for k, x in enumerate(self.nums):
-            if x:
-                e, binom, last = self.low + k, 1, min(top, (size - 1 - k) // (r - 1))
-                acc[k] += x * pq[0]
-                for i in range(1, (last if e < 0 else min(last, e)) + 1):  # C(e,i) = 0 for i > e >= 0
-                    binom = binom * (e - i + 1) // i
-                    acc[k + i * (r - 1)] += x * binom * pq[i]
-        return _Series(self.low, acc, self.den * q ** top, self.w)
-
-    def __mul__(self, other: "_Series") -> "_Series":
-        """The product on the window both factors determine."""
-        size = min(len(self.nums), len(other.nums))
-        acc = [0] * size
-        for i, a in enumerate(self.nums[:size]):
-            if a:
-                for j, b in enumerate(other.nums[:size - i], i):
-                    acc[j] += a * b
-        return _Series(self.low + other.low, acc, self.den * other.den, self.w + other.w)
-
-    def minus(self, c: Graded, other: "_Series") -> "_Series":
-        """self - c*other on the window both determine, other.low >= self.low;
-        c*other must have the weight of self."""
-        if c and c.d + other.w != self.w:
-            raise InternalInconsistencyError(f"lam-degree mismatch: weight {self.w} minus "
-                                             f"({c!r}) times weight {other.w}")
-        a, b = c.r.numerator, c.r.denominator
-        den = self.den * b // gcd(self.den, b)  # the lcm; den = self.den when c was read off self
-        off, mine, theirs = other.low - self.low, den // self.den * other.den, a * (den // b)
-        acc = [x * mine for x in self.nums[:off + len(other.nums)]]
-        for k, y in enumerate(other.nums[:max(len(acc) - off, 0)], off):
-            acc[k] -= theirs * y
-        return _Series(self.low, acc, den * other.den, self.w)
-
-    def to_laurent(self) -> LaurentSeries:  # with its lam^0 coefficients as plain rationals
-        coeffs = [self.coefficient(self.low + k) for k in range(len(self.nums))]
-        return LaurentSeries("u", self.low, [c if c.d else c.r for c in coeffs], self.low + len(coeffs))
 
 
 @dataclass(frozen=True)
@@ -164,35 +101,35 @@ def run_recursion(g: int, m_max: int | None = None, j_max: int = 6) -> NormalFor
     cut = -g + j_max + 1
     stages_total = (m_max - g) + j_max + 1
 
-    total = LaurentSeries.monomial("u", 1, 1, stages_total + 1)  # t in the current parameter
+    one = Graded(1, 0)  # a lam^0 lead: each series below is weighted, of weight -exponent
+    total = LaurentSeries.monomial("u", 1, one, stages_total + 1)  # t in the current parameter
     # t^-1 and t^-(g+n-1) are known on stages_total terms.  A product loses
     # one at the top, and F[-(g+n)] is read below u^(-g+stages_total-n): below
     # u^cut up to m_max, at u^-g by the next correction, below it at the end.
-    zeros = [0] * (stages_total - 1)
-    inverse = _Series(-1, [1, *zeros], 1, 1)
-    power = _Series(-(g + 1), [1, *zeros], 1, g + 1)
-    current = {g + 1: _Series(-(g + 1), [1, -1] + [0] * (cut + g - 1), 1, g + 1)}  # F[-(g+1)]
+    inverse = LaurentSeries.monomial("u", -1, one, stages_total - 1)
+    power = LaurentSeries.monomial("u", -(g + 1), one, stages_total - (g + 1))
+    current = {g + 1: LaurentSeries("u", -(g + 1), [one, Graded(-1, 1)], cut)}  # F[-(g+1)]
     stages = [StageRecord(1, None, None, ())]
 
     for n in range(2, stages_total + 1):
         c = current[g + n - 1].coefficient(-g)
         eps = c / (g + n - 1)  # the step u_{n-1} = u_n + eps*u_n^n
         total = series_substitute(total, eps, n)
-        inverse, power = inverse.substitute(eps, n), power.substitute(eps, n)
+        inverse, power = series_substitute(inverse, eps, n), series_substitute(power, eps, n)
         for m in current:
-            current[m] = current[m].substitute(eps, n)
+            current[m] = series_substitute(current[m], eps, n)
         if current[g + n - 1].coefficient(-g):
             raise InternalInconsistencyError(
                 f"stage {n}: correction failed to kill the u^-{g} coefficient"
             )
         power = power * inverse  # t^-(g+n), F[-(g+n)] before the subtractions
-        work = _Series(power.low, power.nums[:cut - power.low], power.den, power.w)
+        work = power.truncate(cut)
         multipliers = []
         for i in range(1, n):
             p_i = work.coefficient(-g - n + i)
             multipliers.append(p_i)
             if p_i:
-                work = work.minus(p_i, current[g + n - i])
+                work = work - current[g + n - i].scale(p_i)
         for e in range(-g - n + 1, -g):
             if work.coefficient(e):
                 raise InternalInconsistencyError(
@@ -206,7 +143,7 @@ def run_recursion(g: int, m_max: int | None = None, j_max: int = 6) -> NormalFor
         for j in range(1, j_max + 1):
             entries[(m, j)] = _monomial_value(current[m].coefficient(-g + j), m - g + j)
 
-    normal_forms = {m: current[m].to_laurent() for m in range(g + 1, m_max + 1)}
+    normal_forms = {m: current[m] for m in range(g + 1, m_max + 1)}
     return NormalFormResult(
         genus=g,
         m_max=m_max,

@@ -109,7 +109,7 @@ def _canonicalise(weights, i, m_max, expansions, order):
     pc = ParamChange.identity("u", order=order)
     for m in range(a_i + 1, m_max + 1):
         y = _solve_section(weights, i, m, expansions, order)
-        alpha = sum(c * s.coefficient(-a_i) for c, s in zip(y, expansions) if c)
+        alpha = sum(c * s.numerator(-a_i) / s.den for c, s in zip(y, expansions) if c)
         if alpha:
             eps, r = alpha / m, m - a_i + 1
             pc = pc.compose(eps, r)
@@ -123,7 +123,8 @@ def _solve_section(weights, i, m, expansions, order):
     unique combination with coefficient 1 at -m, none on (-m, -a_i) and
     constant term zero.  The expansions are in a parameter known below
     u^order (None: u = s/v itself); a valuation-1 change keeps each
-    expansion's valuation."""
+    expansion's valuation.  The rows are the expansions' integer numerators:
+    the solve is for z_k = y_k / den_k, and y_k = z_k * den_k."""
     if order is not None and order <= m + 1:
         raise TruncationError(
             f"a parameter known below u^{order} cannot fix the constant term of "
@@ -131,20 +132,20 @@ def _solve_section(weights, i, m, expansions, order):
         )
     near = [s for s in expansions if s.low >= -m]
     targets = [(-m, 1)] + [(e, 0) for e in range(-m + 1, -weights.get(i, 0))] + [(0, 0)]
-    rows = [[s.coefficient(e) for s in near] for e, _ in targets]
+    rows = [[s.numerator(e) for s in near] for e, _ in targets]
     solved = linalg.solve_affine(rows, [value for _, value in targets])
     if solved is None:
         raise CohomologyError(
             f"no section with principal part u^-{m} at {i}: h1 obstruction "
             f"(weights {weights})"
         )
-    y, kernel = solved
+    z, kernel = solved
     if kernel:
         raise CohomologyError(
             f"section of order {m} at {i} is not unique: "
             f"h1({Divisor.of({**weights, i: m}).items}) != 0"
         )
-    return y
+    return [x * s.den for x, s in zip(z, near)]
 
 
 def _combine(y, series) -> LaurentSeries:

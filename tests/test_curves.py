@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 
 from nsc.curves import (
+    EXPANSION_CACHE_SIZE,
     INF,
     Branch,
     CurveModel,
     Divisor,
     MarkedPoint,
     SingularPoint,
+    _elt_expansion,
     _span_contains,
     arithmetic_genus,
     delta_invariant,
@@ -396,3 +398,18 @@ def test_genus2_smooth_point_lemma_suite():
             cur = zoo(case, marked=(mp(t),))
             assert h0(cur, Divisor.of({"p0": 1})).dimension == 1
             assert h1(cur, Divisor.of({"p0": 3})) == 0
+
+
+def test_expansion_cache_is_bounded():
+    # more distinct expansions than the cache holds: it stays at its bound,
+    # and an evicted expansion is recomputed to the same coefficients
+    def expansion(k):
+        return _elt_expansion(("pole", "c0", Fraction(k), 2), "c0", Fraction(-1), -1, 4)
+
+    first = [expansion(k) for k in range(8)]
+    for k in range(EXPANSION_CACHE_SIZE + 8):
+        expansion(k)
+    assert _elt_expansion.cache_info().currsize == EXPANSION_CACHE_SIZE
+    assert [expansion(k) for k in range(8)] == first
+    # (t - 1)^-2 = (s - 2)^-2 = (1/4) sum_i (i + 1) (s/2)^i in s = t + 1
+    assert first[1] == (0, Fraction(1, 4), Fraction(1, 4), Fraction(3, 16), Fraction(1, 8))

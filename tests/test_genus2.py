@@ -22,8 +22,9 @@ from nsc.genus2 import (
     transform_presentation,
     universal_relations,
 )
+from nsc.curves import Divisor, h0
 from nsc.multipoly import poly_reduce
-from nsc.zoo import zoo
+from nsc.zoo import ZOO_IDS, zoo
 
 
 def symbolic_relations():
@@ -271,20 +272,52 @@ def test_transform_relations_are_unimodular_combinations():
     assert got[2] == r3 + B * B * r1 + 2 * B * r2
 
 
-def test_normalize_round_trip_recovers_parameters():
+def scrambled_presentations():
+    """(params, ten presentations of them in random gauges)."""
     rng = random.Random(31337)
     params = G2Params(*(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(5)))
     ring = coefficient_f_ring()
     f = ring.var("f")
     pres = hand_normal_presentation(params)
+    out = []
     for _ in range(10):
         A = ring.const(Fraction(rng.randint(-3, 3))) + ring.const(Fraction(rng.randint(-3, 3))) * f
         B = Fraction(rng.randint(-3, 3))
         C = ring.const(Fraction(rng.randint(-3, 3))) + ring.const(Fraction(rng.randint(-3, 3))) * f
         shift = Fraction(rng.randint(-3, 3))
-        scrambled = transform_presentation(pres, A, B, C, shift=shift)
-        normalized, _ = normalize_presentation(scrambled)
+        out.append(transform_presentation(pres, A, B, C, shift=shift))
+    return params, out
+
+
+def test_normalize_round_trip_recovers_parameters():
+    params, scrambled = scrambled_presentations()
+    for pres in scrambled:
+        normalized, _ = normalize_presentation(pres)
         assert normalized.parameters() == params
+
+
+def two_pass_normalize(pres):
+    """The normalization as two transforms: the gauge (A, B, C) with no
+    shift, then the shift read off the staged p1 with A = C = 0 and B = 0."""
+    ring = pres.ring
+    _, (A, B, C, _) = normalize_presentation(pres)
+    staged = transform_presentation(pres, A, B, C, shift=0)
+    shift = staged.p1.coefficient((0,))
+    return transform_presentation(staged, ring.zero(), 0, ring.zero(), shift=shift), (A, B, C, shift)
+
+
+def test_one_transform_normalizes_as_two_did():
+    # p1 is left unchanged by the transform, so its constant term is the
+    # shift, and the second pass has nothing else to do
+    fits = []
+    for case in ZOO_IDS:
+        cur = zoo(case)
+        for pid in cur.point_ids():
+            if h0(cur, Divisor.of({pid: 2})).dimension == 1:  # not a Weierstrass point
+                fits.append(presentation_from_series(*section_series(cur, pid)))
+    assert len(fits) == 15
+    for pres in fits + scrambled_presentations()[1]:
+        assert normalize_presentation(pres) == two_pass_normalize(pres)
 
 
 def test_fit_deep_cusp_is_origin():

@@ -1,8 +1,10 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import laurent_reference as ref
 from nsc.errors import InternalInconsistencyError, TruncationError, ValidationError
 from nsc.laurent import LaurentSeries, ParamChange, series_substitute
 from nsc.rational import Graded
@@ -122,7 +124,7 @@ rationals = st.fractions(min_value=-6, max_value=6, max_denominator=5)
 
 
 def window(x):
-    return x.low, x.cut, x.coeffs
+    return x.low, x.cut, x.known_items()
 
 
 @st.composite
@@ -136,17 +138,26 @@ def coefficients(draw, w, e, unit=False):
 
 
 @st.composite
-def series(draw, w, low=st.integers(-3, 3), max_tail=5):
-    """lead*u^low + tail, truncated at or past the stored terms; the lead has
-    r = 1 half of the time, as for a parameter change (a Graded lead equals 1
-    only at degree 0)."""
+def terms(draw, w, low=st.integers(-3, 3), max_tail=5):
+    """(low, values, cut) of lead*u^low + tail, truncated at or past the
+    stored terms; the lead has r = 1 half of the time, as for a parameter
+    change (a Graded lead equals 1 only at degree 0)."""
     low = draw(low)
     lead = draw(st.just(None) | coefficients(w, low, unit=True))
     if lead is None:
         lead = 1 if w is None else Graded(1, low + w)
     size = draw(st.integers(0, max_tail))
     tail = [draw(coefficients(w, low + 1 + i)) for i in range(size)]
-    return LaurentSeries("u", low, [lead, *tail], low + 1 + size + draw(st.integers(0, 2)))
+    return low, [lead, *tail], low + 1 + size + draw(st.integers(0, 2))
+
+
+def series(w, **kw):
+    return terms(w, **kw).map(lambda t: LaurentSeries("u", *t))
+
+
+def pairs(w, **kw):
+    """(series, the reference series) built from the same drawn values."""
+    return terms(w, **kw).map(lambda t: (LaurentSeries("u", *t), ref.LaurentSeries("u", *t)))
 
 
 def product_power(x, n, cut):
@@ -274,3 +285,105 @@ def test_substitute_respects_addition(ca, cb, step):
     a = ser(0, ca, cut=6)
     b = ser(0, cb, cut=6)
     assert series_substitute(a + b, *step) == series_substitute(a, *step) + series_substitute(b, *step)
+
+
+# -- against the reference series over Fraction and Graded tuples ---------------
+
+
+def as_reference(s):
+    """The series as a reference series, from the coefficients it reads."""
+    return ref.LaurentSeries(s.var, s.low, [c for _, c in s.known_items()], s.cut)
+
+
+def plain_at_degree_zero(x):
+    """A reference series with its lam^0 values as plain rationals, as the
+    package reads them."""
+    return ref.LaurentSeries(x.var, x.low, [c.r if isinstance(c, Graded) and c.d == 0 else c
+                                            for c in x.coeffs], x.cut)
+
+
+def in_lowest_terms(s):
+    """den > 0, gcd(den, *numerators) = 1, a nonzero lead, the full window."""
+    return (s.den > 0 and gcd(s.den, *s.coeffs) == 1 and len(s.coeffs) == s.cut - s.low
+            and (not s.coeffs or s.coeffs[0] != 0))
+
+
+def agrees(new, old):
+    """new, in lowest terms, has the coefficients, window, hash, str and repr
+    of the reference result old."""
+    assert in_lowest_terms(new)
+    assert as_reference(new) == old and hash(new) == hash(old)
+    plain = plain_at_degree_zero(old)
+    assert (str(new), repr(new)) == (str(plain), repr(plain))
+
+
+def scalars(w):
+    """A scalar for scale: a rational, or for weighted draws a monomial of any
+    lam-degree."""
+    return rationals if w is None else st.builds(Graded, rationals, st.integers(-3, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_arithmetic_matches_the_reference(data):
+    w = data.draw(kinds)
+    (a, ra), (b, rb) = data.draw(pairs(w)), data.draw(pairs(w))
+    agrees(a, ra)
+    agrees(a + b, ra + rb)
+    agrees(a - b, ra - rb)
+    agrees(-a, -ra)
+    c = data.draw(scalars(w))
+    agrees(a.scale(c), ra.scale(c))
+    x, rx = data.draw(pairs(w if w is None else data.draw(st.integers(-3, 3))))
+    agrees(a * x, ra * rx)
+    cut = data.draw(st.integers(a.low - 2, a.cut + 1))
+    agrees(a.truncate(cut), ra.truncate(cut))
+    assert (a == b) == (ra == rb)
+    assert a + b == b + a and hash(a + b) == hash(b + a)
+    assert a == LaurentSeries("u", ra.low, ra.coeffs, ra.cut)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_powers_match_the_reference(data):
+    x, rx = data.draw(kinds.flatmap(pairs))
+    n = data.draw(st.integers(-30, 6))
+    v = x.valuation()
+    cut = data.draw(st.integers(n * v - 3, n * v + 12) | st.none())
+    agrees(x.pow(n, cut), rx.pow(n, cut))
+    cut = data.draw(st.integers(-v - 3, -v + 12) | st.none())
+    agrees(x.inverse(cut), rx.inverse(cut))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_substitution_matches_the_reference(data):
+    w = data.draw(kinds)
+    s, rs = data.draw(pairs(w, low=st.integers(-6, 4)))
+    eps, r = data.draw(steps(w is not None))
+    agrees(series_substitute(s, eps, r), ref.series_substitute(rs, eps, r))
+    if w is None:
+        pc = ParamChange.identity("u", order=8).compose(eps, r)
+        assert repr(pc) == repr(ref.ParamChange.identity("u", order=8).compose(eps, r))
+
+
+def test_a_plain_rational_equals_the_same_rational_at_lam_degree_zero():
+    plain, graded = LaurentSeries("u", -2, [3], 1), LaurentSeries("u", -2, [Graded(3, 0)], 1)
+    assert (plain.w, graded.w) == (None, 2)
+    assert plain == graded and hash(plain) == hash(graded) and str(plain) == str(graded)
+    assert graded.coefficient(-1) == Graded(0, 1) and type(plain.coefficient(-1)) is Fraction
+    assert LaurentSeries("u", -2, [3, 1], 1) != LaurentSeries("u", -2, [Graded(3, 0), Graded(1, 1)], 1)
+
+
+def test_a_plain_series_takes_no_graded_scalar():
+    s = ser(0, [1, 2], cut=3)
+    with pytest.raises(InternalInconsistencyError):
+        s.scale(Graded(1, 1))
+    with pytest.raises(InternalInconsistencyError):
+        series_substitute(s, Graded(1, 1), 2)
+    with pytest.raises(InternalInconsistencyError):
+        s * LaurentSeries("t", 0, [Graded(1, 0)], 2)
+    with pytest.raises(ValidationError):
+        LaurentSeries("u", 0, [Graded(1, 0), Graded(1, 0)], 2)  # not homogeneous
+    # a series with no nonzero coefficient takes any weight
+    assert (LaurentSeries.zero("t", 5) + LaurentSeries("t", 0, [Graded(2, 1)], 3)).w == 1
