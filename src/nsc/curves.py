@@ -127,6 +127,12 @@ class CurveModel:
     def _hash(self):
         return hash((self.components, self.singularities, self.marked_points))
 
+    # one cache lookup per object, whose hit compares the whole model with the
+    # cached key; an invalid curve stores nothing and raises on every call
+    @functools.cached_property
+    def _valid(self):
+        return _validate_cached(self)
+
     def point_ids(self):
         return [f"p{i}" for i in range(len(self.marked_points))]
 
@@ -217,7 +223,7 @@ def _truncated_branch_product(sing, u, v, branch_index):
 
 def validate(curve: CurveModel) -> CurveModel:
     """Check every model invariant; returns the curve or raises ValidationError."""
-    _validate_cached(curve)
+    curve._valid
     return curve
 
 

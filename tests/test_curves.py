@@ -13,6 +13,7 @@ from nsc.curves import (
     SingularPoint,
     _elt_expansion,
     _span_contains,
+    _validate_cached,
     arithmetic_genus,
     delta_invariant,
     h0,
@@ -121,6 +122,29 @@ def test_validate_rejects_disconnected():
 def test_validate_rejects_marked_on_branch_point():
     with pytest.raises(ValidationError, match="coincides"):
         validate(CurveModel(("c0",), (cusp("c0", Fraction(0)),), (mp(0),)))
+
+
+def validate_lookups():
+    info = _validate_cached.cache_info()
+    return info.hits + info.misses
+
+
+def test_validate_looks_a_curve_up_once():
+    # a fresh curve equal to a cached one: the first validate compares it
+    # with the cached key, the second reads the result stored on the object
+    cur = CurveModel(*(getattr(zoo("Ia"), f) for f in ("components", "singularities", "marked_points")))
+    before = validate_lookups()
+    assert validate(cur) is cur and validate(cur) is cur
+    assert validate_lookups() == before + 1
+
+
+def test_validate_raises_on_every_call_for_an_invalid_curve():
+    cur = CurveModel(("c0", "c1"), (), ())
+    for _ in range(2):
+        before = validate_lookups()
+        with pytest.raises(ValidationError, match="disconnected"):
+            validate(cur)
+        assert validate_lookups() == before + 1
 
 
 def test_two_component_nodal_curve_connects():

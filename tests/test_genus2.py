@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from nsc.errors import ValidationError
+import genus2_reference as ref
+from nsc.errors import InternalInconsistencyError, ValidationError
 from nsc.genus2 import (
     G2Params,
     GeneralPresentation,
@@ -22,7 +23,8 @@ from nsc.genus2 import (
     transform_presentation,
     universal_relations,
 )
-from nsc.curves import Divisor, h0
+from nsc.curves import INF, Divisor, MarkedPoint, h0
+from nsc.laurent import LaurentSeries
 from nsc.multipoly import poly_reduce
 from nsc.zoo import ZOO_IDS, zoo
 
@@ -318,6 +320,34 @@ def test_one_transform_normalizes_as_two_did():
     assert len(fits) == 15
     for pres in fits + scrambled_presentations()[1]:
         assert normalize_presentation(pres) == two_pass_normalize(pres)
+
+
+def test_presentation_matches_the_reference():
+    # every zoo case at three places, each at two tangents; a Weierstrass
+    # point has no section series to compare
+    compared = 0
+    for case in ZOO_IDS:
+        for point in (Fraction(5), Fraction(-3, 2), INF):
+            for tangent in (Fraction(1), Fraction(-2, 3)):
+                cur = zoo(case, marked=(MarkedPoint("c0", point, tangent),))
+                if h0(cur, Divisor.of({"p0": 2})).dimension != 1:
+                    continue
+                series = section_series(cur, "p0")
+                assert presentation_from_series(*series) == ref.presentation_from_series(*series), case
+                compared += 1
+    assert compared == 46
+
+
+def test_presentation_off_the_span_raises_as_the_reference_does():
+    sf, sh, sk = section_series(zoo("Ia"), "p0")
+    for k in (-3, -1, 1, 4, 11, 18):
+        bad = sk + LaurentSeries.monomial(sk.var, k, Fraction(1, 7), cut=sk.cut)
+        with pytest.raises(InternalInconsistencyError) as expected:
+            ref.presentation_from_series(sf, sh, bad)
+        with pytest.raises(InternalInconsistencyError) as got:
+            presentation_from_series(sf, sh, bad)
+        assert str(got.value) == str(expected.value)
+        assert str(got.value).startswith("pole-8 product does not lie on the section basis: residual ")
 
 
 def test_fit_deep_cusp_is_origin():
