@@ -380,52 +380,42 @@ def arithmetic_genus(curve: CurveModel) -> int:
 # the function 1 resp. (t-point)^-j (t^j when point is INF), supported on one
 # component and zero on the others.
 
-def _binom_neg(j: int, i: int) -> Fraction:
-    # binomial(-j, i) = (-1)^i * C(j+i-1, i)
-    out = Fraction(1)
-    for r in range(i):
-        out *= Fraction(j + r, r + 1)
-    return out if i % 2 == 0 else -out
-
-
 @functools.lru_cache(maxsize=EXPANSION_CACHE_SIZE)
 def _elt_expansion(elt, component, point, low: int, high: int) -> tuple:
     """Coefficients of the element's expansion at (component, point) in the
-    standard parameter s (= t - point, or 1/t at infinity), exponents [low, high)."""
-    kind = elt[0]
-    coeffs = {e: Fraction(0) for e in range(low, high)}
+    standard parameter s (= t - point, or 1/t at infinity), exponents [low, high).
+
+    Near the point every element is s^v (a + b s)^e:
+      the constant                            v = 0,  e = 0;
+      a pole at the point itself, t^j at inf  v = -j, e = 0;
+      (t - t0)^-j at infinity                 v = j,  e = -j, a = 1, b = -t0;
+      t^j at a finite point                   v = 0,  e = j,  a = point, b = 1;
+      any other (t - t0)^-j                   v = 0,  e = -j, a = point - t0, b = 1.
+    Its coefficient at s^(v+i) is C(e,i) a^(e-i) b^i, with the binomial
+    C(e,i) = C(e,i-1)(e-i+1) // i exact on the integers for either sign of
+    e; it is zero for every i > e >= 0."""
+    coeffs = [Fraction(0)] * (high - low)
     if elt[1] != component:
-        return tuple(coeffs[e] for e in range(low, high))
-    if kind == "const":
-        if low <= 0 < high:
-            coeffs[0] = Fraction(1)
-    else:
+        return tuple(coeffs)
+    v, e, a, b = 0, 0, Fraction(1), Fraction(1)
+    if elt[0] == "pole":
         _, _, t0, j = elt
-        at_inf = isinstance(point, Infinity)
-        pole_at_inf = isinstance(t0, Infinity)
-        if not at_inf and not pole_at_inf and t0 == point:
-            if low <= -j < high:
-                coeffs[-j] = Fraction(1)
-        elif at_inf and pole_at_inf:
-            if low <= -j < high:
-                coeffs[-j] = Fraction(1)
-        elif at_inf:
-            # (t - t0)^-j = s^j (1 - t0 s)^-j
-            for i in range(max(0, low - j), high - j):
-                coeffs[j + i] = _binom_neg(j, i) * (-t0) ** i
-        elif pole_at_inf:
-            # t^j = (point + s)^j
-            for i in range(max(0, low), min(j, high - 1) + 1):
-                c = Fraction(1)
-                for r in range(i):
-                    c *= Fraction(j - r, r + 1)
-                coeffs[i] = c * point ** (j - i)
+        if t0 == point:
+            v = -j
+        elif isinstance(point, Infinity):
+            v, e, b = j, -j, -t0
+        elif isinstance(t0, Infinity):
+            e, a = j, point
         else:
-            # (t - t0)^-j around s = t - point:  ((point - t0) + s)^-j
-            base = point - t0
-            for i in range(max(0, low), high):
-                coeffs[i] = _binom_neg(j, i) * base ** (-j - i)
-    return tuple(coeffs[e] for e in range(low, high))
+            e, a = -j, point - t0
+    binom = 1
+    for i in range(high - v):
+        if not binom:
+            break
+        if v + i >= low:
+            coeffs[v + i - low] = binom * a ** (e - i) * b ** i
+        binom = binom * (e - i) // (i + 1)
+    return tuple(coeffs)
 
 
 def _jet_rows(curve: CurveModel, elts):

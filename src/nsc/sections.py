@@ -17,6 +17,8 @@ making the coefficient at u^-a_i vanish for every m; it is found order by
 order, advancing the basis expansions through each exact correction step.
 The sections in the canonical parameter are solved over those advanced
 expansions; their expansions at the other marked points need no change.
+Every expansion of a function is its coordinates' combination (`_combine`)
+of the ambient elements' series at the marked point, each built once.
 """
 
 from __future__ import annotations
@@ -52,18 +54,16 @@ def _normalize_weights(curve: CurveModel, weights: dict) -> dict:
     return out
 
 
-def _expansion(curve, pid, low, high, terms) -> LaurentSeries:
-    """Expansion at a marked point of the sum of x*elt over the (x, elt) terms,
-    in the tangent-rescaled parameter u = s/v."""
+def _element_series(curve, pid, elts, low, high) -> list:
+    """Each ambient element's expansion at a marked point on exponents
+    [low, high), in the tangent-rescaled parameter u = s/v."""
     mp = curve.marked(pid)
-    coeffs = [Fraction(0)] * (high - low)
-    for x, elt in terms:
-        if not x:
-            continue
-        for i, c in enumerate(_elt_expansion(elt, mp.component, mp.point, low, high)):
-            coeffs[i] += x * c
-    v = mp.tangent
-    return LaurentSeries("u", low, [c * v ** (low + i) for i, c in enumerate(coeffs)], cut=high)
+    out = []
+    for elt in elts:
+        coeffs = _elt_expansion(elt, mp.component, mp.point, low, high)
+        out.append(LaurentSeries("u", low, [c and c * mp.tangent ** e for e, c in enumerate(coeffs, low)],
+                                 cut=high))
+    return out
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,8 @@ def _regular_basis(curve, weights, i, m_max, high):
     kernel = linalg.nullspace([[row[c] for c in cols] for row in rows], ncols=len(elts))
     back = sorted(range(len(cols)), key=cols.__getitem__)  # the inverse permutation
     basis = [[v[k] for k in back] for v in kernel]
-    return elts, basis, [_expansion(curve, i, -m_max, high, zip(b, elts)) for b in basis]
+    series = _element_series(curve, i, elts, -m_max, high)
+    return elts, basis, [_combine(b, series) for b in basis]
 
 
 def _canonicalise(weights, i, m_max, expansions, order):
@@ -175,7 +176,7 @@ def f_sections(curve: CurveModel, weights: dict, i: str, m: int, tail: int = 6) 
     expansions = {}
     for pid in curve.point_ids():
         low = -m if pid == i else -weights.get(pid, 0)
-        expansions[pid] = _expansion(curve, pid, low, tail, zip(fn.coords, fn.elts))
+        expansions[pid] = _combine(fn.coords, _element_series(curve, pid, elts, low, tail))
     return Section(i, m, fn, expansions)
 
 
@@ -204,6 +205,8 @@ def alpha_beta(curve: CurveModel, i: str = "p0", j: str = "p1",
     g = arithmetic_genus(curve)
     i = f"p{curve.point_index(i)}"
     j = f"p{curve.point_index(j)}"
+    if i == j:
+        raise ValidationError(f"alpha_beta needs two different marked points, got {i} twice")
     if weights is None:
         weights = {i: g - 1, j: 1}
     weights = _normalize_weights(curve, weights)
@@ -211,16 +214,19 @@ def alpha_beta(curve: CurveModel, i: str = "p0", j: str = "p1",
         raise ValidationError("the second point must carry weight >= 1")
     elts, basis, expansions = _regular_basis(curve, weights, i, g + 1, 1)
     _, expansions = _canonicalise(weights, i, g + 1, expansions, g + 4)
+    # the expansions at p_j need no parameter change: only p_i's moves
+    at_j = _element_series(curve, j, elts, -weights[j], 1)
     out = []
     for m in (g, g + 1):
         fn = _function(curve, elts, basis, _solve_section(weights, i, m, expansions, g + 4))
-        # the expansion at p_j needs no parameter change: only p_i's moves
-        out.append(_expansion(curve, j, -weights[j], 1, zip(fn.coords, fn.elts)).coefficient(-1))
+        out.append(_combine(fn.coords, at_j).coefficient(-1))
     return tuple(out)
 
 
 def rescale_tangent(curve: CurveModel, point_id: str, factor) -> CurveModel:
-    """The same curve with the tangent scalar at one marked point rescaled."""
+    """The same curve with one marked point's tangent scalar times an int or a Fraction."""
+    if isinstance(factor, bool) or not isinstance(factor, (int, Fraction)):
+        raise ValidationError(f"tangent rescale factor {factor!r} must be an int or a Fraction")
     factor = Fraction(factor)
     if factor == 0:
         raise ValidationError("tangent rescale factor must be nonzero")

@@ -23,6 +23,7 @@ from nsc.curves import (
     validate,
 )
 from nsc.errors import ValidationError
+import sections_reference as ref
 from nsc.zoo import ZOO_IDS, cusp, deep_cusp, glued_cusps, node, zoo
 
 
@@ -437,3 +438,21 @@ def test_expansion_cache_is_bounded():
     assert [expansion(k) for k in range(8)] == first
     # (t - 1)^-2 = (s - 2)^-2 = (1/4) sum_i (i + 1) (s/2)^i in s = t + 1
     assert first[1] == (0, Fraction(1, 4), Fraction(1, 4), Fraction(3, 16), Fraction(1, 8))
+
+
+def test_elt_expansion_matches_the_reference():
+    # constants and poles at 0, finite points and infinity, expanded at each
+    # of those points (the pole's own point included) and on another
+    # component, on windows below, across and above the valuation and empty:
+    # the same coefficients as the per-kind expansions, each a Fraction
+    spots = (Fraction(0), Fraction(3), Fraction(-5, 2), INF)
+    elts = [("const", "c0"), ("const", "c1")]
+    elts += [("pole", c, t0, j) for c in ("c0", "c1") for t0 in spots for j in (1, 2, 5)]
+    windows = ((-9, -6), (-6, 3), (-2, 1), (0, 4), (4, 8), (6, 10), (3, 3))
+    for elt in elts:
+        for point in spots:
+            for low, high in windows:
+                got = _elt_expansion(elt, "c0", point, low, high)
+                want = ref._elt_expansion(elt, "c0", point, low, high)
+                assert got == want, (elt, point, low, high)
+                assert [type(x) for x in got] == [type(x) for x in want], (elt, point, low, high)

@@ -10,9 +10,10 @@ from nsc.curves import (
 from nsc.errors import CohomologyError, TruncationError, ValidationError
 from nsc.laurent import ParamChange
 from nsc.sections import (
-    _canonicalise, _combine, _expansion, _function, _regular_basis, _solve_section, alpha_beta,
+    _canonicalise, _combine, _function, _regular_basis, _solve_section, alpha_beta,
     canonical_parameter, f_sections, rescale_tangent,
 )
+from sections_reference import _expansion
 from test_laurent import substitute_by_powers
 from nsc.zoo import ZOO_IDS, glued_cusps, zoo
 
@@ -173,6 +174,28 @@ def test_alpha_coefficients_scale_with_torus_weights():
                 b = base[m].alpha("p1", q)
                 assert si.alpha("p1", q) == c ** m * b
                 assert sj.alpha("p1", q) == c ** q * b
+
+
+def test_alpha_beta_needs_two_different_points():
+    # "pinf" is p1 on IIc-C0: the same point under two ids
+    cur = zoo("IIc-C0")
+    for i, j in (("p1", "pinf"), ("p0", "p0")):
+        with pytest.raises(ValidationError, match="two different marked points"):
+            alpha_beta(cur, i, j, weights={"p0": 1, "p1": 1})
+
+
+def test_tangent_factor_must_be_exact():
+    from nsc.genus2 import fit_parameters
+
+    cur = zoo("Ia")
+    for factor in (0.1, True, "2", None):
+        with pytest.raises(ValidationError, match=f"factor {factor!r} must be an int or a Fraction"):
+            rescale_tangent(cur, "p0", factor)
+    with pytest.raises(ValidationError, match="factor 0.1 must be"):
+        fit_parameters(cur, "p0", tangent=0.1)
+    assert rescale_tangent(cur, "p0", 2) == rescale_tangent(cur, "p0", Fraction(2))
+    with pytest.raises(ValidationError, match="nonzero"):
+        rescale_tangent(cur, "p0", 0)
 
 
 def test_weight_validation():
