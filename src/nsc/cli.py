@@ -23,7 +23,7 @@ import sys
 
 from .curveio import curve_to_jsonable, dump_curve, load_curve, parse_divisor
 from .curves import MAX_JET_WIDTH, arithmetic_genus, h0, h1
-from .errors import InternalInconsistencyError, NscError, ValidationError, VerificationError
+from .errors import InternalInconsistencyError, NscError, ValidationError
 from .genus2 import fit_parameters
 from .normalform import run_recursion
 from .rational import INTEGER, format_rational
@@ -230,7 +230,7 @@ def _run(argv) -> int:
         return EXIT_USAGE if exc.code not in (0,) else 0
     except BrokenPipeError:
         raise
-    except (VerificationError, InternalInconsistencyError) as exc:
+    except InternalInconsistencyError as exc:
         _print_result("fail", None, [str(exc)])
         return EXIT_FAIL
     except (NscError, OSError, ValueError) as exc:

@@ -17,9 +17,5 @@ class CohomologyError(NscError):
     """A section solve failed because the relevant cohomology obstructs it."""
 
 
-class VerificationError(NscError):
-    """An exact mathematical identity that must hold failed to hold."""
-
-
 class InternalInconsistencyError(NscError):
     """An internal invariant was violated; indicates a bug, not bad input."""

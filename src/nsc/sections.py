@@ -54,12 +54,17 @@ def _normalize_weights(curve: CurveModel, weights: dict) -> dict:
     return out
 
 
-def _element_series(curve, pid, elts, low, high) -> list:
+def _element_series(curve, pid, elts, coords, low, high) -> list:
     """Each ambient element's expansion at a marked point on exponents
-    [low, high), in the tangent-rescaled parameter u = s/v."""
+    [low, high), in the tangent-rescaled parameter u = s/v, for the elements
+    with a nonzero coordinate in some vector of coords: None for the others,
+    which `_combine` never reads."""
     mp = curve.marked(pid)
     out = []
-    for elt in elts:
+    for k, elt in enumerate(elts):
+        if not any(y[k] for y in coords):
+            out.append(None)
+            continue
         coeffs = _elt_expansion(elt, mp.component, mp.point, low, high)
         out.append(LaurentSeries("u", low, [c and c * mp.tangent ** e for e, c in enumerate(coeffs, low)],
                                  cut=high))
@@ -95,7 +100,7 @@ def _regular_basis(curve, weights, i, m_max, high):
     kernel = linalg.nullspace([[row[c] for c in cols] for row in rows], ncols=len(elts))
     back = sorted(range(len(cols)), key=cols.__getitem__)  # the inverse permutation
     basis = [[v[k] for k in back] for v in kernel]
-    series = _element_series(curve, i, elts, -m_max, high)
+    series = _element_series(curve, i, elts, basis, -m_max, high)
     return elts, basis, [_combine(b, series) for b in basis]
 
 
@@ -176,7 +181,7 @@ def f_sections(curve: CurveModel, weights: dict, i: str, m: int, tail: int = 6) 
     expansions = {}
     for pid in curve.point_ids():
         low = -m if pid == i else -weights.get(pid, 0)
-        expansions[pid] = _combine(fn.coords, _element_series(curve, pid, elts, low, tail))
+        expansions[pid] = _combine(fn.coords, _element_series(curve, pid, elts, [fn.coords], low, tail))
     return Section(i, m, fn, expansions)
 
 
@@ -214,13 +219,10 @@ def alpha_beta(curve: CurveModel, i: str = "p0", j: str = "p1",
         raise ValidationError("the second point must carry weight >= 1")
     elts, basis, expansions = _regular_basis(curve, weights, i, g + 1, 1)
     _, expansions = _canonicalise(weights, i, g + 1, expansions, g + 4)
+    fns = [_function(curve, elts, basis, _solve_section(weights, i, m, expansions, g + 4)) for m in (g, g + 1)]
     # the expansions at p_j need no parameter change: only p_i's moves
-    at_j = _element_series(curve, j, elts, -weights[j], 1)
-    out = []
-    for m in (g, g + 1):
-        fn = _function(curve, elts, basis, _solve_section(weights, i, m, expansions, g + 4))
-        out.append(_combine(fn.coords, at_j).coefficient(-1))
-    return tuple(out)
+    at_j = _element_series(curve, j, elts, [fn.coords for fn in fns], -weights[j], 1)
+    return tuple(_combine(fn.coords, at_j).coefficient(-1) for fn in fns)
 
 
 def rescale_tangent(curve: CurveModel, point_id: str, factor) -> CurveModel:

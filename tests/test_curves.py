@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from nsc.curves import (
     MarkedPoint,
     SingularPoint,
     _elt_expansion,
-    _span_contains,
+    _span_info,
     _validate_cached,
     arithmetic_genus,
     delta_invariant,
@@ -23,6 +24,7 @@ from nsc.curves import (
     validate,
 )
 from nsc.errors import ValidationError
+import curves_reference as curves_ref
 import sections_reference as ref
 from nsc.zoo import ZOO_IDS, cusp, deep_cusp, glued_cusps, node, zoo
 
@@ -125,6 +127,73 @@ def test_validate_rejects_marked_on_branch_point():
         validate(CurveModel(("c0",), (cusp("c0", Fraction(0)),), (mp(0),)))
 
 
+def test_validate_requires_exact_points_and_tangents():
+    # an inexact point or tangent would pass validation and make an expansion
+    # fail later, on a value the caller never gave
+    q = Fraction
+    cases = [
+        ((MarkedPoint("c0", q(5), 2), MarkedPoint("c0", q(7), q(1))), "marked point tangent 2 must be a Fraction"),
+        ((MarkedPoint("c0", 5, q(1)), MarkedPoint("c0", 7, q(1))), "marked point 5 on c0 must be a Fraction or inf"),
+        ((MarkedPoint("c0", 5.0, q(1)), MarkedPoint("c0", q(7), q(1))),
+         "marked point 5.0 on c0 must be a Fraction or inf"),
+        ((MarkedPoint("c0", q(5), 0.5), MarkedPoint("c0", q(7), q(1))), "marked point tangent 0.5 must be a Fraction"),
+    ]
+    # each curve equals an exact one validated first, which the value-keyed
+    # cache holds
+    for marked, message in cases:
+        zoo("Ia", marked=tuple(MarkedPoint(m.component, q(m.point), q(m.tangent)) for m in marked))
+        with pytest.raises(ValidationError) as exc:
+            zoo("Ia", marked=marked)
+        assert str(exc.value) == message
+    validate(CurveModel(("c0",), (cusp("c0", q(0)),), ()))
+    with pytest.raises(ValidationError, match=r"^branch point 0 on c0 must be a Fraction or inf$"):
+        validate(CurveModel(("c0",), (cusp("c0", 0),), ()))
+
+
+def random_singular_curve(rng):
+    """One singular point on one or several lines: 1-3 branches, jet order
+    1-6, conductor 0..k+1, a basis of dense random rows or of unit jets,
+    half of the time padded with the constants and the conductor tail."""
+    B, k = rng.randint(1, 3), rng.randint(1, 6)
+    c, width = rng.randint(0, k + 1), B * k
+    if rng.random() < 0.5:
+        entries = [Fraction(0)] * 3 + [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)]
+        basis = [[rng.choice(entries) for _ in range(width)] for _ in range(rng.randint(0, width))]
+    else:
+        basis = [[Fraction(s == t) for s in range(width)] for t in rng.sample(range(width), rng.randint(0, width))]
+    if rng.random() < 0.5:
+        pad = [[Fraction(s % k == 0) for s in range(width)]]
+        pad += [[Fraction(s == b * k + d) for s in range(width)] for b in range(B) for d in range(c, k)]
+        basis = basis[:max(0, width - len(pad))] + pad
+    if rng.random() < 0.5:
+        comps, branches = ("c0",), tuple(Branch("c0", Fraction(b)) for b in range(B))
+    else:
+        comps = tuple(f"c{b}" for b in range(B))
+        branches = tuple(Branch(comp, Fraction(0)) for comp in comps)
+    sing = SingularPoint(branches, k, c, tuple(map(tuple, basis)))
+    return CurveModel(comps, (sing,), (MarkedPoint("c0", INF),))
+
+
+def test_validate_matches_the_reference_on_random_singular_points():
+    def outcome(check, curve):
+        try:
+            check(curve)
+            return "valid"
+        except ValidationError as exc:
+            return str(exc)
+
+    rng = random.Random(20261019)
+    seen = Counter()
+    for _ in range(6000):
+        curve = random_singular_curve(rng)
+        got = outcome(validate, curve)
+        assert got == outcome(curves_ref._validate_cached, curve), curve
+        seen[got.split(":")[0]] += 1
+    for kind in ("valid", "missing constants", "conductor violation", "non-subalgebra span",
+                 "singularity does not glue its branches into one point"):
+        assert seen[kind] >= 40, (kind, seen[kind])
+
+
 def validate_lookups():
     info = _validate_cached.cache_info()
     return info.hits + info.misses
@@ -214,7 +283,8 @@ def test_span_membership_against_bruteforce():
                 jet = [x + c * y for x, y in zip(jet, v)]
             if trial % 2:
                 jet[rng.randrange(width)] += rng.choice((-2, -1, 1, Fraction(1, 2)))
-            assert _span_contains(sing, jet) == (brute_rank(basis + [jet]) == r)
+            killed = not any(sum(x * jet[s] for s, x in phi) for phi in _span_info(sing, sing.jet_order))
+            assert killed == (brute_rank(basis + [jet]) == r)
 
 
 def test_delta_against_bruteforce_at_deeper_jets():
