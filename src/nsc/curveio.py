@@ -16,11 +16,13 @@ ascending.  Divisor strings follow  INT "*" POINT_ID ("+"|"-" ...)  as in
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 
 from .curves import (
     INF,
+    SPEC_CACHE_SIZE,
     Branch,
     CurveModel,
     Divisor,
@@ -114,12 +116,20 @@ def curve_to_jsonable(curve: CurveModel) -> dict:
 
 
 def load_curve(path: str) -> CurveModel:
+    """The spec file's validated curve; equal texts give one CurveModel object."""
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
-    return curve_from_jsonable(doc)
+        text = fh.read()
+    try:
+        return _curve_from_text(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
+
+
+# keyed on the text, not the path: an edited file parses afresh, a JSON error
+# names the path that failed, and an invalid spec raises and stores nothing
+@functools.lru_cache(maxsize=SPEC_CACHE_SIZE)
+def _curve_from_text(text: str) -> CurveModel:
+    return curve_from_jsonable(json.loads(text))
 
 
 def dump_curve(curve: CurveModel, path: str) -> None:

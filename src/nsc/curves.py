@@ -25,6 +25,7 @@ fraction basis {1} + {(t-a)^-j} + {t^j at infinity}.
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -77,13 +78,15 @@ class Branch:
 # (Python 3.11, one core of a shared x86-64 host).
 MAX_JET_WIDTH = 64
 
-# Bounds on the three module caches, so a long-lived process does not grow
+# Bounds on the four module caches, so a long-lived process does not grow
 # them without limit.  Each is above the working set of a benchmark round:
-# 32, 102 and 2,112 entries on the seeded CLI queries, 11, 13 and 413 on the
+# 32, 102, 2,112 and 48 entries on the seeded CLI queries (the last the spec
+# texts curveio.load_curve interns), 11, 13, 413 and 0 on the
 # canonical-parameter jobs.
 SPAN_CACHE_SIZE = 256
 VALIDATE_CACHE_SIZE = 512
 EXPANSION_CACHE_SIZE = 4096
+SPEC_CACHE_SIZE = 128
 
 
 def check_jet_width(branches: int, jet_order: int) -> None:
@@ -135,8 +138,8 @@ class CurveModel:
 
     # one cache lookup per object, whose hit compares the whole model with the
     # cached key; an invalid curve stores nothing and raises on every call.
-    # The key compares 5 and 5.0 equal to Fraction(5), so the points and
-    # tangents are checked to be exact here, on every object.
+    # The key compares 5 and 5.0 equal to Fraction(5), so points, tangents and
+    # basis entries are checked to be exact here, on every object.
     @functools.cached_property
     def _valid(self):
         points = [("branch point", br) for sing in self.singularities for br in sing.branches]
@@ -146,6 +149,10 @@ class CurveModel:
         for mp in self.marked_points:
             if not isinstance(mp.tangent, Fraction):
                 raise ValidationError(f"marked point tangent {mp.tangent!r} must be a Fraction")
+        for sing in self.singularities:
+            if not set(map(type, itertools.chain.from_iterable(sing.algebra_basis))) <= {int, Fraction}:
+                x = next(x for v in sing.algebra_basis for x in v if type(x) not in (int, Fraction))
+                raise ValidationError(f"algebra basis entry {x!r} must be an int or a Fraction")
         return _validate_cached(self)
 
     def point_ids(self):
@@ -528,9 +535,15 @@ def h0(curve: CurveModel, divisor: Divisor) -> H0Result:
     return H0Result(len(kernel), tuple(FunctionOnCurve(curve, elts, v) for v in kernel))
 
 
+def _h0_dimension(curve: CurveModel, divisor: Divisor) -> int:
+    """h0(curve, divisor).dimension, read from one rank: no kernel, no basis."""
+    elts, rows = constraints(curve, divisor)
+    return len(elts) - linalg.rank(rows)
+
+
 def h1(curve: CurveModel, divisor: Divisor) -> int:
     """Defined through Riemann-Roch: h1 = h0 - deg - 1 + arithmetic genus."""
-    value = h0(curve, divisor).dimension - divisor.degree() - 1 + arithmetic_genus(curve)
+    value = _h0_dimension(curve, divisor) - divisor.degree() - 1 + arithmetic_genus(curve)
     if value < 0:
         raise InternalInconsistencyError(
             f"negative h1 = {value} for divisor {divisor.items}: bug in the solver"

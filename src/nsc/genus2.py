@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curves import CurveModel, Divisor, arithmetic_genus, h0, validate
+from .curves import CurveModel, Divisor, _h0_dimension, arithmetic_genus, validate
 from .errors import CohomologyError, InternalInconsistencyError, ValidationError
 from .laurent import LaurentSeries
 from .multipoly import MultiPoly, PolyRing, poly_reduce, s_polynomial
@@ -457,7 +457,7 @@ def fit_parameters(curve: CurveModel, point_id: str, tangent=None) -> G2Params:
     if tangent is not None:
         curve = rescale_tangent(curve, point_id, tangent)
     pid = f"p{curve.point_index(point_id)}"
-    if h0(curve, Divisor.of({pid: 2})).dimension != 1:
+    if _h0_dimension(curve, Divisor.of({pid: 2})) != 1:
         raise CohomologyError(
             "marked point is a Weierstrass-type point: h1(2p) != 0, no fit exists"
         )

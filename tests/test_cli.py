@@ -144,8 +144,10 @@ def test_curve_usage_errors(tmp_path, capsys):
     code, _ = run_cli(capsys, "curve", "genus", str(bad))
     assert code == 2
     # fitting at the special point at infinity is an input error
-    code, _ = run_cli(capsys, "curve", "fit", str(c0), "--point", "pinf")
-    assert code == 2
+    code, doc = run_json(capsys, "curve", "fit", str(c0), "--point", "pinf")
+    assert code == 2 and doc == {
+        "diagnostics": ["marked point is a Weierstrass-type point: h1(2p) != 0, no fit exists"],
+        "payload": None, "status": "error"}
 
 
 @pytest.mark.parametrize("option, value, limit", [

@@ -1,9 +1,11 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
 
 from nsc.curveio import (
+    _curve_from_text,
     curve_from_jsonable,
     curve_to_jsonable,
     dump_curve,
@@ -11,7 +13,7 @@ from nsc.curveio import (
     parse_divisor,
     parse_point,
 )
-from nsc.curves import INF, Divisor
+from nsc.curves import INF, SPEC_CACHE_SIZE, Divisor, arithmetic_genus
 from nsc.errors import ValidationError
 from nsc.rational import format_rational, parse_rational
 from nsc.zoo import ZOO_IDS, zoo
@@ -109,7 +111,7 @@ def test_equal_curves_loaded_twice_share_one_validation_entry(tmp_path):
     path = tmp_path / "ccusp7.json"
     dump_curve(zoo("ccusp7"), str(path))
     first, second = load_curve(str(path)), load_curve(str(path))
-    assert first is not second and first == second
+    assert first is second and first == second
     assert hash(first) == hash(second)
     assert hash(first.singularities[0]) == hash(second.singularities[0])
     validate(first)
@@ -117,3 +119,53 @@ def test_equal_curves_loaded_twice_share_one_validation_entry(tmp_path):
     validate(second)
     assert _validate_cached.cache_info().currsize == size
     assert {first: 1}[second] == 1
+
+
+def test_equal_bytes_load_as_one_curve(tmp_path):
+    # the text is the key, not the path
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    dump_curve(zoo("Ib"), str(a))
+    b.write_bytes(a.read_bytes())
+    assert load_curve(str(a)) is load_curve(str(b)) is load_curve(str(a))
+
+
+def test_rewritten_file_loads_the_new_curve(tmp_path):
+    path = tmp_path / "spec.json"
+    dump_curve(zoo("ccusp3"), str(path))
+    assert arithmetic_genus(load_curve(str(path))) == 3
+    dump_curve(zoo("ccusp4"), str(path))
+    assert load_curve(str(path)) == zoo("ccusp4")
+    assert arithmetic_genus(load_curve(str(path))) == 4
+
+
+def test_invalid_spec_raises_on_every_load_and_is_not_cached(tmp_path):
+    path = tmp_path / "disconnected.json"
+    path.write_text(json.dumps({"components": ["c0", "c1"], "singularities": [], "marked": []}))
+    _curve_from_text.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="^disconnected curve$"):
+            load_curve(str(path))
+    info = _curve_from_text.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (0, 0, 2)
+
+
+def test_malformed_json_names_the_path_of_each_load(tmp_path):
+    paths = [tmp_path / "first.json", tmp_path / "second.json"]
+    for path in paths + paths:
+        path.write_text("{not json")
+        with pytest.raises(ValidationError, match=f"^invalid JSON in {re.escape(str(path))}: "):
+            load_curve(str(path))
+
+
+def test_spec_cache_is_bounded(tmp_path):
+    # more distinct texts than the cache holds (the same curve, padded with
+    # whitespace): it stays at its bound, and an evicted text loads again
+    # to an equal curve
+    path = tmp_path / "spec.json"
+    text = json.dumps(curve_to_jsonable(zoo("Ia")))
+    for n in range(SPEC_CACHE_SIZE + 8):
+        path.write_text(text + " " * n)
+        load_curve(str(path))
+    assert _curve_from_text.cache_info().currsize == SPEC_CACHE_SIZE
+    path.write_text(text)
+    assert load_curve(str(path)) == zoo("Ia")

@@ -150,6 +150,23 @@ def test_validate_requires_exact_points_and_tangents():
         validate(CurveModel(("c0",), (cusp("c0", 0),), ()))
 
 
+def test_validate_requires_exact_algebra_basis_entries():
+    # the value-keyed cache compares 1.0 equal to Fraction(1): an inexact
+    # entry is rejected with a cold cache and after its exact twin is cached
+    def cusp_curve(one, at):
+        basis = ((one, 0, 0, 0), (0, 0, Fraction(1), 0), (0, 0, 0, Fraction(1)))
+        return CurveModel(("c0",), (SingularPoint((Branch("c0", at),), 4, 2, basis),), ())
+
+    for twin_first, at in ((False, Fraction(-11, 13)), (True, Fraction(-12, 13))):
+        if twin_first:
+            validate(cusp_curve(Fraction(1), at))
+        for one in (1.0, True):
+            with pytest.raises(ValidationError) as exc:
+                validate(cusp_curve(one, at))
+            assert str(exc.value) == f"algebra basis entry {one!r} must be an int or a Fraction"
+        assert validate(cusp_curve(1, at))
+
+
 def random_singular_curve(rng):
     """One singular point on one or several lines: 1-3 branches, jet order
     1-6, conductor 0..k+1, a basis of dense random rows or of unit jets,
@@ -459,6 +476,21 @@ def test_riemann_roch_against_corank_oracle():
             lhs = h0(cur, div).dimension - h1_corank(cur, div)
             assert lhs == div.degree() + 1 - g
             assert h1(cur, div) == h1_corank(cur, div)
+
+
+def test_h1_rank_route_matches_the_h0_basis_route():
+    # h1 reads h0's dimension from one rank of the constraint rows, h0 from
+    # its kernel basis: Riemann-Roch through either gives the same h1, also
+    # through id aliases, "pinf" beside its canonical id included
+    cases = [(zoo(case), ("p0", "p1")) for case in ZOO_IDS]
+    cases += [(zoo("IIc-C0"), ("p0", "pinf")), (zoo("IIc-C0"), ("pinf", "p1"))]
+    cases += [(zoo(f"ccusp{a}"), ("pinf", "p1")) for a in range(1, 13)]
+    for cur, (i, j) in cases:
+        g = arithmetic_genus(cur)
+        for n0 in range(-1, 7):
+            for n1 in range(-1, 7):
+                d = Divisor.of({i: n0, j: n1})
+                assert h1(cur, d) == h0(cur, d).dimension - d.degree() - 1 + g, (cur, d)
 
 
 def test_h0_monotone_under_divisor_growth():

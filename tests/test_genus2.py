@@ -379,7 +379,8 @@ def test_fit_rejects_weierstrass_point():
     from nsc.errors import CohomologyError
 
     cur = zoo("IIc-C0")  # p1 at infinity is the special point
-    with pytest.raises(CohomologyError):
+    message = r"^marked point is a Weierstrass-type point: h1\(2p\) != 0, no fit exists$"
+    with pytest.raises(CohomologyError, match=message):
         fit_parameters(cur, "p1")
 
 
