@@ -10,18 +10,21 @@ Spec documents look like
 
 Points and scalars are decimal-free rational literals "p/q" or "inf";
 algebra basis vectors list jet coefficients branch by branch, degree
-ascending.  Divisor strings follow  INT "*" POINT_ID ("+"|"-" ...)  as in
-"2*p0" or "3*p1-1*p0", with |multiplicity| <= MAX_MULTIPLICITY at each point.
+ascending.  A spec file is at most MAX_SPEC_BYTES long.  Divisor strings
+follow  INT "*" POINT_ID ("+"|"-" ...)  as in "2*p0" or "3*p1-1*p0", with
+|multiplicity| <= MAX_MULTIPLICITY at each point.
 """
 
 from __future__ import annotations
 
 import functools
+import io
 import json
 import re
 
 from .curves import (
     INF,
+    MAX_SPEC_BYTES,
     SPEC_CACHE_SIZE,
     Branch,
     CurveModel,
@@ -116,19 +119,27 @@ def curve_to_jsonable(curve: CurveModel) -> dict:
 
 
 def load_curve(path: str) -> CurveModel:
-    """The spec file's validated curve; equal texts give one CurveModel object."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """The spec file's validated curve; equal files give one CurveModel object.
+
+    At most MAX_SPEC_BYTES + 1 bytes are read, and a longer file is rejected
+    before anything is parsed."""
+    with open(path, "rb") as fh:
+        data = fh.read(MAX_SPEC_BYTES + 1)
+    _require(len(data) <= MAX_SPEC_BYTES,
+             f"spec file {path} is out of range: the limit is {MAX_SPEC_BYTES} bytes")
     try:
-        return _curve_from_text(text)
+        return _curve_from_text(data)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
 
 
-# keyed on the text, not the path: an edited file parses afresh, a JSON error
-# names the path that failed, and an invalid spec raises and stores nothing
+# keyed on the file's bytes, not the path: an edited file parses afresh, a
+# JSON error names the path that failed, and an invalid spec raises and
+# stores nothing.  The bytes are decoded as open(path, encoding="utf-8")
+# would decode them, newlines translated.
 @functools.lru_cache(maxsize=SPEC_CACHE_SIZE)
-def _curve_from_text(text: str) -> CurveModel:
+def _curve_from_text(data: bytes) -> CurveModel:
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     return curve_from_jsonable(json.loads(text))
 
 

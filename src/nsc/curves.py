@@ -19,7 +19,14 @@ smooth points thus become finite exact linear algebra over Q.
 
 Global functions are tuples of rational functions, one per component, with
 poles confined to the marked points; they are represented on the partial
-fraction basis {1} + {(t-a)^-j} + {t^j at infinity}.
+fraction basis {1} + {(t-a)^-j} + {t^j at infinity}, the ambient elements.
+
+A curve object keeps, for as long as it lives, its genus and the column of
+every condition's value on each ambient element asked of it, so a curve
+asked many questions (a spec curve interned by curveio.load_curve) evaluates
+each condition on each element once.  The memo is per object, not a module
+cache keyed on (point, element): a hit there would compare each freshly
+built equal point with its key, entry by entry of its algebra basis.
 """
 
 from __future__ import annotations
@@ -81,12 +88,29 @@ MAX_JET_WIDTH = 64
 # Bounds on the four module caches, so a long-lived process does not grow
 # them without limit.  Each is above the working set of a benchmark round:
 # 32, 102, 2,112 and 48 entries on the seeded CLI queries (the last the spec
-# texts curveio.load_curve interns), 11, 13, 413 and 0 on the
+# files curveio.load_curve interns), 11, 13, 413 and 0 on the
 # canonical-parameter jobs.
 SPAN_CACHE_SIZE = 256
 VALIDATE_CACHE_SIZE = 512
 EXPANSION_CACHE_SIZE = 4096
 SPEC_CACHE_SIZE = 128
+
+# The largest spec file curveio.load_curve reads.  The widest dense spec that
+# validates, 63 basis vectors on two branches of jet order 32 written by
+# curveio.dump_curve, takes 78,914 bytes with two-digit fractions and 87,025
+# with three-digit ones; the limit leaves three times that.  The spec cache
+# thus keeps at most SPEC_CACHE_SIZE x MAX_SPEC_BYTES = 32 MiB of file bytes
+# as its keys, besides the curves they parse to.
+MAX_SPEC_BYTES = 256 * 1024
+
+# Besides these, each CurveModel keeps the jet-condition columns of the
+# ambient elements asked of it (_jet_columns) for as long as the object
+# lives: a spec curve interned by curveio.load_curve, or the first curve of
+# each value, which _validate_cached keeps as its key.  A curve's columns
+# number at most the elements of the largest divisor asked of it, one
+# constant per component and one pole per order at each marked point (the
+# command line bounds the orders by curveio.MAX_MULTIPLICITY and by
+# cli.MAX_M_MAX plus the weights), each one value per jet condition.
 
 
 def check_jet_width(branches: int, jet_order: int) -> None:
@@ -135,6 +159,17 @@ class CurveModel:
     @functools.cached_property
     def _hash(self):
         return hash((self.components, self.singularities, self.marked_points))
+
+    # ambient element -> the values of every singular point's jet conditions
+    # on it, the points in order; _jet_rows fills it
+    @functools.cached_property
+    def _jet_columns(self):
+        return {}
+
+    @functools.cached_property
+    def _genus(self):
+        conditions = sum(len(_span_info(sing, sing.jet_order)) for sing in self.singularities)
+        return conditions - (len(self.components) - 1)
 
     # one cache lookup per object, whose hit compares the whole model with the
     # cached key; an invalid curve stores nothing and raises on every call.
@@ -368,8 +403,7 @@ def delta_invariant(curve: CurveModel, sing: SingularPoint, jet_order: int | Non
 
 def arithmetic_genus(curve: CurveModel) -> int:
     """Sum of delta invariants minus (#components - 1); components are rational."""
-    total = sum(delta_invariant(curve, s) for s in curve.singularities)
-    return total - (len(curve.components) - 1)
+    return curve._genus
 
 
 # ---------------------------------------------------------------------------
@@ -418,19 +452,28 @@ def _elt_expansion(elt, component, point, low: int, high: int) -> tuple:
 
 
 def _jet_rows(curve: CurveModel, elts):
-    """One row per independent jet condition at each singularity."""
-    rows = []
-    for sing in curve.singularities:
-        k = sing.jet_order
-        jets = []
-        for elt in elts:
-            jet = []
-            for br in sing.branches:
-                jet.extend(_elt_expansion(elt, br.component, br.point, 0, k))
-            jets.append(jet)
-        for phi in _span_info(sing, k):
-            rows.append([sum(x * jet[s] for s, x in phi) for jet in jets])
-    return rows
+    """One row per independent jet condition at each singularity.
+
+    Only the columns missing from the curve's memo are computed, each point's
+    conditions read once per call; the rows transpose the columns.  A column
+    enters the memo complete, so threads sharing a curve read whole columns,
+    at worst computing one twice."""
+    memo = curve._jet_columns
+    # a fresh curve's memo is empty, and a lookup hashes each element's point
+    columns = [memo.get(elt) for elt in elts] if memo else [None] * len(elts)
+    missing = [i for i, column in enumerate(columns) if column is None]
+    if missing:
+        new = [[] for _ in missing]
+        for sing in curve.singularities:
+            k = sing.jet_order
+            jets = [[x for br in sing.branches for x in _elt_expansion(elts[i], br.component, br.point, 0, k)]
+                    for i in missing]
+            rows = [[sum(x * jet[s] for s, x in phi) for jet in jets] for phi in _span_info(sing, k)]
+            for column, values in zip(new, zip(*rows)):
+                column.extend(values)
+        for i, column in zip(missing, new):
+            columns[i] = memo[elts[i]] = column
+    return [list(row) for row in zip(*columns)]
 
 
 class FunctionOnCurve:

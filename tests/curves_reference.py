@@ -4,6 +4,9 @@ jet conditions once.  It tests membership in the span one dense jet at a
 time: the all-ones jet, each unit jet of degree >= the conductor, and the
 product, truncated at the jet order, of every pair of basis vectors.  The
 tests compare the package's outcome and error text against it.
+
+Also `_jet_rows` as it was before a curve kept its jet-condition columns:
+every row built afresh, one dot product per (condition, element).
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from nsc.curves import (
     VALIDATE_CACHE_SIZE,
     CurveModel,
     SingularPoint,
+    _elt_expansion,
     _span_info,
     check_jet_width,
     format_point,
@@ -168,3 +172,19 @@ def _constant_block_dimension(sing: SingularPoint) -> int:
     if not cond:
         return B
     return len(linalg.nullspace(cond, ncols=B))
+
+
+def _jet_rows(curve: CurveModel, elts):
+    """One row per independent jet condition at each singularity."""
+    rows = []
+    for sing in curve.singularities:
+        k = sing.jet_order
+        jets = []
+        for elt in elts:
+            jet = []
+            for br in sing.branches:
+                jet.extend(_elt_expansion(elt, br.component, br.point, 0, k))
+            jets.append(jet)
+        for phi in _span_info(sing, k):
+            rows.append([sum(x * jet[s] for s, x in phi) for jet in jets])
+    return rows

@@ -1,9 +1,11 @@
 import json
+import random
 import re
 from fractions import Fraction
 
 import pytest
 
+from nsc.cli import main
 from nsc.curveio import (
     _curve_from_text,
     curve_from_jsonable,
@@ -13,7 +15,17 @@ from nsc.curveio import (
     parse_divisor,
     parse_point,
 )
-from nsc.curves import INF, SPEC_CACHE_SIZE, Divisor, arithmetic_genus
+from nsc.curves import (
+    INF,
+    MAX_SPEC_BYTES,
+    SPEC_CACHE_SIZE,
+    Branch,
+    CurveModel,
+    Divisor,
+    MarkedPoint,
+    SingularPoint,
+    arithmetic_genus,
+)
 from nsc.errors import ValidationError
 from nsc.rational import format_rational, parse_rational
 from nsc.zoo import ZOO_IDS, zoo
@@ -169,3 +181,37 @@ def test_spec_cache_is_bounded(tmp_path):
     assert _curve_from_text.cache_info().currsize == SPEC_CACHE_SIZE
     path.write_text(text)
     assert load_curve(str(path)) == zoo("Ia")
+
+
+def padded_spec(path, size):
+    text = json.dumps(curve_to_jsonable(zoo("Ia")))
+    path.write_text(text + " " * (size - len(text)))
+    assert path.stat().st_size == size
+
+
+def test_a_spec_over_the_size_limit_exits_2_and_is_not_cached(tmp_path, capsys):
+    path = tmp_path / "padded.json"
+    padded_spec(path, MAX_SPEC_BYTES + 1)
+    _curve_from_text.cache_clear()
+    assert main(["curve", "genus", str(path)]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "error"
+    assert doc["diagnostics"] == [f"spec file {path} is out of range: the limit is {MAX_SPEC_BYTES} bytes"]
+    assert _curve_from_text.cache_info().currsize == 0
+
+
+def test_the_largest_admitted_spec_loads(tmp_path):
+    path = tmp_path / "padded.json"
+    padded_spec(path, MAX_SPEC_BYTES)
+    assert load_curve(str(path)) == zoo("Ia")
+    # the widest dense spec that validates, 63 basis vectors of two-digit
+    # fractions on two branches of jet order 32, fits three times over
+    rng = random.Random(2)
+    basis = []
+    for _ in range(63):
+        v = [Fraction(rng.choice((-1, 1)) * rng.randint(10, 99), rng.randint(10, 99)) for _ in range(64)]
+        v[32] = v[0]
+        basis.append(tuple(v))
+    sing = SingularPoint((Branch("c0", Fraction(0)), Branch("c0", Fraction(1))), 32, 32, tuple(basis))
+    dump_curve(CurveModel(("c0",), (sing,), (MarkedPoint("c0", Fraction(5), Fraction(1)),)), str(path))
+    assert 3 * path.stat().st_size < MAX_SPEC_BYTES

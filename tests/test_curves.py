@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 
@@ -16,6 +18,7 @@ from nsc.curves import (
     _span_info,
     _validate_cached,
     arithmetic_genus,
+    constraints,
     delta_invariant,
     h0,
     h1,
@@ -23,6 +26,7 @@ from nsc.curves import (
     nonspecial_check,
     validate,
 )
+from nsc.curveio import curve_from_jsonable, curve_to_jsonable, dump_curve, load_curve
 from nsc.errors import ValidationError
 import curves_reference as curves_ref
 import sections_reference as ref
@@ -491,6 +495,71 @@ def test_h1_rank_route_matches_the_h0_basis_route():
             for n1 in range(-1, 7):
                 d = Divisor.of({i: n0, j: n1})
                 assert h1(cur, d) == h0(cur, d).dimension - d.degree() - 1 + g, (cur, d)
+
+
+def test_jet_rows_from_the_memo_match_a_fresh_build(tmp_path):
+    # an interned spec curve asked its divisors in a seeded order reads its
+    # jet rows from the columns earlier questions left; a newly built equal
+    # curve, with the condition and expansion caches emptied, builds them
+    # afresh one dot product at a time: the same values, of the same types.
+    # Its genus is the sum of its delta invariants, and it starts with no
+    # columns.
+    rng = random.Random(20261019)
+    cases = [(case, ("p0", "p1")) for case in ZOO_IDS]
+    cases += [("IIc-C0", ("p0", "pinf")), ("IIc-C0", ("pinf", "p1"))]
+    cases += [(f"ccusp{a}", ("pinf", "p1")) for a in range(1, 13)]
+    for case, (i, j) in cases:
+        path = tmp_path / f"{case}.json"
+        dump_curve(zoo(case), str(path))
+        warm = load_curve(str(path))
+        assert load_curve(str(path)) is warm
+        divisors = [Divisor.of({i: n0, j: n1}) for n0 in range(-1, 7) for n1 in range(-1, 7)]
+        rng.shuffle(divisors)
+        for d in divisors:
+            elts, rows = constraints(warm, d)
+            _span_info.cache_clear()
+            _elt_expansion.cache_clear()
+            fresh = curve_from_jsonable(curve_to_jsonable(warm))
+            assert fresh is not warm and fresh._jet_columns == {}
+            jet_rows = curves_ref._jet_rows(fresh, elts)
+            assert rows[:len(jet_rows)] == jet_rows, (case, d)
+            assert [list(map(type, r)) for r in rows[:len(jet_rows)]] == \
+                [list(map(type, r)) for r in jet_rows], (case, d)
+            assert constraints(fresh, d) == (elts, rows), (case, d)
+        assert arithmetic_genus(warm) == sum(delta_invariant(warm, s) for s in warm.singularities)
+
+
+def test_threads_sharing_a_curve_read_whole_columns():
+    # four threads ask a fresh curve about overlapping divisors with a short
+    # switch interval, on 20 curves: each gets the rows a single thread gets
+    cur = zoo("ccusp8")
+    divisors = [Divisor.of({"pinf": n0, "p1": n1}) for n0 in range(-1, 7) for n1 in range(-1, 7)]
+    want = [constraints(cur, d) for d in divisors]
+    offsets = (0, 16, 32, 48)
+    got, errors = {}, []
+
+    def ask(fresh, offset):
+        try:
+            for i in range(len(divisors)):
+                k = (i + offset) % len(divisors)
+                got[offset, k] = constraints(fresh, divisors[k])
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            fresh = CurveModel(cur.components, cur.singularities, cur.marked_points)
+            threads = [threading.Thread(target=ask, args=(fresh, offset)) for offset in offsets]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not errors and not any(t.is_alive() for t in threads)
+            assert all(got[offset, k] == want[k] for offset in offsets for k in range(len(divisors)))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_h0_monotone_under_divisor_growth():
