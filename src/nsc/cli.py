@@ -8,8 +8,9 @@ with sorted keys and all numbers as exact rational literals.  Exit codes:
 0 = pass, 1 = mathematical mismatch, 2 = usage or input error, or any
 unexpected exception, reported by its type and message.  Divisor
 multiplicities, `curve canonical --m-max`, the `s-table` genus, m-max and
-j-max, the largest genus of `verify --genus-range`, and a spec's jet width
-and algebra basis size per singular point are bounded (see README).
+j-max, the largest genus of `verify --genus-range`, a spec's jet width and
+algebra basis size per singular point, its algebra basis entries in all and
+its marked points are bounded (see README).
 """
 
 from __future__ import annotations
@@ -66,9 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--genus", type=_int_option, required=True)
     p.add_argument("--m-max", type=_int_option, default=None)
     p.add_argument("--j-max", type=_int_option, default=6)
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", default=True)
-    fmt.add_argument("--table", action="store_true")
+    p.add_argument("--table", action="store_true")
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", required=True, choices=SUITE_NAMES)

@@ -85,6 +85,12 @@ class Branch:
 # (Python 3.11, one core of a shared x86-64 host).
 MAX_JET_WIDTH = 64
 
+# The algebra-basis entries of all singular points of one curve together,
+# and its marked points.  The widest dense point has 63 x 64 = 4,032 entries
+# and ccusp31 2,112; no zoo curve or test marks more than two points.
+MAX_BASIS_ENTRIES = MAX_JET_WIDTH * MAX_JET_WIDTH
+MAX_MARKED_POINTS = 64
+
 # Bounds on the four module caches, so a long-lived process does not grow
 # them without limit.  Each is above the working set of a benchmark round:
 # 32, 102, 2,112 and 48 entries on the seeded CLI queries (the last the spec
@@ -100,7 +106,15 @@ SPEC_CACHE_SIZE = 128
 # curveio.dump_curve, takes 78,914 bytes with two-digit fractions and 87,025
 # with three-digit ones; the limit leaves three times that.  The spec cache
 # thus keeps at most SPEC_CACHE_SIZE x MAX_SPEC_BYTES = 32 MiB of file bytes
-# as its keys, besides the curves they parse to.
+# as its keys, besides the curves they parse to.  Those are bounded by
+# MAX_BASIS_ENTRIES and MAX_MARKED_POINTS: at both bounds (one point of 64 x
+# 64 entries, 64 marked points) a curve holds 0.27 MB of objects with
+# one-digit entries and 0.57 MB with 28-digit ones, the longest that fit in
+# the file, so at most about 74 MB at SPEC_CACHE_SIZE.  Resident memory grew
+# by 0.32, 0.54 and 0.90 MB a spec with one-, two- and three-digit entries,
+# the rest being what validation's elimination leaves in the allocator.
+# Before these bounds, a 249 KB spec of 15 whole jet spaces of order 64
+# kept 3.6 MB, and one of 5,000 marked points 1.8 MB.
 MAX_SPEC_BYTES = 256 * 1024
 
 # Besides these, each CurveModel keeps the jet-condition columns of the
@@ -382,6 +396,14 @@ def _validate_cached(curve: CurveModel) -> bool:
         roots = {find(c) for c in curve.components}
         if len(roots) != 1:
             raise ValidationError("disconnected curve")
+
+    entries = sum(len(v) for sing in curve.singularities for v in sing.algebra_basis)
+    if entries > MAX_BASIS_ENTRIES:
+        raise ValidationError(f"{entries} algebra basis entries in all is out of range: "
+                              f"the limit is {MAX_BASIS_ENTRIES}")
+    if len(curve.marked_points) > MAX_MARKED_POINTS:
+        raise ValidationError(f"{len(curve.marked_points)} marked points is out of range: "
+                              f"the limit is {MAX_MARKED_POINTS}")
     return True
 
 

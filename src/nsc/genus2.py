@@ -7,12 +7,14 @@ relations are those of one normalized presentation, written once in
 `normal_presentation`: the relations, the symbolic solve for the
 inhomogeneous coefficients c1, c2, c3 (`solve_c`) and the fit's closed-form
 check all read it.  Everything here is exact: Buchberger verification of the
-relations, that solve, the (A, B, C) normalization of a general
-presentation, and the fit of the five parameters from a concrete curve via
-its section expansions at the marked point.  The Groebner property is
-certified once, over Q[q] (`buchberger_verify` on the symbolic relations,
-`nsc verify --suite buchberger`); a fit checks its normalized presentation
-against `normal_presentation` at the fitted parameters.
+relations, that solve, and the fit of the five parameters from a concrete
+curve via its section expansions f, h, k at the marked point.  The fit's
+(A, B, C) normalization acts on those series: it reads the gauge off their
+presentation, moves them to the normalized generators and reads the
+presentation again.  The Groebner property is certified once, over Q[q]
+(`buchberger_verify` on the symbolic relations, `nsc verify --suite
+buchberger`); a fit checks its normalized presentation against
+`normal_presentation` at the fitted parameters.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .curves import CurveModel, Divisor, _h0_dimension, arithmetic_genus, valida
 from .errors import CohomologyError, InternalInconsistencyError, ValidationError
 from .laurent import LaurentSeries
 from .multipoly import MultiPoly, PolyRing, poly_reduce, s_polynomial
-from .sections import _combine, _normalize_weights, _regular_basis, _solve_section, rescale_tangent
+from .sections import _combine, _normalize_weights, _regular_basis, _solve_section
 
 Q_VARIABLES = ("q1", "q20", "q21", "q30", "q31")
 Q_WEIGHTS = (4, 5, 2, 6, 3)
@@ -175,9 +177,6 @@ class GeneralPresentation:
     def ring(self):
         return self.p1.ring
 
-    def astuple(self):
-        return (self.p1, self.p2, self.p3, self.q1, self.q2, self.q3, self.c1, self.c2, self.c3)
-
     def relations(self) -> G2Relations:
         """The presentation as vanishing polynomials in Q[...][k, h, f]."""
         ring = relation_ring(self.ring.base)
@@ -230,54 +229,6 @@ def normal_presentation(params: G2Params, c=None) -> GeneralPresentation:
     if c is None:
         c = (2 * q1 * q1 + f * q2, f * q3 + q1 * q2, q2 * q2 - 2 * q1 * q3)
     return GeneralPresentation(f, -q1, ring.zero(), q1, q2, q3, *c)
-
-
-def transform_presentation(pres: GeneralPresentation, A: MultiPoly, B, C: MultiPoly,
-                           shift) -> GeneralPresentation:
-    """Presentation in the generators h + A(f), k + B h + C(f), f + shift.
-
-    A and C have degree <= 1, B and shift are scalars.  The new relation
-    polynomials are unimodular combinations of the old ones, so the presented
-    algebra is unchanged.
-    """
-    ring = pres.ring
-    B = ring.coerce_coeff(B)
-    p1, p2, p3, q1, q2, q3, c1, c2, c3 = pres.astuple()
-    if _deg(A) > 1 or _deg(C) > 1:
-        raise ValidationError("A and C must have degree <= 1")
-
-    nq1 = q1 + 2 * A - B * p1
-    nc1 = c1 + A * A - p1 * C - A * nq1
-    np2 = p2 + B * p1 + A
-    nq2 = q2 + B * q1 + C - B * p2 - B * B * p1
-    nc2 = c2 + B * c1 + A * C - C * np2 - A * nq2
-    np3 = p3 + B * B * p1 + 2 * B * p2 + 2 * C
-    nq3 = q3 + B * B * q1 + 2 * B * q2 - B * p3 - B * B * B * p1 - 2 * B * B * p2
-    nc3 = c3 + B * B * c1 + 2 * B * c2 + C * C - C * np3 - A * nq3
-
-    shifted = ring.var("f") - ring.const(shift)
-    return GeneralPresentation(*(p.substitute({"f": shifted})
-                                 for p in (p1, np2, np3, nq1, nq2, nq3, nc1, nc2, nc3)))
-
-
-def normalize_presentation(pres: GeneralPresentation):
-    """Fix the gauge: p3 = 0, p2 = -q1 constant, p1 = f.
-
-    Returns (normalized, (A, B, C, shift)).  Needs 6 invertible, which holds
-    over Q.
-    """
-    ring = pres.ring
-    third = Fraction(1, 3)
-    half = Fraction(1, 2)
-    A = (pres.q1 + pres.p2) * (-third)
-    B = (_fcoeff(pres.q1, 1) - 2 * _fcoeff(pres.p2, 1)) * third
-    Bc = ring.coerce_coeff(B)
-    C = pres.p3 * (-half) - pres.p1 * (Bc * Bc) * half - pres.p2 * Bc
-    shift = _fcoeff(pres.p1, 0)  # the transform leaves p1 as it is
-    normalized = transform_presentation(pres, A, B, C, shift)
-    if not normalized.is_normalized():
-        raise InternalInconsistencyError("normalization postconditions failed")
-    return normalized, (A, B, C, shift)
 
 
 # ---------------------------------------------------------------------------
@@ -411,39 +362,53 @@ def presentation_from_series(sf: LaurentSeries, sh: LaurentSeries, sk: LaurentSe
     return GeneralPresentation(*(x for column in zip(*rows) for x in column))
 
 
-def section_series(curve: CurveModel, point_id: str, tail: int = 24):
+# The section series are known below u^24: the pole-10 product k^2 is then
+# known through u^18.  A residual that vanishes through u^0 is already zero
+# as a function (it has no pole and vanishes at the marked point); the terms
+# beyond check the expansions themselves.
+_SECTION_TAIL = 24
+
+
+def section_series(curve: CurveModel, point_id: str):
     """Expansions of the degree 3, 4, 5 section generators at the marked point,
     solved over one basis of the regular functions."""
     pid = f"p{curve.point_index(point_id)}"
     validate(curve)
     weights = _normalize_weights(curve, {pid: 2})
-    _, _, expansions = _regular_basis(curve, weights, pid, 5, tail)
+    _, _, expansions = _regular_basis(curve, weights, pid, 5, _SECTION_TAIL)
     return tuple(_combine(_solve_section(weights, pid, m, expansions, None), expansions) for m in (3, 4, 5))
 
 
-def _at_series(p: MultiPoly, series: tuple) -> LaurentSeries:
-    """p evaluated at one series per ring variable, the f series last (both
-    (k, h, f) and (f,) end in f).  Each term is its coefficient as a
-    1 + O(u^cut) monomial, cut that of the f series, times the powers."""
-    sf = series[-1]
-    acc = LaurentSeries.zero(sf.var, cut=sf.cut)
-    for exps, coeff in p.terms.items():
-        term = LaurentSeries.monomial(sf.var, 0, Fraction(coeff), cut=sf.cut)
-        for s, e in zip(series, exps):
-            term = term * s.pow(e)
-        acc = acc + term
-    return acc
+def normalize_presentation(sf: LaurentSeries, sh: LaurentSeries, sk: LaurentSeries) -> GeneralPresentation:
+    """The normalized presentation of the series f, h, k: p3 = 0, p2 = -q1
+    constant, p1 = f.
+
+    The gauge is read off their presentation: A = -(q1 + p2)/3,
+    B = (q1[f] - 2 p2[f])/3, C = -p3/2 - B^2 p1/2 - B p2 and shift = p1(0).
+    The series move to F = f + shift, H = h + A(f), K = k + B h + C(f), and
+    the presentation is read again.  The span monomials F^a H^b K^c have the
+    pole orders and lead coefficients of f^a h^b k^c, so the coordinates of
+    H^2, HK and K^2 on them are unique, and the second read checks that the
+    normalized relations vanish on F, H, K through the window.  Needs 6
+    invertible, which holds over Q.
+    """
+    pres = presentation_from_series(sf, sh, sk)
+    p1, p2, p3, q1 = ((_fcoeff(p, 0), _fcoeff(p, 1)) for p in (pres.p1, pres.p2, pres.p3, pres.q1))
+    B = (q1[1] - 2 * p2[1]) / 3
+    A = [-(x + y) / 3 for x, y in zip(q1, p2)]
+    C = [-z / 2 - x * B * B / 2 - y * B for x, y, z in zip(p1, p2, p3)]
+    one = LaurentSeries.monomial(sf.var, 0, 1, cut=sf.cut)
+    normalized = presentation_from_series(
+        sf + one.scale(p1[0]),
+        sh + one.scale(A[0]) + sf.scale(A[1]),
+        sk + sh.scale(B) + one.scale(C[0]) + sf.scale(C[1]),
+    )
+    if not normalized.is_normalized():
+        raise InternalInconsistencyError("normalization postconditions failed")
+    return normalized
 
 
-def _normalized_fit(curve: CurveModel, pid: str):
-    """The section series at pid, and the normalized presentation read off
-    them with its gauge (A, B, C, shift)."""
-    series = section_series(curve, pid)
-    normalized, gauge = normalize_presentation(presentation_from_series(*series))
-    return series, normalized, gauge
-
-
-def fit_parameters(curve: CurveModel, point_id: str, tangent=None) -> G2Params:
+def fit_parameters(curve: CurveModel, point_id: str) -> G2Params:
     """Compute the five parameter values of a genus-2 curve at a non-Weierstrass
     marked point; the normalized presentation must equal
     normal_presentation(params).  No Groebner check runs per fit, as none
@@ -454,27 +419,13 @@ def fit_parameters(curve: CurveModel, point_id: str, tangent=None) -> G2Params:
     validate(curve)
     if arithmetic_genus(curve) != 2:
         raise ValidationError("fit requires an arithmetic genus 2 curve")
-    if tangent is not None:
-        curve = rescale_tangent(curve, point_id, tangent)
     pid = f"p{curve.point_index(point_id)}"
     if _h0_dimension(curve, Divisor.of({pid: 2})) != 1:
         raise CohomologyError(
             "marked point is a Weierstrass-type point: h1(2p) != 0, no fit exists"
         )
-    _, normalized, _ = _normalized_fit(curve, pid)
+    normalized = normalize_presentation(*section_series(curve, pid))
     params = normalized.parameters()
     if normalized != normal_presentation(params):
         raise InternalInconsistencyError("normalized c1, c2, c3 disagree with their closed forms")
     return params
-
-
-def fit_relations_vanish(curve: CurveModel, point_id: str) -> bool:
-    """Check that the fitted relations vanish identically on the actual section
-    expansions, rewritten in the normalized generators F = f + shift,
-    H = h + A(f), K = k + B h + C(f)."""
-    (sf, sh, sk), normalized, (A, B, C, shift) = _normalized_fit(curve, f"p{curve.point_index(point_id)}")
-    nsf = sf + LaurentSeries.monomial(sf.var, 0, Fraction(shift), cut=sf.cut)
-    nsh = sh + _at_series(A, (sf,))
-    nsk = sk + sh.scale(Fraction(B)) + _at_series(C, (sf,))
-    return all(_at_series(rel, (nsk, nsh, nsf)).is_known_zero()
-               for rel in universal_relations(normalized.parameters()).relations)

@@ -15,9 +15,6 @@ of the polar-term recursion.  A plain series has w = None.  Sums need equal
 weights, products add them, and a series with no nonzero coefficient takes
 any weight; any other mix raises.
 
-Every power p^n, n = 0 and positive n included, has the one window
-[nv, min(cut, p.cut + (n-1)v)), v the valuation; asked for below nv it is
-the empty window [nv, nv).  A negative power is the inverse raised to -n.
 `series_substitute` advances s through one correction step t = u + eps*u^r,
 given as the pair (eps, r): it expands u^e -> sum_i C(e,i) eps^i
 u^(e + i(r-1)) with the generalized binomial C(e,i), which covers e < 0 too,
@@ -190,6 +187,7 @@ class LaurentSeries:
             return self
         return LaurentSeries._of(self.var, self.low, self.coeffs, self.den, cut, self.w)
 
+    # no caller in the package: kept as perfbench/tracing.py wraps it by name
     def inverse(self, cut: int | None = None) -> "LaurentSeries":
         """Multiplicative inverse on [-v, min(cut, self.cut - 2v)), v the
         valuation; the lowest coefficient must be a unit.
@@ -210,28 +208,6 @@ class LaurentSeries:
         nums = [sign * self.den * x for x in nums]
         w = None if self.w is None else -self.w
         return LaurentSeries._of(self.var, -v, nums, abs(a[0]) ** terms, out_cut, w)
-
-    def pow(self, n: int, cut: int | None = None) -> "LaurentSeries":
-        """self^n on the window [n*v, min(cut, self.cut + (n-1)*v)), v the
-        valuation: exactly what inverting and multiplying |n| copies would
-        know, and for n = 0 what self * self^-1 knows (empty when
-        cut <= n*v).  n = 0 gives 1, a positive n multiplies out, and a
-        negative n raises the inverse, taken on the window that needs, to -n."""
-        v = self.low
-        out_cut = self.cut + (n - 1) * v
-        if cut is not None:
-            out_cut = min(out_cut, cut)
-        if n == 0:
-            return LaurentSeries._of(self.var, 0, [1], 1, out_cut, None if self.w is None else 0)
-        if n < 0:
-            return self.inverse(out_cut - (n + 1) * v).pow(-n, out_cut)
-        out = self
-        for _ in range(n - 1):
-            out = out * self
-            if v >= 0:
-                # sound: a factor of nonnegative valuation keeps the window
-                out = out.truncate(out_cut)
-        return out.truncate(out_cut)
 
     # -- comparison / printing ---------------------------------------------------
 

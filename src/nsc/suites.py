@@ -23,7 +23,7 @@ from .genus2 import (
 )
 from .normalform import closed_form_check
 from .rational import INTEGER, format_rational
-from .sections import alpha_beta
+from .sections import alpha_beta, rescale_tangent
 from .zoo import ZOO_IDS, zoo
 
 SUITE_NAMES = ("closed-forms", "buchberger", "grading", "zoo-genus", "c0", "ab-equivalence")
@@ -82,7 +82,7 @@ def suite_grading():
     degrees_ok = all(r.is_homogeneous(d) for r, d in zip(rels.relations, RELATION_DEGREES))
     cur = zoo("Ia")
     base = fit_parameters(cur, "p0")
-    scaled = fit_parameters(cur, "p0", tangent=Fraction(2))
+    scaled = fit_parameters(rescale_tangent(cur, "p0", Fraction(2)), "p0")
     weights = {"q21": 2, "q31": 3, "q1": 4, "q20": 5, "q30": 6}
     equivariant = {
         name: getattr(scaled, name) == Fraction(2) ** w * getattr(base, name)

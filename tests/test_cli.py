@@ -67,6 +67,8 @@ def test_s_table_usage_errors(capsys):
     assert code == 2
     code, _ = run_cli(capsys, "s-table", "--genus", "3", "--m-max", "3")
     assert code == 2
+    code, _ = run_cli(capsys, "s-table", "--genus", "2", "--json")  # JSON is the default, not an option
+    assert code == 2
 
 
 def test_s_table_table_format(capsys):
@@ -99,6 +101,32 @@ def test_zoo_list_and_emit_round_trip(tmp_path, capsys):
     assert code == 0 and out.exists()
     code, doc = run_json(capsys, "curve", "genus", str(out))
     assert code == 0 and doc["payload"]["genus"] == 2
+
+
+# SHA-256 of the file `zoo emit` writes, per case
+ZOO_EMIT_SHA256 = {
+    "Ia": "a40ebfb38c25e4a3f3c1a777ff7460c4a4d32190cecc646465b1bd61ddd79569",
+    "Ib": "eca06ba09b4a94324a84615e7ac10e2933746d07e9b68097a36d16f748c5881b",
+    "Ic": "c89f72f98d4c7eb2ae5652018b1bcbd6ac9d28e5630e40aaa6ace43acca18cc7",
+    "IIa": "98a97e8963a8cd75764dec184c6cd61847dcb929ee64545c5eac6317840ab1be",
+    "IIb-tacnode": "81753d81c2bc6e949a55203e9e341ebc587bbd95c0b6ed93bbe261753913d452",
+    "IIb-cusp-node": "dac6f6416651a66be863779ab9dbf735e51da2f4f6b842c72267f592c836a536",
+    "IIc-ccusp2": "7ec1da2a58055a7673dc44fefa4e71f7c89c35652663c1a500f620284b1b8b79",
+    "IIc-C0": "8975aa9825d0506dd48f67dc139910f964f641faeec905aa717f5cfd02ddfb86",
+    "ccusp1": "c557d6eded29df8eef313021bdbfaeed6f668babf487c0b1184cf8de8210e521",
+    "ccusp31": "098f3a7ac824f14db105fe4ae39620e0f0936d4456cdc2d7d5fa6d7faba34c47",
+}
+
+
+def test_zoo_emit_bytes_pinned(tmp_path, capsys):
+    from nsc.zoo import ZOO_IDS
+
+    assert set(ZOO_EMIT_SHA256) == {*ZOO_IDS, "ccusp1", "ccusp31"}
+    for case, digest in ZOO_EMIT_SHA256.items():
+        out = tmp_path / f"{case}.json"
+        code, _ = run_cli(capsys, "zoo", "emit", case, str(out))
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, case
 
 
 def test_zoo_emit_unknown_case(capsys, tmp_path):

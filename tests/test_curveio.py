@@ -17,6 +17,8 @@ from nsc.curveio import (
 )
 from nsc.curves import (
     INF,
+    MAX_BASIS_ENTRIES,
+    MAX_MARKED_POINTS,
     MAX_SPEC_BYTES,
     SPEC_CACHE_SIZE,
     Branch,
@@ -215,3 +217,43 @@ def test_the_largest_admitted_spec_loads(tmp_path):
     sing = SingularPoint((Branch("c0", Fraction(0)), Branch("c0", Fraction(1))), 32, 32, tuple(basis))
     dump_curve(CurveModel(("c0",), (sing,), (MarkedPoint("c0", Fraction(5), Fraction(1)),)), str(path))
     assert 3 * path.stat().st_size < MAX_SPEC_BYTES
+
+
+def test_curves_past_the_entry_and_marked_point_bounds_exit_2_and_are_not_cached(tmp_path, capsys):
+    # two specs under the size limit that parse to megabytes: 15 smooth
+    # points of jet order 64 whose bases are the whole jet space, written
+    # compactly, and 5,000 marked points
+    whole = [["1" if s == t else "0" for s in range(64)] for t in range(64)]
+    smooth = {"components": ["c0"], "marked": [{"component": "c0", "point": "1000"}],
+              "singularities": [{"branches": [{"component": "c0", "point": str(10 + p)}], "jet_order": 64,
+                                 "conductor": 1, "algebra_basis": whole} for p in range(15)]}
+    marked = {"components": ["c0"], "singularities": [],
+              "marked": [{"component": "c0", "point": str(p), "tangent": "1"} for p in range(5000)]}
+    cases = ((smooth, f"61440 algebra basis entries in all is out of range: the limit is {MAX_BASIS_ENTRIES}"),
+             (marked, f"5000 marked points is out of range: the limit is {MAX_MARKED_POINTS}"))
+    _curve_from_text.cache_clear()
+    for doc, diagnostic in cases:
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc, separators=(",", ":")))
+        assert path.stat().st_size <= MAX_SPEC_BYTES
+        assert main(["curve", "genus", str(path)]) == 2
+        assert json.loads(capsys.readouterr().out)["diagnostics"] == [diagnostic]
+    assert _curve_from_text.cache_info().currsize == 0
+
+
+def test_the_widest_dense_spec_and_ccusp31_load_within_the_bounds(tmp_path):
+    # 63 dense basis vectors on two branches of jet order 32, 4,032 entries,
+    # with small integer entries, and the most marked points admitted
+    rng = random.Random(3)
+    basis = []
+    for _ in range(63):
+        v = [Fraction(rng.randint(-9, 9)) for _ in range(64)]
+        v[32] = v[0]
+        basis.append(tuple(v))
+    sing = SingularPoint((Branch("c0", Fraction(0)), Branch("c0", Fraction(1))), 32, 32, tuple(basis))
+    marked = tuple(MarkedPoint("c0", Fraction(p + 2), Fraction(1)) for p in range(MAX_MARKED_POINTS))
+    for cur, entries in ((CurveModel(("c0",), (sing,), marked), 4032), (zoo("ccusp31"), 2112)):
+        path = tmp_path / "spec.json"
+        dump_curve(cur, str(path))
+        assert load_curve(str(path)) == cur
+        assert sum(len(v) for s in cur.singularities for v in s.algebra_basis) == entries <= MAX_BASIS_ENTRIES

@@ -12,7 +12,6 @@ from nsc.genus2 import (
     buchberger_verify,
     coefficient_f_ring,
     fit_parameters,
-    fit_relations_vanish,
     normal_presentation,
     normalize_presentation,
     parameter_ring,
@@ -20,12 +19,12 @@ from nsc.genus2 import (
     relation_ring,
     section_series,
     solve_c,
-    transform_presentation,
     universal_relations,
 )
 from nsc.curves import INF, Divisor, MarkedPoint, h0
 from nsc.laurent import LaurentSeries
 from nsc.multipoly import poly_reduce
+from nsc.sections import rescale_tangent
 from nsc.zoo import ZOO_IDS, zoo
 
 
@@ -187,29 +186,6 @@ def test_buchberger_passes_on_random_samples():
         assert buchberger_verify(universal_relations(random_params(rng))).ok
 
 
-def random_presentation(rng, base_ring):
-    ring = coefficient_f_ring(base_ring)
-    f = ring.var("f")
-
-    def rnd():
-        return Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-
-    def poly(deg, monic=False):
-        coeffs = [rnd() for _ in range(deg + 1)]
-        if monic:
-            coeffs[-1] = Fraction(1)
-        out = ring.zero()
-        for i, c in enumerate(coeffs):
-            out = out + ring.const(c) * f ** i
-        return out
-
-    return GeneralPresentation(
-        p1=poly(1, monic=True), p2=poly(1), p3=poly(1),
-        q1=poly(1), q2=poly(1), q3=poly(2, monic=True),
-        c1=poly(2), c2=poly(3, monic=True), c3=poly(3),
-    )
-
-
 def hand_normal_presentation(params):
     """The normalized presentation of numeric params, its c's written out."""
     ring = coefficient_f_ring()
@@ -223,103 +199,69 @@ def hand_normal_presentation(params):
     )
 
 
-def test_normalize_identity_fixed_point():
-    params = G2Params(*(Fraction(x) for x in (1, 2, 3, 4, 5)))
-    pres = hand_normal_presentation(params)
-    assert normal_presentation(params) == pres
-    normalized, (A, B, C, shift) = normalize_presentation(pres)
-    assert A.is_zero() and C.is_zero() and B == 0 and shift == 0
-    assert normalized == pres
-    assert normalized.parameters() == params
-
-
-def test_normalize_random_presentations_postconditions():
-    rng = random.Random(99)
-    for _ in range(50):
-        pres = random_presentation(rng, None)
-        normalized, _ = normalize_presentation(pres)
-        assert normalized.is_normalized()
-
-
-def test_transform_relations_are_unimodular_combinations():
-    # hand-derived bookkeeping check: substituting the new generators back
-    # into the transformed relations recovers R1, R2 + B R1, R3 + B^2 R1 + 2B R2
-    rng = random.Random(5)
-    pres = random_presentation(rng, None)
-    ring = coefficient_f_ring()
-    f1 = ring.var("f")
-    A = ring.const(Fraction(2, 3)) + ring.const(Fraction(-1, 2)) * f1
-    B = Fraction(3, 4)
-    C = ring.const(Fraction(-1)) + ring.const(Fraction(5, 3)) * f1
-    shift = Fraction(2, 7)
-    new = transform_presentation(pres, A, B, C, shift=shift)
-
-    R = pres.relations()
-    N = new.relations()
-    rring = R.ring
-    k, h, f = rring.gens()
-
-    def lift(p):
-        return rring.element({(0, 0, e[0]): c for e, c in p.terms.items()})
-
-    sub = {
-        "k": k + B * h + lift(C),
-        "h": h + lift(A),
-        "f": f + rring.const(shift),
-    }
-    got = [n.substitute(sub) for n in N.relations]
-    r1, r2, r3 = R.relations
-    assert got[0] == r1
-    assert got[1] == r2 + B * r1
-    assert got[2] == r3 + B * B * r1 + 2 * B * r2
-
-
-def scrambled_presentations():
-    """(params, ten presentations of them in random gauges)."""
-    rng = random.Random(31337)
-    params = G2Params(*(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(5)))
-    ring = coefficient_f_ring()
-    f = ring.var("f")
-    pres = hand_normal_presentation(params)
+def fit_series():
+    """The section series of every zoo case at 5, -3/2 and inf (tangent 1),
+    where h1(2p) = 0."""
     out = []
-    for _ in range(10):
-        A = ring.const(Fraction(rng.randint(-3, 3))) + ring.const(Fraction(rng.randint(-3, 3))) * f
-        B = Fraction(rng.randint(-3, 3))
-        C = ring.const(Fraction(rng.randint(-3, 3))) + ring.const(Fraction(rng.randint(-3, 3))) * f
-        shift = Fraction(rng.randint(-3, 3))
-        out.append(transform_presentation(pres, A, B, C, shift=shift))
-    return params, out
+    for case in ZOO_IDS:
+        for point in (Fraction(5), Fraction(-3, 2), INF):
+            cur = zoo(case, marked=(MarkedPoint("c0", point, Fraction(1)),))
+            if h0(cur, Divisor.of({"p0": 2})).dimension == 1:
+                out.append(section_series(cur, "p0"))
+    return out
+
+
+def scrambled(series, rng):
+    """The series in a random gauge: f + s, h + a + b f, k + d h + e + e' f."""
+    sf, sh, sk = series
+    one = LaurentSeries.monomial(sf.var, 0, 1, cut=sf.cut)
+
+    def rnd():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+
+    sf2 = sf + one.scale(rnd())
+    sh2 = sh + one.scale(rnd()) + sf2.scale(rnd())
+    return sf2, sh2, sk + sh2.scale(rnd()) + one.scale(rnd()) + sf2.scale(rnd())
+
+
+def test_normalize_identity_fixed_point():
+    # series already in the normalized generators are their own normal form
+    for series in fit_series()[::4]:
+        params, normalized = ref.normalized_series(*series)
+        pres = presentation_from_series(*normalized)
+        assert pres.is_normalized() and pres == hand_normal_presentation(params) == normal_presentation(params)
+        assert normalize_presentation(*normalized) == pres
+        assert pres.parameters() == params
+
+
+def test_normalization_matches_the_reference():
+    # the gauge moving the series against the reference's gauge on the
+    # presentation: every zoo case at three places and three tangents, and
+    # ten scrambled series
+    compared = 0
+    for case in ZOO_IDS:
+        for point in (Fraction(5), Fraction(-3, 2), INF):
+            for tangent in (Fraction(1), Fraction(2), Fraction(-1, 2)):
+                cur = zoo(case, marked=(MarkedPoint("c0", point, tangent),))
+                if h0(cur, Divisor.of({"p0": 2})).dimension != 1:
+                    continue
+                series = section_series(cur, "p0")
+                expected, _ = ref.normalize_presentation(presentation_from_series(*series))
+                assert normalize_presentation(*series) == expected, (case, point, tangent)
+                compared += 1
+    assert compared == 69
+    rng = random.Random(31337)
+    for series in fit_series()[:10]:
+        series = scrambled(series, rng)
+        expected, _ = ref.normalize_presentation(presentation_from_series(*series))
+        assert normalize_presentation(*series) == expected
 
 
 def test_normalize_round_trip_recovers_parameters():
-    params, scrambled = scrambled_presentations()
-    for pres in scrambled:
-        normalized, _ = normalize_presentation(pres)
-        assert normalized.parameters() == params
-
-
-def two_pass_normalize(pres):
-    """The normalization as two transforms: the gauge (A, B, C) with no
-    shift, then the shift read off the staged p1 with A = C = 0 and B = 0."""
-    ring = pres.ring
-    _, (A, B, C, _) = normalize_presentation(pres)
-    staged = transform_presentation(pres, A, B, C, shift=0)
-    shift = staged.p1.coefficient((0,))
-    return transform_presentation(staged, ring.zero(), 0, ring.zero(), shift=shift), (A, B, C, shift)
-
-
-def test_one_transform_normalizes_as_two_did():
-    # p1 is left unchanged by the transform, so its constant term is the
-    # shift, and the second pass has nothing else to do
-    fits = []
-    for case in ZOO_IDS:
-        cur = zoo(case)
-        for pid in cur.point_ids():
-            if h0(cur, Divisor.of({pid: 2})).dimension == 1:  # not a Weierstrass point
-                fits.append(presentation_from_series(*section_series(cur, pid)))
-    assert len(fits) == 15
-    for pres in fits + scrambled_presentations()[1]:
-        assert normalize_presentation(pres) == two_pass_normalize(pres)
+    rng = random.Random(99)
+    params, normalized = ref.normalized_series(*section_series(zoo("Ib"), "p0"))
+    for _ in range(10):
+        assert normalize_presentation(*scrambled(normalized, rng)).parameters() == params
 
 
 def test_presentation_matches_the_reference():
@@ -350,11 +292,18 @@ def test_presentation_off_the_span_raises_as_the_reference_does():
         assert str(got.value).startswith("pole-8 product does not lie on the section basis: residual ")
 
 
+def fitted_relations_vanish(cur, pid):
+    """The fit's parameters are the reference's, and their relations vanish
+    on the section series in the reference's normalized generators."""
+    params, normalized = ref.normalized_series(*section_series(cur, pid))
+    return fit_parameters(cur, pid) == params and ref.relations_vanish(params, normalized)
+
+
 def test_fit_deep_cusp_is_origin():
     cur = zoo("ccusp2")
     params = fit_parameters(cur, "p0")
     assert params == G2Params.zero()
-    assert fit_relations_vanish(cur, "p0")
+    assert fitted_relations_vanish(cur, "p0")
 
 
 def test_fit_two_node_curve_generic_point():
@@ -362,7 +311,7 @@ def test_fit_two_node_curve_generic_point():
     params = fit_parameters(cur, "p0")
     assert params.base_ring() is None
     assert buchberger_verify(universal_relations(params)).ok
-    assert fit_relations_vanish(cur, "p0")
+    assert fitted_relations_vanish(cur, "p0")
     assert any(v != 0 for v in params.astuple())
 
 
@@ -372,7 +321,7 @@ def test_fit_every_zoo_case_at_generic_point():
     for case in ZOO_IDS:
         params = fit_parameters(zoo(case), "p0")
         assert buchberger_verify(universal_relations(params)).ok, case
-        assert fit_relations_vanish(zoo(case), "p0"), case
+        assert fitted_relations_vanish(zoo(case), "p0"), case
 
 
 def test_fit_rejects_weierstrass_point():
@@ -388,7 +337,7 @@ def test_fit_equivariance_under_tangent_rescale():
     cur = zoo("Ia")
     base = fit_parameters(cur, "p0")
     for c in (Fraction(2), Fraction(-1, 2)):
-        scaled = fit_parameters(cur, "p0", tangent=c)
+        scaled = fit_parameters(rescale_tangent(cur, "p0", c), "p0")
         assert scaled.q21 == c ** 2 * base.q21
         assert scaled.q31 == c ** 3 * base.q31
         assert scaled.q1 == c ** 4 * base.q1
@@ -400,13 +349,13 @@ def test_fit_gauge_independence():
     cur = zoo("Ib")
     pid = "p0"
     sf, sh, sk = section_series(cur, pid)
-    baseline = normalize_presentation(presentation_from_series(sf, sh, sk))[0].parameters()
+    baseline = normalize_presentation(sf, sh, sk).parameters()
     one = type(sf).monomial(sf.var, 0, 1, cut=sf.cut)
     # allowed ambiguity: f += const, h += a + b f, k += d h + e0 + e1 f
     sf2 = sf + one.scale(Fraction(3, 2))
     sh2 = sh + one.scale(Fraction(-2)) + sf2.scale(Fraction(1, 3))
     sk2 = sk + sh2.scale(Fraction(5)) + one.scale(Fraction(7)) + sf2.scale(Fraction(-1, 4))
-    other = normalize_presentation(presentation_from_series(sf2, sh2, sk2))[0].parameters()
+    other = normalize_presentation(sf2, sh2, sk2).parameters()
     assert other == baseline
 
 
