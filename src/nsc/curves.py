@@ -319,6 +319,19 @@ def _validate_cached(curve: CurveModel) -> bool:
             if len(v) != width:
                 raise ValidationError("algebra basis vector has wrong length")
 
+    # the totals come before any check that reads a point's jet conditions,
+    # so a refused spec leaves nothing in _span_info
+    entries = sum(len(v) for sing in curve.singularities for v in sing.algebra_basis)
+    if entries > MAX_BASIS_ENTRIES:
+        raise ValidationError(f"{entries} algebra basis entries in all is out of range: "
+                              f"the limit is {MAX_BASIS_ENTRIES}")
+    if len(curve.marked_points) > MAX_MARKED_POINTS:
+        raise ValidationError(f"{len(curve.marked_points)} marked points is out of range: "
+                              f"the limit is {MAX_MARKED_POINTS}")
+
+    for sing in curve.singularities:
+        k, B = sing.jet_order, len(sing.branches)
+        width = B * k
         # one reading of the point: its conditions, and their entries on the
         # branches' constant terms, where the constants and the gluing live
         conditions = _span_info(sing, k)
@@ -397,13 +410,6 @@ def _validate_cached(curve: CurveModel) -> bool:
         if len(roots) != 1:
             raise ValidationError("disconnected curve")
 
-    entries = sum(len(v) for sing in curve.singularities for v in sing.algebra_basis)
-    if entries > MAX_BASIS_ENTRIES:
-        raise ValidationError(f"{entries} algebra basis entries in all is out of range: "
-                              f"the limit is {MAX_BASIS_ENTRIES}")
-    if len(curve.marked_points) > MAX_MARKED_POINTS:
-        raise ValidationError(f"{len(curve.marked_points)} marked points is out of range: "
-                              f"the limit is {MAX_MARKED_POINTS}")
     return True
 
 
@@ -593,11 +599,17 @@ def constraints(curve: CurveModel, divisor: Divisor):
 
 
 def h0(curve: CurveModel, divisor: Divisor) -> H0Result:
-    """Dimension and explicit basis of the sections of O(divisor)."""
+    """Dimension and explicit basis of the sections of O(divisor), in reduced
+    row echelon form.
+
+    One elimination gives it: the kernel of the reversed columns has one
+    vector per free column, 1 there, 0 at the other free columns and nothing
+    after it.  Read back reversed, in reverse order, each vector leads with 1
+    at its own column, which the others do not touch: the unique reduced
+    echelon form of the kernel."""
     elts, rows = constraints(curve, divisor)
-    kernel = linalg.nullspace(rows, ncols=len(elts))
-    kernel, _ = linalg.rref(kernel) if kernel else ([], [])
-    return H0Result(len(kernel), tuple(FunctionOnCurve(curve, elts, v) for v in kernel))
+    kernel = linalg.nullspace([row[::-1] for row in rows], ncols=len(elts))
+    return H0Result(len(kernel), tuple(FunctionOnCurve(curve, elts, v[::-1]) for v in reversed(kernel)))
 
 
 def _h0_dimension(curve: CurveModel, divisor: Divisor) -> int:

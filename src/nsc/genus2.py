@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .curves import CurveModel, Divisor, _h0_dimension, arithmetic_genus, validate
 from .errors import CohomologyError, InternalInconsistencyError, ValidationError
-from .laurent import LaurentSeries
+from .laurent import LaurentSeries, series_reduce
 from .multipoly import MultiPoly, PolyRing, poly_reduce, s_polynomial
 from .sections import _combine, _normalize_weights, _regular_basis, _solve_section
 
@@ -344,15 +344,11 @@ def presentation_from_series(sf: LaurentSeries, sh: LaurentSeries, sk: LaurentSe
             span[(a, b, c)] = span[(a - 1, b, c)] * sf
     rows = []
     for residual, pole_bound in ((sh * sh, 8), (sh * sk, 9), (sk * sk, 10)):
+        monomials = _SPAN_MONOMIALS[10 - pole_bound:]  # the poles run 10, 9, 8, ...
+        xs, residual = series_reduce(residual, [(-3 * a - 4 * b - 5 * c, span[(a, b, c)]) for a, b, c in monomials])
         terms = ({}, {}, {})  # f-power -> coordinate, for p, q and c
-        for a, b, c in _SPAN_MONOMIALS:
-            pole = 3 * a + 4 * b + 5 * c
-            if pole > pole_bound:
-                continue
-            x = residual.coefficient(-pole)
+        for (a, b, c), x in zip(monomials, xs):
             terms[0 if c else 1 if b else 2][(a,)] = x
-            if x:
-                residual = residual - span[(a, b, c)].scale(x)
         if not residual.is_known_zero():
             raise InternalInconsistencyError(
                 f"pole-{pole_bound} product does not lie on the section basis: residual {residual}"

@@ -19,6 +19,13 @@ any weight; any other mix raises.
 given as the pair (eps, r): it expands u^e -> sum_i C(e,i) eps^i
 u^(e + i(r-1)) with the generalized binomial C(e,i), which covers e < 0 too,
 on the window of s.
+
+`series_reduce` reduces a series against a triangular family of series, one
+lead exponent at a time: it reads the coefficient at each exponent and
+subtracts that multiple of the family's series, on one list of integer
+numerators over one denominator, and divides out the content once.  The
+recursion's subtraction stage and the genus-2 presentation both read their
+answer off it.
 """
 
 from __future__ import annotations
@@ -314,6 +321,8 @@ def series_substitute(s: LaurentSeries, eps, r: int) -> LaurentSeries:
         raise InternalInconsistencyError(f"a step u + ({eps!r})*u^{r} on this series needs a lam^{need} coefficient")
     p, q, size = value.numerator, value.denominator, len(s.coeffs)
     top = max(size - 1, 0) // (r - 1) if p else 0
+    if not top:  # no term u^(e + i(r-1)), i >= 1, lands in the window
+        return s
     pq = [p ** i * q ** (top - i) for i in range(top + 1)]
     acc = [0] * size
     for k, x in enumerate(s.coeffs):
@@ -324,3 +333,49 @@ def series_substitute(s: LaurentSeries, eps, r: int) -> LaurentSeries:
                 binom = binom * (e - i + 1) // i
                 acc[k + i * (r - 1)] += x * binom * pq[i]
     return LaurentSeries._of(s.var, s.low, acc, s.den * q ** top, s.cut, s.w)
+
+
+def series_reduce(s: LaurentSeries, divisors):
+    """Reduce s against (exponent, series) pairs, in order: read the running
+    remainder's coefficient x at the exponent, as `coefficient` reads it, and
+    subtract x times the series when x is nonzero.  Returns (multipliers,
+    remainder), the multipliers being every x read, zeros included.
+
+    The remainder equals the sequential r = r - d.scale(x) in value, window,
+    den and lam weight, and a lam-degree mismatch raises
+    `InternalInconsistencyError` as there.  It runs on one list of integer
+    numerators over one denominator: a step x = p/q rescales the list to
+    lcm(den, q*d.den) and subtracts the integers of x*d; the content is
+    divided out once, at the end.
+    """
+    var, w, low, cut, den = s.var, s.w, s.low, s.cut, s.den
+    nums = list(s.coeffs)
+    multipliers = []
+    for e, d in divisors:
+        if e >= cut:  # the remainder's own read raises the TruncationError
+            LaurentSeries._of(var, low, nums, den, cut, w).numerator(e)
+        x = nums[e - low] if e >= low else 0
+        value = Fraction(x, den)
+        multipliers.append(value if w is None or w + e == 0 else Graded(value, w + e))
+        if not x:
+            continue
+        if d.var != var:
+            raise ValidationError("series are in different variables")
+        if d.coeffs and d.w != (None if w is None else -e):  # x*d must have the weight w
+            raise InternalInconsistencyError(
+                f"lam-degree mismatch: {multipliers[-1]!r} times {d!r} against a series of weight {w}")
+        step = value.denominator * d.den
+        new = lcm(den, step)
+        a, b = new // den, value.numerator * (new // step)
+        if d.low < low:
+            nums[:0] = [0] * (low - d.low)
+            low = d.low
+        cut = min(cut, d.cut)
+        del nums[cut - low:]
+        if a != 1:
+            nums = [a * y for y in nums]
+        part = d.coeffs[:max(cut - d.low, 0)]
+        at = d.low - low
+        nums[at:at + len(part)] = [y - b * z for y, z in zip(nums[at:at + len(part)], part)]
+        den = new
+    return multipliers, LaurentSeries._of(var, low, nums, den, cut, w)

@@ -15,6 +15,11 @@ every exponent strictly between -(g+n) and -g.  The output normal forms have
 the shape u^-m + sum_j s_{m,j} lam^(m-g+j) u^(-g+j); the rational constants
 s_{m,j} are the coefficient table.  F[-(g+n)] = t^-(g+n) is t^-(g+n-1) * t^-1,
 both carried through every correction step: one series product per stage.
+A stage's subtraction is one `series_reduce` of t^-(g+n) against
+f[-(g+n-1)], ..., f[-(g+1)] at the exponents -(g+n-1), ..., -(g+1): each
+lead is 1 at its exponent, so the multipliers p_1 .. p_(n-1) are the
+coefficients read there, and all of them are subtracted on one list of
+integer numerators.
 
 A table entry for (m, j) only becomes final once the recursion has run past
 stage m-g+j+1 (later corrections first disturb exponent -m+n-1), so the
@@ -28,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalInconsistencyError, ValidationError
-from .laurent import LaurentSeries, ParamChange, series_substitute
+from .laurent import LaurentSeries, ParamChange, series_reduce, series_substitute
 from .rational import Graded, format_rational
 
 
@@ -123,15 +128,10 @@ def run_recursion(g: int, m_max: int | None = None, j_max: int = 6) -> NormalFor
                 f"stage {n}: correction failed to kill the u^-{g} coefficient"
             )
         power = power * inverse  # t^-(g+n), F[-(g+n)] before the subtractions
-        work = power.truncate(cut)
-        multipliers = []
-        for i in range(1, n):
-            p_i = work.coefficient(-g - n + i)
-            multipliers.append(p_i)
-            if p_i:
-                work = work - current[g + n - i].scale(p_i)
+        multipliers, work = series_reduce(power.truncate(cut),
+                                          [(-g - n + i, current[g + n - i]) for i in range(1, n)])
         for e in range(-g - n + 1, -g):
-            if work.coefficient(e):
+            if work.numerator(e):
                 raise InternalInconsistencyError(
                     f"stage {n}: exponent {e} not cleared in f[-{g + n}]"
                 )

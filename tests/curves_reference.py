@@ -6,7 +6,9 @@ product, truncated at the jet order, of every pair of basis vectors.  The
 tests compare the package's outcome and error text against it.
 
 Also `_jet_rows` as it was before a curve kept its jet-condition columns:
-every row built afresh, one dot product per (condition, element).
+every row built afresh, one dot product per (condition, element); and h0's
+basis as it was before one elimination gave it: the kernel, then its reduced
+echelon form by a second elimination.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from nsc.curves import (
     _elt_expansion,
     _span_info,
     check_jet_width,
+    constraints,
     format_point,
 )
 from nsc.errors import ValidationError
@@ -188,3 +191,12 @@ def _jet_rows(curve: CurveModel, elts):
         for phi in _span_info(sing, k):
             rows.append([sum(x * jet[s] for s, x in phi) for jet in jets])
     return rows
+
+
+def h0_basis(curve: CurveModel, divisor):
+    """The coordinate vectors of h0's basis: the reduced echelon form of the
+    kernel of the constraint rows."""
+    elts, rows = constraints(curve, divisor)
+    kernel = linalg.nullspace(rows, ncols=len(elts))
+    kernel, _ = linalg.rref(kernel) if kernel else ([], [])
+    return kernel

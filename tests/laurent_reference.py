@@ -3,6 +3,10 @@
 negative powers by one pass of J.C.P. Miller's power recurrence.  This is the
 route `nsc.laurent` replaced by integer numerators over one denominator; the
 tests compare the package's series against it operation by operation.
+
+`series_reduce` is the sequential route that `nsc.laurent.series_reduce`
+replaced: one scaled series subtracted at a time.  It runs on this module's
+series or on the package's.
 """
 
 from __future__ import annotations
@@ -299,3 +303,16 @@ def series_substitute(s: LaurentSeries, eps, r: int) -> LaurentSeries:
             binom = binom * (e - i + 1) / i
             acc[k + i * (r - 1)] += c * eps_pows[i] * binom
     return LaurentSeries(s.var, s.low, acc, s.cut)
+
+
+def series_reduce(s, divisors):
+    """(multipliers, remainder): for each (exponent, d) in order, x is the
+    remainder's coefficient at the exponent, and r = r - d.scale(x) if x is
+    nonzero."""
+    multipliers = []
+    for e, d in divisors:
+        x = s.coefficient(e)
+        multipliers.append(x)
+        if x:
+            s = s - d.scale(x)
+    return multipliers, s

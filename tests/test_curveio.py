@@ -26,6 +26,7 @@ from nsc.curves import (
     Divisor,
     MarkedPoint,
     SingularPoint,
+    _span_info,
     arithmetic_genus,
 )
 from nsc.errors import ValidationError
@@ -229,9 +230,17 @@ def test_curves_past_the_entry_and_marked_point_bounds_exit_2_and_are_not_cached
                                  "conductor": 1, "algebra_basis": whole} for p in range(15)]}
     marked = {"components": ["c0"], "singularities": [],
               "marked": [{"component": "c0", "point": str(p), "tangent": "1"} for p in range(5000)]}
-    cases = ((smooth, f"61440 algebra basis entries in all is out of range: the limit is {MAX_BASIS_ENTRIES}"),
+    # a spec whose points also miss the constants gets the total's message:
+    # the totals come before the checks that read a point's jet conditions
+    no_constants = dict(smooth, singularities=[dict(s, algebra_basis=[whole[1]] + whole[1:])
+                                          for s in smooth["singularities"]])
+    too_many = f"61440 algebra basis entries in all is out of range: the limit is {MAX_BASIS_ENTRIES}"
+    cases = ((smooth, too_many), (no_constants, too_many),
              (marked, f"5000 marked points is out of range: the limit is {MAX_MARKED_POINTS}"))
     _curve_from_text.cache_clear()
+    # the totals are checked before any singular point is read, so the
+    # refused points leave no jet conditions behind
+    _span_info.cache_clear()
     for doc, diagnostic in cases:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(doc, separators=(",", ":")))
@@ -239,6 +248,7 @@ def test_curves_past_the_entry_and_marked_point_bounds_exit_2_and_are_not_cached
         assert main(["curve", "genus", str(path)]) == 2
         assert json.loads(capsys.readouterr().out)["diagnostics"] == [diagnostic]
     assert _curve_from_text.cache_info().currsize == 0
+    assert _span_info.cache_info().currsize == 0
 
 
 def test_the_widest_dense_spec_and_ccusp31_load_within_the_bounds(tmp_path):

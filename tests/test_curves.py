@@ -394,6 +394,22 @@ def test_h0_projective_line():
         assert h0(cur, Divisor.of({"p0": n})).dimension == n + 1
 
 
+def test_h0_basis_matches_the_two_elimination_reference():
+    # the kernel of the reversed columns, read back, is already the reduced
+    # echelon form the reference takes by a second elimination
+    for case in ZOO_IDS + tuple(f"ccusp{a}" for a in range(1, 13)):
+        cur = zoo(case)
+        for n0 in range(-1, 7):
+            for n1 in range(-1, 7):
+                d = Divisor.of({"p0": n0, "p1": n1})
+                expected = curves_ref.h0_basis(cur, d)
+                res = h0(cur, d)
+                assert res.dimension == len(expected)
+                assert [f.coords for f in res.basis] == expected
+                assert all(type(x) is Fraction for f in res.basis for x in f.coords)
+                assert all(type(x) is Fraction for v in expected for x in v)
+
+
 def test_h0_c0_generic_point_is_one():
     cur = zoo("IIc-C0")  # p0 at t=1
     res = h0(cur, Divisor.of({"p0": 2}))

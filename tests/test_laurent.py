@@ -2,11 +2,11 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import laurent_reference as ref
 from nsc.errors import InternalInconsistencyError, TruncationError, ValidationError
-from nsc.laurent import LaurentSeries, ParamChange, series_substitute
+from nsc.laurent import LaurentSeries, ParamChange, series_reduce, series_substitute
 from nsc.rational import Graded
 
 
@@ -368,3 +368,120 @@ def test_a_plain_series_takes_no_graded_scalar():
         LaurentSeries("u", 0, [Graded(1, 0), Graded(1, 0)], 2)  # not homogeneous
     # a series with no nonzero coefficient takes any weight
     assert (LaurentSeries.zero("t", 5) + LaurentSeries("t", 0, [Graded(2, 1)], 3)).w == 1
+
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_a_step_that_cannot_reach_the_window_returns_the_series(data):
+    # no term u^(e + i(r-1)), i >= 1, lands below the cut: eps = 0, or a
+    # window narrower than r (an empty one included)
+    w = data.draw(kinds)
+    eps, r = data.draw(steps(w is not None))
+    s, rs = data.draw(pairs(w, max_tail=3) | st.integers(-3, 3).map(
+        lambda cut: (LaurentSeries.zero("u", cut), ref.LaurentSeries.zero("u", cut))))
+    assume(not eps or s.cut - s.low < r)
+    assert series_substitute(s, eps, r) is s
+    agrees(s, ref.series_substitute(rs, eps, r))
+
+
+# -- the reduction against the sequential route -----------------------------------
+
+
+@st.composite
+def divisor_pairs(draw, w, e):
+    """(series, reference series) to reduce against at u^e: x*d has the
+    weight w of the reduced series.  Most lead at u^e, as in the triangular
+    families of the recursion and the genus-2 fit; some start elsewhere,
+    know less (cut narrowing) or nothing (an empty window)."""
+    dw = None if w is None else -e
+    low, values, cut = draw(terms(dw, low=st.just(e)) | terms(dw, low=st.integers(e - 2, e + 2))
+                            | st.integers(e - 2, e + 4).map(lambda c: (c, [], c)))
+    cut = draw(st.just(cut) | st.integers(low - 1, cut))
+    return LaurentSeries("u", low, values, cut), ref.LaurentSeries("u", low, values, cut)
+
+
+def outcome(reduce, s, divisors):
+    """reduce's (multipliers, remainder), or the type of what it raised."""
+    try:
+        return reduce(s, divisors)
+    except (TruncationError, InternalInconsistencyError) as exc:
+        return type(exc)
+
+
+def fields(s):
+    return s.var, s.low, s.cut, s.den, s.coeffs, s.w
+
+
+def typed(values):
+    return [(type(x), x) for x in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_reduction_matches_the_sequential_route(data):
+    w = data.draw(kinds)
+    s, rs = data.draw(pairs(w, low=st.integers(-6, 0)))
+    # mostly ascending exponents in the window, as in a triangular family
+    exponents = data.draw(st.lists(st.integers(s.low - 1, s.cut - 1), min_size=1, max_size=5, unique=True))
+    if data.draw(st.integers(0, 3)):
+        exponents.sort()
+    drawn = [data.draw(divisor_pairs(w, e)) for e in exponents]
+    got = outcome(series_reduce, s, [(e, d) for e, (d, _) in zip(exponents, drawn)])
+    sequential = outcome(ref.series_reduce, s, [(e, d) for e, (d, _) in zip(exponents, drawn)])
+    reference = outcome(ref.series_reduce, rs, [(e, d) for e, (_, d) in zip(exponents, drawn)])
+    if isinstance(got, type):  # a read past the remainder's window
+        assert got is sequential is reference is TruncationError
+        return
+    (xs, r), (seq_xs, seq_r), (ref_xs, ref_r) = got, sequential, reference
+    # the multipliers as `coefficient` reads them, zeros included
+    assert len(xs) == len(exponents) and typed(xs) == typed(seq_xs) and xs == ref_xs
+    assert fields(r) == fields(seq_r)
+    agrees(r, ref_r)
+
+
+def test_zero_multipliers_empty_windows_and_cut_narrowing():
+    s = ser(-3, [1, 0, 2, 5], cut=3)
+    narrow = ser(-2, [1, 7], cut=0)
+    cases = (
+        (s, [(-2, narrow)], [0], (-3, 3)),                                       # a zero multiplier keeps the window
+        (s, [(-1, ser(-1, [1, 7], cut=1))], [2], (-3, 1)),                      # a nonzero one narrows it
+        (s, [(-3, LaurentSeries.zero("t", 0)), (-1, narrow)], [1, 2], (-3, 0)),  # so does an empty divisor
+        (LaurentSeries.zero("t", 2), [(-4, narrow), (1, s)], [0, 0], (2, 2)),  # an empty remainder reads zeros
+    )
+    for start, divisors, multipliers, window in cases:
+        xs, r = series_reduce(start, divisors)
+        seq_xs, seq_r = ref.series_reduce(start, divisors)
+        assert typed(xs) == typed(seq_xs) and xs == multipliers
+        assert fields(r) == fields(seq_r) and (r.low, r.cut) == window
+    with pytest.raises(TruncationError):  # the narrowed window ends below u^0
+        series_reduce(s, [(-1, ser(-1, [1], cut=0)), (0, s)])
+
+
+def test_weighted_multipliers_are_graded_and_the_lam_weight_is_kept():
+    # a weight-3 series against weight-2 and weight-1 divisors: the
+    # multipliers are r*lam^1 and r*lam^2, as the recursion reads them
+    s = LaurentSeries("u", -3, [Graded(1, 0), Graded(2, 1), Graded(-1, 2)], 1)
+    divisors = [(-2, LaurentSeries("u", -2, [Graded(1, 0), Graded(3, 1)], 1)),
+                (-1, LaurentSeries("u", -1, [Graded(1, 0)], 1))]
+    xs, r = series_reduce(s, divisors)
+    assert typed(xs) == typed(ref.series_reduce(s, divisors)[0]) == [(Graded, Graded(2, 1)), (Graded, Graded(-7, 2))]
+    assert r.w == 3 and fields(r) == fields(ref.series_reduce(s, divisors)[1])
+    assert r.numerator(-2) == r.numerator(-1) == 0
+
+
+def test_a_divisor_of_the_wrong_lam_weight_raises_as_the_sequential_route():
+    weighted = LaurentSeries("t", -3, [Graded(1, 0), Graded(2, 1)], 0)
+    plain = ser(-3, [1, 2], cut=0)
+    cases = (
+        (weighted, LaurentSeries("t", -2, [Graded(1, 1)], 0)),  # weight -1: x*d has weight 2, not 3
+        (weighted, ser(-2, [1], cut=0)),                          # a plain series times lam^1
+        (plain, LaurentSeries("t", -2, [Graded(1, 0)], 0)),     # a weighted series against a plain one
+    )
+    for s, d in cases:
+        with pytest.raises(InternalInconsistencyError):
+            ref.series_reduce(s, [(-2, d)])
+        with pytest.raises(InternalInconsistencyError, match="lam-degree mismatch"):
+            series_reduce(s, [(-2, d)])
+        # a zero multiplier never reads the divisor
+        assert series_reduce(s, [(-1, d)]) == ref.series_reduce(s, [(-1, d)])
