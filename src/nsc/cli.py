@@ -36,6 +36,10 @@ EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 MAX_M_MAX = 32
 MAX_TABLE_GENUS, MAX_TABLE_M_MAX, MAX_TABLE_J_MAX = 48, 64, 16
 
+# the options each curve operation reads; giving any other is a usage error
+_CURVE_OPTIONS = {"genus": (), "h0": ("divisor",), "h1": ("divisor",), "alphabeta": ("point", "weights"),
+                  "canonical": ("point", "weights", "m_max"), "fit": ("point",)}
+
 
 def _print_result(status: str, payload, diagnostics=()) -> None:
     doc = {"status": status, "payload": payload, "diagnostics": list(diagnostics)}
@@ -75,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perturb", default=None, choices=("c1", "c2", "c3"))
 
     p = sub.add_parser("curve", help="exact computations on a curve spec file")
-    p.add_argument("operation", choices=("genus", "h0", "h1", "alphabeta", "canonical", "fit"))
+    p.add_argument("operation", choices=tuple(_CURVE_OPTIONS))
     p.add_argument("curve_file")
     p.add_argument("--divisor", default=None)
     p.add_argument("--weights", default=None)
@@ -132,8 +136,11 @@ def _parse_weights(curve, text):
 
 
 def _cmd_curve(args) -> int:
-    curve = load_curve(args.curve_file)
     op = args.operation
+    for name in ("divisor", "weights", "point", "m_max"):
+        if getattr(args, name) is not None and name not in _CURVE_OPTIONS[op]:
+            raise ValidationError(f"--{name.replace('_', '-')} does not apply to curve {op}")
+    curve = load_curve(args.curve_file)
     if op == "genus":
         _print_result("pass", {"genus": arithmetic_genus(curve)})
         return EXIT_PASS
@@ -161,7 +168,7 @@ def _cmd_curve(args) -> int:
         if not others:
             raise ValidationError("alphabeta needs a second marked point")
         jid = others[0]
-        weights = _parse_weights(curve, args.weights) if args.weights else {pid: g - 1, jid: 1}
+        weights = _parse_weights(curve, args.weights) if args.weights is not None else {pid: g - 1, jid: 1}
         alpha, beta = alpha_beta(curve, pid, jid, weights=weights)
         _print_result("pass", {
             "alpha": format_rational(alpha),
@@ -171,7 +178,7 @@ def _cmd_curve(args) -> int:
         })
         return EXIT_PASS
     if op == "canonical":
-        weights = _parse_weights(curve, args.weights) if args.weights else {pid: g}
+        weights = _parse_weights(curve, args.weights) if args.weights is not None else {pid: g}
         m_max = args.m_max if args.m_max is not None else g + 4
         if m_max > MAX_M_MAX:
             raise ValidationError(f"m-max {m_max} is out of range: the limit is {MAX_M_MAX}")
@@ -194,6 +201,8 @@ def _cmd_curve(args) -> int:
 
 def _cmd_zoo(args) -> int:
     if args.action == "list":
+        if args.case_id is not None:
+            raise ValidationError("zoo list takes no CASE_ID or OUT_FILE")
         _print_result("pass", {"cases": list(ZOO_IDS),
                                "family": f"ccusp<a> for a >= 1, jet order 2(a+1) <= {MAX_JET_WIDTH}"})
         return EXIT_PASS

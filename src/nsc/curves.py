@@ -25,8 +25,11 @@ A curve object keeps, for as long as it lives, its genus and the column of
 every condition's value on each ambient element asked of it, so a curve
 asked many questions (a spec curve interned by curveio.load_curve) evaluates
 each condition on each element once.  The memo is per object, not a module
-cache keyed on (point, element): a hit there would compare each freshly
-built equal point with its key, entry by entry of its algebra basis.
+cache keyed on (point, element), although a singular point compares by one
+integer key and such a lookup would be cheap: the per-object memo goes when
+its curve does, while a module cache would need a bound of its own, and
+turning the jet rows of the curves built afresh per call into hits trades
+their time for memory kept across calls.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import attrgetter
 
 from . import linalg
 from .errors import InternalInconsistencyError, ValidationError
@@ -127,6 +131,10 @@ MAX_SPEC_BYTES = 256 * 1024
 # cli.MAX_M_MAX plus the weights), each one value per jet condition.
 
 
+_EXACT = frozenset({int, Fraction})
+_NUMERATOR, _DENOMINATOR = attrgetter("numerator"), attrgetter("denominator")
+
+
 def check_jet_width(branches: int, jet_order: int) -> None:
     """Reject a singular point whose jet space is wider than MAX_JET_WIDTH."""
     if branches * jet_order > MAX_JET_WIDTH:
@@ -136,21 +144,37 @@ def check_jet_width(branches: int, jet_order: int) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SingularPoint:
     branches: tuple
     jet_order: int
     conductor: int
     algebra_basis: tuple  # tuples of Fractions, length len(branches)*jet_order
 
-    # every cache keyed by a singular point or a curve would otherwise
-    # re-hash each Fraction of the algebra basis on every lookup
-    def __hash__(self):
-        return self._hash
-
+    # Every lookup keyed on a point, or on a curve that holds it, compares and
+    # hashes this key: ints compared in C, not each basis entry's
+    # Fraction.__eq__.  Equal values give equal keys, an int and its Fraction
+    # alike; a float or bool entry keys unequal to its exact twin, and
+    # CurveModel._valid rejects it by name.
     @functools.cached_property
-    def _hash(self):
-        return hash((self.branches, self.jet_order, self.conductor, self.algebra_basis))
+    def _key(self):
+        branches = tuple((br.component, br.point) if type(br.point) not in _EXACT
+                         else (br.component, br.point.numerator, br.point.denominator) for br in self.branches)
+        entries = tuple(itertools.chain.from_iterable(self.algebra_basis))
+        if set(map(type, entries)) <= _EXACT:
+            values = (*map(_NUMERATOR, entries), *map(_DENOMINATOR, entries))
+        else:
+            values = tuple((type(x), x) for x in entries)
+        key = (branches, self.jet_order, self.conductor, tuple(map(len, self.algebra_basis)), values)
+        return hash(key), key
+
+    def __eq__(self, other):
+        if type(other) is not SingularPoint:
+            return NotImplemented
+        return self is other or self._key == other._key
+
+    def __hash__(self):
+        return self._key[0]
 
 
 @dataclass(frozen=True)
@@ -187,8 +211,11 @@ class CurveModel:
 
     # one cache lookup per object, whose hit compares the whole model with the
     # cached key; an invalid curve stores nothing and raises on every call.
-    # The key compares 5 and 5.0 equal to Fraction(5), so points, tangents and
-    # basis entries are checked to be exact here, on every object.
+    # The key compares a marked point, tangent or weight of 5.0 or True equal
+    # to its exact twin, and an int branch point equal to its Fraction, so
+    # points, tangents and weights are checked to be exact here, on every
+    # object.  So are the basis entries, to reject a float or bool by name;
+    # a singular point's key never equals its exact twin's.
     @functools.cached_property
     def _valid(self):
         points = [("branch point", br) for sing in self.singularities for br in sing.branches]
@@ -198,9 +225,12 @@ class CurveModel:
         for mp in self.marked_points:
             if not isinstance(mp.tangent, Fraction):
                 raise ValidationError(f"marked point tangent {mp.tangent!r} must be a Fraction")
+            if mp.weight is not None and type(mp.weight) is not int:
+                raise ValidationError(f"marked point weight {mp.weight!r} must be an int, "
+                                      f"not a {type(mp.weight).__name__}")
         for sing in self.singularities:
-            if not set(map(type, itertools.chain.from_iterable(sing.algebra_basis))) <= {int, Fraction}:
-                x = next(x for v in sing.algebra_basis for x in v if type(x) not in (int, Fraction))
+            if not set(map(type, itertools.chain.from_iterable(sing.algebra_basis))) <= _EXACT:
+                x = next(x for v in sing.algebra_basis for x in v if type(x) not in _EXACT)
                 raise ValidationError(f"algebra basis entry {x!r} must be an int or a Fraction")
         return _validate_cached(self)
 
@@ -381,7 +411,7 @@ def _validate_cached(curve: CurveModel) -> bool:
             raise ValidationError(f"marked point on undeclared component {mp.component!r}")
         if mp.tangent == 0:
             raise ValidationError("tangent scalar must be nonzero")
-        if mp.weight is not None and (not isinstance(mp.weight, int) or mp.weight < 0):
+        if mp.weight is not None and mp.weight < 0:
             raise ValidationError("marked point weight must be a nonnegative integer")
         key = (mp.component, mp.point)
         if key in seen_marked:

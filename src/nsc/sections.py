@@ -44,7 +44,7 @@ def _normalize_weights(curve: CurveModel, weights: dict) -> dict:
     out = {}
     for pid, a in weights.items():
         idx = curve.point_index(pid)
-        if not isinstance(a, int) or a < 0:
+        if type(a) is not int or a < 0:
             raise ValidationError("weights must be nonnegative integers")
         out[f"p{idx}"] = a
     if sum(out.values()) != arithmetic_genus(curve):

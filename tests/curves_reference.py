@@ -5,6 +5,10 @@ time: the all-ones jet, each unit jet of degree >= the conductor, and the
 product, truncated at the jet order, of every pair of basis vectors.  The
 tests compare the package's outcome and error text against it.
 
+Also the equality of singular points as it was before a point compared by
+its exact integer key: the dataclass's field-by-field comparison, each
+algebra-basis entry compared by its own `__eq__`.
+
 Also `_jet_rows` as it was before a curve kept its jet-condition columns:
 every row built afresh, one dot product per (condition, element); and h0's
 basis as it was before one elimination gave it: the kernel, then its reduced
@@ -28,6 +32,13 @@ from nsc.curves import (
     format_point,
 )
 from nsc.errors import ValidationError
+
+
+def point_eq(a: SingularPoint, b: SingularPoint) -> bool:
+    def fields(p):
+        return p.branches, p.jet_order, p.conductor, p.algebra_basis
+
+    return fields(a) == fields(b)
 
 
 def _span_contains(sing: SingularPoint, vector) -> bool:

@@ -178,6 +178,45 @@ def test_curve_usage_errors(tmp_path, capsys):
         "payload": None, "status": "error"}
 
 
+@pytest.mark.parametrize("operation, extra, option", [
+    ("h0", ["--divisor=2*p0", "--point", "p9"], "--point"),
+    ("h1", ["--divisor=2*p0", "--point", "p0"], "--point"),
+    ("genus", ["--point", "p0"], "--point"),
+    ("genus", ["--divisor=2*p0"], "--divisor"),
+    ("alphabeta", ["--point", "p0", "--divisor=2*p0"], "--divisor"),
+    ("canonical", ["--point", "p0", "--divisor=2*p0"], "--divisor"),
+    ("fit", ["--point", "p0", "--divisor=2*p0"], "--divisor"),
+    ("alphabeta", ["--point", "p0", "--m-max", "6"], "--m-max"),
+    *((op, [*extra, "--weights", "2,0"], "--weights") for op, extra in
+      (("genus", []), ("h0", ["--divisor=2*p0"]), ("h1", ["--divisor=2*p0"]), ("fit", ["--point", "p0"]))),
+    *((op, [*extra, "--m-max", "6"], "--m-max") for op, extra in
+      (("genus", []), ("h0", ["--divisor=2*p0"]), ("h1", ["--divisor=2*p0"]), ("fit", ["--point", "p0"]))),
+])
+def test_curve_options_that_do_not_apply_are_usage_errors(tmp_path, capsys, operation, extra, option):
+    # each option reaches only the operations that read it: a point that does
+    # not exist is not ignored by h0, nor a divisor by canonical
+    spec = tmp_path / "Ia.json"
+    run_json(capsys, "zoo", "emit", "Ia", str(spec))
+    code, doc = run_json(capsys, "curve", operation, str(spec), *extra)
+    assert code == 2 and doc == {"diagnostics": [f"{option} does not apply to curve {operation}"],
+                                 "payload": None, "status": "error"}
+
+
+@pytest.mark.parametrize("operation, extra", [("alphabeta", []), ("canonical", ["--m-max", "6"])])
+def test_empty_weights_are_not_the_default(tmp_path, capsys, operation, extra):
+    spec = tmp_path / "Ia.json"
+    run_json(capsys, "zoo", "emit", "Ia", str(spec))
+    code, doc = run_json(capsys, "curve", operation, str(spec), "--point", "p0", "--weights", "", *extra)
+    assert code == 2 and doc["diagnostics"] == [
+        "--weights: expected 2 comma-separated integers in ASCII digits, one per marked point, got ''"]
+
+
+@pytest.mark.parametrize("extra", [["Ia"], ["Ia", "out.json"]])
+def test_zoo_list_takes_no_case_or_file(capsys, extra):
+    code, doc = run_json(capsys, "zoo", "list", *extra)
+    assert code == 2 and doc["diagnostics"] == ["zoo list takes no CASE_ID or OUT_FILE"]
+
+
 @pytest.mark.parametrize("option, value, limit", [
     ("--j-max", "100000", "limit is 16"),
     ("--m-max", "100000", "limit is 64"),

@@ -215,6 +215,111 @@ def test_validate_matches_the_reference_on_random_singular_points():
         assert seen[kind] >= 40, (kind, seen[kind])
 
 
+def test_validate_rejects_a_marked_point_weight_that_is_not_an_int(tmp_path):
+    # True == 1 and 1.0 == 1, so such a curve equals its exact twin, which the
+    # value-keyed cache holds; its spec would write "weight": true, which
+    # load_curve refuses
+    q = Fraction
+    twin = zoo("Ia", marked=(MarkedPoint("c0", q(5), q(1), 1), MarkedPoint("c0", q(7), q(1))))
+    for weight in (True, False, 1.0):
+        with pytest.raises(ValidationError) as exc:
+            zoo("Ia", marked=(MarkedPoint("c0", q(5), q(1), weight), MarkedPoint("c0", q(7), q(1))))
+        assert str(exc.value) == f"marked point weight {weight!r} must be an int, not a {type(weight).__name__}"
+    path = str(tmp_path / "Ia.json")
+    dump_curve(twin, path)
+    assert load_curve(path) == twin
+
+
+def drawn_point(rng):
+    """A random_singular_curve point, a third of the time with one branch at
+    infinity."""
+    sing = random_singular_curve(rng).singularities[0]
+    if rng.random() < 1 / 3:
+        branches = list(sing.branches)
+        b = rng.randrange(len(branches))
+        branches[b] = Branch(branches[b].component, INF)
+        sing = SingularPoint(tuple(branches), sing.jet_order, sing.conductor, sing.algebra_basis)
+    return sing
+
+
+def rebuilt(sing, rng):
+    """The point built anew, each integral entry an int or a Fraction at random."""
+    def entry(x):
+        return x.numerator if x.denominator == 1 and rng.random() < 0.5 else Fraction(x)
+
+    branches = tuple(Branch(br.component, br.point if br.point is INF else Fraction(br.point))
+                     for br in sing.branches)
+    basis = tuple(tuple(map(entry, v)) for v in sing.algebra_basis)
+    return SingularPoint(branches, sing.jet_order, sing.conductor, basis)
+
+
+def perturbed(sing, rng):
+    """The point with one entry, branch, order or vector count changed, or
+    two vectors joined into one with the same entries in all."""
+    branches, k, c, basis = list(sing.branches), sing.jet_order, sing.conductor, list(sing.algebra_basis)
+    what = rng.choice(("entry", "branch", "component", "jet order", "conductor", "vectors", "joined"))
+    if what == "entry" and basis:
+        i = rng.randrange(len(basis))
+        v = list(basis[i])
+        s = rng.randrange(len(v))
+        v[s] += rng.choice((1, -1, Fraction(1, 2)))
+        basis[i] = tuple(v)
+    elif what in ("branch", "component"):
+        b = rng.randrange(len(branches))
+        comp, point = branches[b].component, branches[b].point
+        if what == "component":
+            comp += "'"
+        else:
+            point = Fraction(-1) if point is INF else rng.choice((INF, point + Fraction(1, 3)))
+        branches[b] = Branch(comp, point)
+    elif what == "jet order":
+        k += 1
+    elif what == "conductor":
+        c += 1
+    elif what == "joined" and len(basis) >= 2:
+        basis[:2] = [basis[0] + basis[1]]
+    else:
+        basis = basis[:-1] if basis else [(Fraction(0),) * (len(branches) * k)]
+    return SingularPoint(tuple(branches), k, c, tuple(basis))
+
+
+def test_point_key_equality_matches_the_reference():
+    # equality and hash read one integer key; they must agree with the
+    # field-by-field comparison of every entry's value
+    rng = random.Random(20261020)
+    seen = Counter()
+    for _ in range(2000):
+        a = drawn_point(rng)
+        for b in (drawn_point(rng), rebuilt(a, rng), perturbed(a, rng), perturbed(rebuilt(a, rng), rng)):
+            assert (a == b) == (b == a) == curves_ref.point_eq(a, b) == (not a != b), (a, b)
+            if a == b:
+                assert hash(a) == hash(b)
+            seen[a == b, any(br.point is INF for br in a.branches), len({br.component for br in a.branches})] += 1
+    for key in ((True, False, 1), (True, True, 1), (True, False, 2), (True, True, 2), (False, True, 2)):
+        assert seen[key] >= 100, (key, seen)
+
+
+def test_equal_points_compare_without_fraction_eq(monkeypatch):
+    # a fresh point equal to a cached key compares by ints: no entry's
+    # Fraction.__eq__, on the comparison or on the cache hit
+    a, b = deep_cusp("c0", Fraction(0), 24), deep_cusp("c0", Fraction(0), 24)
+    _span_info(a, a.jet_order)
+    calls = Counter()
+    fraction_eq = Fraction.__eq__
+
+    def counting_eq(x, y):
+        calls["__eq__"] += 1
+        return fraction_eq(x, y)
+
+    monkeypatch.setattr(Fraction, "__eq__", counting_eq)
+    hits = _span_info.cache_info().hits
+    assert a == b and a is not b
+    assert _span_info(b, b.jet_order) is _span_info(a, a.jet_order)
+    assert _span_info.cache_info().hits == hits + 2
+    monkeypatch.undo()
+    assert calls["__eq__"] == 0
+
+
 def validate_lookups():
     info = _validate_cached.cache_info()
     return info.hits + info.misses

@@ -200,6 +200,12 @@ def test_weight_validation():
         f_sections(cur, {"p0": 1}, "p0", 3)  # weights sum 1 != genus 2
     with pytest.raises(ValidationError):
         f_sections(cur, {"p0": 1, "p1": 1}, "p0", 1)  # m <= a_i
+    # True + True == 2 is the genus, but a bool is not a weight
+    for weights in ({"p0": True, "p1": True}, {"p0": 2, "p1": False}, {"p0": 1.0, "p1": 1}):
+        with pytest.raises(ValidationError, match="^weights must be nonnegative integers$"):
+            f_sections(cur, weights, "p0", 3)
+        with pytest.raises(ValidationError, match="^weights must be nonnegative integers$"):
+            canonical_parameter(cur, weights, "p0", 4)
 
 
 def test_canonical_parameter_needs_a_step():
