@@ -14,7 +14,6 @@ from .curves import (
     h0,
     h1,
     h1_corank,
-    nonspecial_check,
     validate,
 )
 from .genus2 import (
@@ -61,7 +60,6 @@ __all__ = [
     "h0",
     "h1",
     "h1_corank",
-    "nonspecial_check",
     "normalize_presentation",
     "parse_rational",
     "poly_reduce",

@@ -262,7 +262,10 @@ class Divisor:
 
     @classmethod
     def of(cls, mapping) -> "Divisor":
-        return cls(tuple(sorted((pid, int(n)) for pid, n in mapping.items() if int(n) != 0)))
+        for pid, n in mapping.items():
+            if type(n) is not int:
+                raise ValidationError(f"divisor multiplicity {n!r} at {pid} must be an int, not a {type(n).__name__}")
+        return cls(tuple(sorted((pid, n) for pid, n in mapping.items() if n != 0)))
 
     def multiplicity(self, point_id: str) -> int:
         return dict(self.items).get(point_id, 0)
@@ -665,14 +668,3 @@ def h1_corank(curve: CurveModel, divisor: Divisor) -> int:
     if not rows:
         return 0
     return len(rows) - linalg.rank(rows)
-
-
-def nonspecial_check(curve: CurveModel, weights: dict) -> bool:
-    """True iff h1(sum a_i p_i) = 0; the weights must sum to the genus."""
-    g = arithmetic_genus(curve)
-    total = sum(weights.values())
-    if total != g:
-        raise ValidationError(f"weights sum to {total}, genus is {g}")
-    if any(a < 0 for a in weights.values()):
-        raise ValidationError("weights must be nonnegative")
-    return h1(curve, Divisor.of(weights)) == 0

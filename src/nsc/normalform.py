@@ -94,13 +94,13 @@ class NormalFormResult:
 def run_recursion(g: int, m_max: int | None = None, j_max: int = 6) -> NormalFormResult:
     """Run the recursion for genus g, reporting f[-m] for m <= m_max and the
     s_{m,j} table for 1 <= j <= j_max.  Exact and deterministic."""
-    if not (isinstance(g, int) and g >= 2):
+    if not (type(g) is int and g >= 2):
         raise ValidationError("genus must be an integer >= 2")
     if m_max is None:
         m_max = g + 6
-    if not (isinstance(m_max, int) and m_max >= g + 1):
+    if not (type(m_max) is int and m_max >= g + 1):
         raise ValidationError("m_max must be an integer >= g+1")
-    if not (isinstance(j_max, int) and j_max >= 0):
+    if not (type(j_max) is int and j_max >= 0):
         raise ValidationError("j_max must be an integer >= 0")
 
     cut = -g + j_max + 1

@@ -15,6 +15,8 @@ from .curves import INF, Divisor, MarkedPoint, _h0_dimension, arithmetic_genus, 
 from .errors import ValidationError
 from .genus2 import (
     G2Params,
+    Q_VARIABLES,
+    Q_WEIGHTS,
     RELATION_DEGREES,
     buchberger_verify,
     fit_parameters,
@@ -83,10 +85,9 @@ def suite_grading():
     cur = zoo("Ia")
     base = fit_parameters(cur, "p0")
     scaled = fit_parameters(rescale_tangent(cur, "p0", Fraction(2)), "p0")
-    weights = {"q21": 2, "q31": 3, "q1": 4, "q20": 5, "q30": 6}
     equivariant = {
         name: getattr(scaled, name) == Fraction(2) ** w * getattr(base, name)
-        for name, w in weights.items()
+        for name, w in zip(Q_VARIABLES, Q_WEIGHTS)
     }
     ok = degrees_ok and all(equivariant.values())
     return ok, {

@@ -212,6 +212,10 @@ def test_rejects_bad_arguments():
         run_recursion(2, 2, 2)
     with pytest.raises(ValidationError):
         run_recursion(2, 5, -1)
+    # a bool is an int to isinstance; j_max=True once returned a table
+    for args in ((True, 5, 2), (2, True, 2), (2, 5, True), (2, 5, False)):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            run_recursion(*args)
 
 
 def test_stable_json_form():
