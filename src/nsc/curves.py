@@ -8,9 +8,10 @@ everything vanishing to order >= c on all branches, it determines the local
 ring exactly.
 
 Every computation reads a singular point as its jet conditions: the linear
-functionals annihilating the span, stored sparsely and computed once per
-jet order.  A function is regular at the point iff its jet is killed by all
-of them, and the delta invariant is their count.  Validation reads them too:
+functionals annihilating the span, computed once per jet order and each
+stored sparsely as integer numerators over one denominator.  A function is
+regular at the point iff its jet is killed by all of them, and the delta
+invariant is their count.  Validation reads them too:
 the constants, the conductor tail and the products of basis jets lie in the
 span iff every condition kills them, and the branches are glued iff the
 conditions' entries on the constant terms have rank #branches - 1.
@@ -20,6 +21,10 @@ smooth points thus become finite exact linear algebra over Q.
 Global functions are tuples of rational functions, one per component, with
 poles confined to the marked points; they are represented on the partial
 fraction basis {1} + {(t-a)^-j} + {t^j at infinity}, the ambient elements.
+An element's expansion at a point is integer numerators over one
+denominator too, so the value of a condition on an element is one integer
+dot product over the product of the two denominators: the one Fraction an
+entry of the jet rows costs.
 
 A curve object keeps, for as long as it lives, its genus and the column of
 every condition's value on each ambient element asked of it, so a curve
@@ -39,7 +44,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import attrgetter
 
 from . import linalg
@@ -96,7 +101,11 @@ MAX_BASIS_ENTRIES = MAX_JET_WIDTH * MAX_JET_WIDTH
 MAX_MARKED_POINTS = 64
 
 # Bounds on the four module caches, so a long-lived process does not grow
-# them without limit.  Each is above the working set of a benchmark round:
+# them without limit.  _span_info keeps a point's conditions at one jet
+# order, each a tuple of (slot, int) pairs and an int denominator;
+# _elt_expansion keeps one element's expansion at one point on one window,
+# a tuple of ints and an int denominator.  Each is above the working set of
+# a benchmark round:
 # 32, 102, 2,112 and 48 entries on the seeded CLI queries (the last the spec
 # files curveio.load_curve interns), 11, 13, 413 and 0 on the
 # canonical-parameter jobs.
@@ -285,9 +294,10 @@ def _span_info(sing: SingularPoint, k: int) -> tuple:
     The span is the algebra basis zero-padded to order k plus the conductor
     tail (every s^d, k_model <= d < k, on every branch).  Returns a basis of
     the functionals phi with phi . v = 0 for every v in that span, each a
-    tuple of (slot, value) pairs over its nonzero entries, slot b*k + d being
-    s^d on branch b.  A jet lies in the span iff every functional kills it,
-    and the delta invariant is the number of functionals.
+    pair (entries, den): the (slot, numerator) pairs of its nonzero entries,
+    slot b*k + d being s^d on branch b, over their positive common
+    denominator.  A jet lies in the span iff every functional's numerators
+    kill it, and the delta invariant is the number of functionals.
     """
     k0, B = sing.jet_order, len(sing.branches)
     pad = [Fraction(0)] * (k - k0)
@@ -298,8 +308,11 @@ def _span_info(sing: SingularPoint, k: int) -> tuple:
             unit = [Fraction(0)] * (B * k)
             unit[b * k + d] = Fraction(1)
             rows.append(unit)
-    return tuple(tuple((s, x) for s, x in enumerate(phi) if x)
-                 for phi in linalg.nullspace(rows, ncols=B * k))
+    out = []
+    for phi in linalg.nullspace(rows, ncols=B * k):
+        den = lcm(*(x.denominator for x in phi))
+        out.append((tuple((s, x.numerator * (den // x.denominator)) for s, x in enumerate(phi) if x), den))
+    return tuple(out)
 
 
 def validate(curve: CurveModel) -> CurveModel:
@@ -368,13 +381,13 @@ def _validate_cached(curve: CurveModel) -> bool:
         # one reading of the point: its conditions, and their entries on the
         # branches' constant terms, where the constants and the gluing live
         conditions = _span_info(sing, k)
-        at_zero = [[dict(phi).get(b * k, 0) for b in range(B)] for phi in conditions]
+        at_zero = [[dict(phi).get(b * k, 0) for b in range(B)] for phi, _ in conditions]
         if any(sum(row) for row in at_zero):
             raise ValidationError("missing constants: the all-ones jet is not in the span")
 
         # every s^d with d >= c is in the span iff no condition reads its slot
         c = sing.conductor
-        slot = min((s for phi in conditions for s, _ in phi if s % k >= c), default=None)
+        slot = min((s for phi, _ in conditions for s, _ in phi if s % k >= c), default=None)
         if slot is not None:
             b, d = divmod(slot, k)
             raise ValidationError(f"conductor violation: jet s^{d} on branch {b} is not in the span")
@@ -398,7 +411,7 @@ def _validate_cached(curve: CurveModel) -> bool:
                             if d + e >= c:
                                 break
                             prod[b * k + d + e] += x * y
-                if any(sum(x * prod[s] for s, x in phi) for phi in conditions):
+                if any(sum(x * prod[s] for s, x in phi) for phi, _ in conditions):
                     raise ValidationError(
                         "non-subalgebra span: a product of basis jets leaves the span"
                     )
@@ -476,8 +489,10 @@ def arithmetic_genus(curve: CurveModel) -> int:
 
 @functools.lru_cache(maxsize=EXPANSION_CACHE_SIZE)
 def _elt_expansion(elt, component, point, low: int, high: int) -> tuple:
-    """Coefficients of the element's expansion at (component, point) in the
-    standard parameter s (= t - point, or 1/t at infinity), exponents [low, high).
+    """(nums, den): the element's expansion at (component, point) in the
+    standard parameter s (= t - point, or 1/t at infinity) on exponents
+    [low, high), its coefficient at s^e being nums[e - low] / den, with den > 0
+    and gcd(den, *nums) = 1.
 
     Near the point every element is s^v (a + b s)^e:
       the constant                            v = 0,  e = 0;
@@ -487,38 +502,57 @@ def _elt_expansion(elt, component, point, low: int, high: int) -> tuple:
       any other (t - t0)^-j                   v = 0,  e = -j, a = point - t0, b = 1.
     Its coefficient at s^(v+i) is C(e,i) a^(e-i) b^i, with the binomial
     C(e,i) = C(e,i-1)(e-i+1) // i exact on the integers for either sign of
-    e; it is zero for every i > e >= 0."""
-    coeffs = [Fraction(0)] * (high - low)
-    if elt[1] != component:
-        return tuple(coeffs)
-    v, e, a, b = 0, 0, Fraction(1), Fraction(1)
-    if elt[0] == "pole":
-        _, _, t0, j = elt
-        if t0 == point:
-            v = -j
-        elif isinstance(point, Infinity):
-            v, e, b = j, -j, -t0
-        elif isinstance(t0, Infinity):
-            e, a = j, point
-        else:
-            e, a = -j, point - t0
-    binom = 1
-    for i in range(high - v):
-        if not binom:
-            break
-        if v + i >= low:
-            coeffs[v + i - low] = binom * a ** (e - i) * b ** i
-        binom = binom * (e - i) // (i + 1)
-    return tuple(coeffs)
+    e; it is zero for every i > e >= 0.  Each power of a or b is an integer
+    over a power of its denominator, and the coefficients share the lcm of
+    those powers."""
+    terms = {}
+    if elt[1] == component:
+        v, e, a, b = 0, 0, 1, 1
+        if elt[0] == "pole":
+            _, _, t0, j = elt
+            if t0 == point:
+                v = -j
+            elif isinstance(point, Infinity):
+                v, e, b = j, -j, -t0
+            elif isinstance(t0, Infinity):
+                e, a = j, point
+            else:
+                e, a = -j, point - t0
+        binom = 1
+        for i in range(high - v):
+            if not binom:
+                break
+            if v + i >= low:
+                an, ad = _power(a, e - i)
+                bn, bd = _power(b, i)
+                terms[v + i] = binom * an * bn, ad * bd
+            binom = binom * (e - i) // (i + 1)
+    den = lcm(*(d for _, d in terms.values()))
+    nums = [0] * (high - low)
+    for exponent, (n, d) in terms.items():
+        nums[exponent - low] = n * (den // d)
+    content = gcd(den, *nums)
+    return tuple(x // content for x in nums), den // content
+
+
+def _power(x, n: int) -> tuple:
+    """x^n for a rational x (nonzero if n < 0) as (numerator, denominator > 0)."""
+    p, q = x.numerator, x.denominator
+    if n < 0:
+        p, q, n = (q, p, -n) if p > 0 else (-q, -p, -n)
+    return p ** n, q ** n
 
 
 def _jet_rows(curve: CurveModel, elts):
     """One row per independent jet condition at each singularity.
 
     Only the columns missing from the curve's memo are computed, each point's
-    conditions read once per call; the rows transpose the columns.  A column
-    enters the memo complete, so threads sharing a curve read whole columns,
-    at worst computing one twice."""
+    conditions read once per call; the rows transpose the columns.  An
+    element's jet at a point is its expansions on the branches over their
+    lcm denominator D, so each entry is one integer dot product with a
+    condition's numerators, over the condition's denominator times D.  A
+    column enters the memo complete, so threads sharing a curve read whole
+    columns, at worst computing one twice."""
     memo = curve._jet_columns
     # a fresh curve's memo is empty, and a lookup hashes each element's point
     columns = [memo.get(elt) for elt in elts] if memo else [None] * len(elts)
@@ -527,14 +561,23 @@ def _jet_rows(curve: CurveModel, elts):
         new = [[] for _ in missing]
         for sing in curve.singularities:
             k = sing.jet_order
-            jets = [[x for br in sing.branches for x in _elt_expansion(elts[i], br.component, br.point, 0, k)]
-                    for i in missing]
-            rows = [[sum(x * jet[s] for s, x in phi) for jet in jets] for phi in _span_info(sing, k)]
-            for column, values in zip(new, zip(*rows)):
-                column.extend(values)
+            conditions = _span_info(sing, k)
+            for column, i in zip(new, missing):
+                jet, den = _jet(elts[i], sing.branches, k)
+                column.extend(Fraction(sum(x * jet[s] for s, x in phi), d * den) for phi, d in conditions)
         for i, column in zip(missing, new):
             columns[i] = memo[elts[i]] = column
     return [list(row) for row in zip(*columns)]
+
+
+def _jet(elt, branches, k: int) -> tuple:
+    """(nums, den): the element's jet at a singular point, s^d on branch b at
+    slot b*k + d, over the lcm of the branches' denominators."""
+    parts = [_elt_expansion(elt, br.component, br.point, 0, k) for br in branches]
+    if len(parts) == 1:
+        return parts[0]
+    den = lcm(*(d for _, d in parts))
+    return [x * (den // d) for nums, d in parts for x in nums], den
 
 
 class FunctionOnCurve:
@@ -627,7 +670,8 @@ def constraints(curve: CurveModel, divisor: Divisor):
     rows = _jet_rows(curve, elts)
     for mp, n in zip(curve.marked_points, mults):
         for d in range(-n):
-            rows.append([_elt_expansion(elt, mp.component, mp.point, d, d + 1)[0] for elt in elts])
+            rows.append([Fraction(nums[0], den) for nums, den in
+                         (_elt_expansion(elt, mp.component, mp.point, d, d + 1) for elt in elts)])
     return elts, rows
 
 

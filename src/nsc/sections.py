@@ -18,7 +18,9 @@ order, advancing the basis expansions through each exact correction step.
 The sections in the canonical parameter are solved over those advanced
 expansions; their expansions at the other marked points need no change.
 Every expansion of a function is its coordinates' combination (`_combine`)
-of the ambient elements' series at the marked point, each built once.
+of the ambient elements' series at the marked point, each built once
+(`_element_series`) straight from the element's integer numerators over one
+denominator, the tangent's powers folded in on the integers.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .curves import (
     Divisor,
     FunctionOnCurve,
     _elt_expansion,
+    _power,
     arithmetic_genus,
     constraints,
     validate,
@@ -54,20 +57,32 @@ def _normalize_weights(curve: CurveModel, weights: dict) -> dict:
     return out
 
 
+def _check_int(name: str, m) -> None:
+    """Reject a pole order that is not an int (a bool included)."""
+    if type(m) is not int:
+        raise ValidationError(f"{name} {m!r} must be an int, not a {type(m).__name__}")
+
+
 def _element_series(curve, pid, elts, coords, low, high) -> list:
     """Each ambient element's expansion at a marked point on exponents
     [low, high), in the tangent-rescaled parameter u = s/v, for the elements
     with a nonzero coordinate in some vector of coords: None for the others,
-    which `_combine` never reads."""
+    which `_combine` never reads.  With v = p/q, the coefficient n_e/D at s^e
+    is n_e v^e / D = n_e v^low p^(e-low) q^(high-1-e) / (D q^(high-1-low))
+    at u^e: one integer factor per exponent over one denominator."""
     mp = curve.marked(pid)
+    p, q = mp.tangent.numerator, mp.tangent.denominator
+    top = max(high - 1 - low, 0)
+    head, foot = _power(mp.tangent, low)
+    factors = [head * p ** i * q ** (top - i) for i in range(top + 1)]
+    foot *= q ** top
     out = []
     for k, elt in enumerate(elts):
         if not any(y[k] for y in coords):
             out.append(None)
             continue
-        coeffs = _elt_expansion(elt, mp.component, mp.point, low, high)
-        out.append(LaurentSeries("u", low, [c and c * mp.tangent ** e for e, c in enumerate(coeffs, low)],
-                                 cut=high))
+        nums, den = _elt_expansion(elt, mp.component, mp.point, low, high)
+        out.append(LaurentSeries._of("u", low, [x * f for x, f in zip(nums, factors)], den * foot, high, None))
     return out
 
 
@@ -170,6 +185,7 @@ def _function(curve, elts, basis, y) -> FunctionOnCurve:
 def f_sections(curve: CurveModel, weights: dict, i: str, m: int, tail: int = 6) -> Section:
     """Solve for f_i[-m]; expansions are returned at every marked point to
     exponents < tail, in each point's parameter u = s/v."""
+    _check_int("m", m)
     validate(curve)
     weights = _normalize_weights(curve, weights)
     i = f"p{curve.point_index(i)}"
@@ -191,6 +207,7 @@ def canonical_parameter(curve: CurveModel, weights: dict, i: str, m_max: int,
     u^-a_i of every f_i[-m], m <= m_max, vanish exactly; m_max must exceed
     a_i, or there is no correction to compute.  The change is the
     composition of the exact correction steps, known below u^order."""
+    _check_int("m_max", m_max)
     validate(curve)
     weights = _normalize_weights(curve, weights)
     i = f"p{curve.point_index(i)}"

@@ -42,6 +42,12 @@ def _point(branches, k, conductor, heads, tail_starts=None) -> SingularPoint:
     return SingularPoint(tuple(starmap(Branch, branches)), k, conductor, tuple(basis))
 
 
+def _check_order(what, n) -> None:
+    """Reject a delta or cusp order that is not an int >= 1 (a bool included)."""
+    if type(n) is not int or n < 1:
+        raise ValidationError(f"{what} {n!r} must be an int >= 1")
+
+
 def node(component, a, b) -> SingularPoint:
     """Two branches glued transversally: equal constant terms."""
     return _point(((component, a), (component, b)), 2, 1, ({0: 1, 2: 1},))
@@ -72,6 +78,7 @@ def deep_cusp(component, point, delta: int) -> SingularPoint:
     """Unibranch point whose local functions are constants plus everything
     vanishing to order > delta; its delta invariant is delta and its jet
     order 2 (delta + 1), at most MAX_JET_WIDTH."""
+    _check_order("delta", delta)
     return _point(((component, point),), 2 * (delta + 1), delta + 1, ({0: 1},))
 
 
@@ -119,8 +126,8 @@ def glued_cusps(a1: int, a2: int) -> CurveModel:
     section of the weighted divisors is a monomial there, so all expansion
     coefficients vanish at both points.
     """
-    if a1 < 1 or a2 < 1:
-        raise ValidationError("cusp orders must be >= 1")
+    _check_order("cusp order a1", a1)
+    _check_order("cusp order a2", a2)
     c = max(a1, a2) + 1
     sing = _point((("c0", Fraction(0)), ("c1", Fraction(0))), 2 * c, c, ({0: 1, 2 * c: 1},), (a1 + 1, a2 + 1))
     marked = (MarkedPoint("c0", INF, Fraction(1), a1), MarkedPoint("c1", INF, Fraction(1), a2))

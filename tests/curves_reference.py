@@ -9,8 +9,11 @@ Also the equality of singular points as it was before a point compared by
 its exact integer key: the dataclass's field-by-field comparison, each
 algebra-basis entry compared by its own `__eq__`.
 
-Also `_jet_rows` as it was before a curve kept its jet-condition columns:
-every row built afresh, one dot product per (condition, element); and h0's
+Also `_jet_rows` as it was before a curve kept its jet-condition columns
+and before the jet conditions and element expansions became integer
+numerators: every row built afresh, one `Fraction` dot product per
+(condition, element), each element expanded by the per-kind `Fraction`
+formulas of `sections_reference._elt_expansion`; and h0's
 basis as it was before one elimination gave it: the kernel, then its reduced
 echelon form by a second elimination.
 """
@@ -25,13 +28,13 @@ from nsc.curves import (
     VALIDATE_CACHE_SIZE,
     CurveModel,
     SingularPoint,
-    _elt_expansion,
     _span_info,
     check_jet_width,
     constraints,
     format_point,
 )
 from nsc.errors import ValidationError
+from sections_reference import _elt_expansion
 
 
 def point_eq(a: SingularPoint, b: SingularPoint) -> bool:
@@ -42,7 +45,7 @@ def point_eq(a: SingularPoint, b: SingularPoint) -> bool:
 
 
 def _span_contains(sing: SingularPoint, vector) -> bool:
-    return not any(sum(x * vector[s] for s, x in phi) for phi in _span_info(sing, sing.jet_order))
+    return not any(sum(x * vector[s] for s, x in phi) for phi, _ in _span_info(sing, sing.jet_order))
 
 
 def _jet_slot(sing: SingularPoint, branch_index: int, degree: int) -> int:
@@ -181,7 +184,7 @@ def _constant_block_dimension(sing: SingularPoint) -> int:
     the branches really are glued into a single point.
     """
     B = len(sing.branches)
-    functionals = [dict(phi) for phi in _span_info(sing, sing.jet_order)]
+    functionals = [dict(phi) for phi, _ in _span_info(sing, sing.jet_order)]
     cond = [[phi.get(_jet_slot(sing, b, 0), 0) for b in range(B)] for phi in functionals]
     if not cond:
         return B
@@ -199,8 +202,8 @@ def _jet_rows(curve: CurveModel, elts):
             for br in sing.branches:
                 jet.extend(_elt_expansion(elt, br.component, br.point, 0, k))
             jets.append(jet)
-        for phi in _span_info(sing, k):
-            rows.append([sum(x * jet[s] for s, x in phi) for jet in jets])
+        for phi, den in _span_info(sing, k):
+            rows.append([sum(Fraction(x, den) * jet[s] for s, x in phi) for jet in jets])
     return rows
 
 

@@ -4,6 +4,7 @@ import sys
 import threading
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -409,7 +410,7 @@ def test_span_membership_against_bruteforce():
                 jet = [x + c * y for x, y in zip(jet, v)]
             if trial % 2:
                 jet[rng.randrange(width)] += rng.choice((-2, -1, 1, Fraction(1, 2)))
-            killed = not any(sum(x * jet[s] for s, x in phi) for phi in _span_info(sing, sing.jet_order))
+            killed = not any(sum(x * jet[s] for s, x in phi) for phi, _ in _span_info(sing, sing.jet_order))
             assert killed == (brute_rank(basis + [jet]) == r)
 
 
@@ -623,7 +624,8 @@ def test_jet_rows_from_the_memo_match_a_fresh_build(tmp_path):
     # an interned spec curve asked its divisors in a seeded order reads its
     # jet rows from the columns earlier questions left; a newly built equal
     # curve, with the condition and expansion caches emptied, builds them
-    # afresh one dot product at a time: the same values, of the same types.
+    # afresh by the Fraction route, one dot product at a time over the
+    # reference expansions: the same values, of the same types.
     # Its genus is the sum of its delta invariants, and it starts with no
     # columns.
     rng = random.Random(20261019)
@@ -730,14 +732,17 @@ def test_expansion_cache_is_bounded():
     assert _elt_expansion.cache_info().currsize == EXPANSION_CACHE_SIZE
     assert [expansion(k) for k in range(8)] == first
     # (t - 1)^-2 = (s - 2)^-2 = (1/4) sum_i (i + 1) (s/2)^i in s = t + 1
-    assert first[1] == (0, Fraction(1, 4), Fraction(1, 4), Fraction(3, 16), Fraction(1, 8))
+    nums, den = first[1]
+    assert [Fraction(x, den) for x in nums] == [0, Fraction(1, 4), Fraction(1, 4), Fraction(3, 16), Fraction(1, 8)]
 
 
 def test_elt_expansion_matches_the_reference():
     # constants and poles at 0, finite points and infinity, expanded at each
     # of those points (the pole's own point included) and on another
     # component, on windows below, across and above the valuation and empty:
-    # the same coefficients as the per-kind expansions, each a Fraction
+    # the same coefficients as the per-kind expansions, coefficient by
+    # coefficient, each an int numerator over one positive int denominator
+    # in lowest terms
     spots = (Fraction(0), Fraction(3), Fraction(-5, 2), INF)
     elts = [("const", "c0"), ("const", "c1")]
     elts += [("pole", c, t0, j) for c in ("c0", "c1") for t0 in spots for j in (1, 2, 5)]
@@ -745,7 +750,9 @@ def test_elt_expansion_matches_the_reference():
     for elt in elts:
         for point in spots:
             for low, high in windows:
-                got = _elt_expansion(elt, "c0", point, low, high)
+                nums, den = _elt_expansion(elt, "c0", point, low, high)
                 want = ref._elt_expansion(elt, "c0", point, low, high)
-                assert got == want, (elt, point, low, high)
-                assert [type(x) for x in got] == [type(x) for x in want], (elt, point, low, high)
+                assert [Fraction(x, den) for x in nums] == list(want), (elt, point, low, high)
+                assert [type(x) for x in nums] == [int] * len(want), (elt, point, low, high)
+                assert type(den) is int and den > 0 and gcd(den, *nums) == 1, (elt, point, low, high)
+                assert set(map(type, want)) <= {Fraction}, (elt, point, low, high)

@@ -1,7 +1,10 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nsc import linalg
 from nsc.curves import (
@@ -10,12 +13,13 @@ from nsc.curves import (
 from nsc.errors import CohomologyError, TruncationError, ValidationError
 from nsc.laurent import ParamChange
 from nsc.sections import (
-    _canonicalise, _combine, _function, _regular_basis, _solve_section, alpha_beta,
+    _canonicalise, _combine, _element_series, _function, _regular_basis, _solve_section, alpha_beta,
     canonical_parameter, f_sections, rescale_tangent,
 )
-from sections_reference import _expansion
+import curves_reference as curves_ref
+from sections_reference import _elt_expansion as ref_elt_expansion, _expansion
 from test_laurent import substitute_by_powers
-from nsc.zoo import ZOO_IDS, glued_cusps, zoo
+from nsc.zoo import ZOO_IDS, cusp, glued_cusps, node, tacnode, zoo
 
 
 def mp(point, tangent=1, weight=None):
@@ -210,6 +214,19 @@ def test_canonical_parameter_needs_a_step():
     assert canonical_parameter(cur, {"p0": 2}, "p0", 3).is_identity()
 
 
+def test_pole_orders_must_be_ints():
+    # a pole order is a non-bool int, checked before the divisor is built,
+    # and the error names the argument: True would pass m_max > a_i = 0
+    cur = zoo("Ia")
+    for bad in (6.5, Fraction(6), True, False, "6", None):
+        with pytest.raises(ValidationError, match=f"^m_max {re.escape(repr(bad))} must be an int, not a "):
+            canonical_parameter(cur, {"p0": 2}, "p1", bad)
+        with pytest.raises(ValidationError, match=f"^m {re.escape(repr(bad))} must be an int, not a "):
+            f_sections(cur, {"p0": 2}, "p1", bad)
+    assert isinstance(canonical_parameter(cur, {"p0": 2}, "p1", 1), ParamChange)
+    assert f_sections(cur, {"p0": 2}, "p1", 1).order == 1
+
+
 # ---------------------------------------------------------------------------
 # second route: the ambient-element solve
 # ---------------------------------------------------------------------------
@@ -398,3 +415,65 @@ def test_basis_solver_truncation_matches_ambient_element_route(order):
                 m_max = weights[i] + 5
                 got = outcome(canonical_parameter, curve, weights, i, m_max, order=order)
                 assert got == outcome(reference_canonical, curve, weights, i, m_max, order=order)
+
+
+# ---------------------------------------------------------------------------
+# the integer route against the Fraction route
+# ---------------------------------------------------------------------------
+# The jet conditions and the element expansions are integer numerators over
+# one denominator, and each jet-row entry is one integer dot product; the
+# references expand each element by its per-kind Fraction formula and sum
+# Fraction products.  Branch points, marked points and tangents are drawn
+# with unlike denominators and signs.
+
+_rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+_tangents = st.builds(Fraction, st.integers(-7, 7).filter(bool), st.integers(1, 5))
+
+
+@st.composite
+def _marked_curves(draw):
+    kinds = draw(st.lists(st.sampled_from([(node, 2), (cusp, 1), (tacnode, 2)]), min_size=1, max_size=3))
+    marks = draw(st.integers(1, 3))
+    finite = draw(st.lists(_rationals, min_size=sum(n for _, n in kinds) + marks,
+                           max_size=sum(n for _, n in kinds) + marks, unique=True))
+    sings = []
+    for make, n in kinds:
+        sings.append(make("c0", *finite[:n]))
+        finite = finite[n:]
+    points = finite[:marks]
+    if draw(st.booleans()):
+        points[draw(st.integers(0, marks - 1))] = INF
+    marked = tuple(MarkedPoint("c0", p, draw(_tangents)) for p in points)
+    return validate(CurveModel(("c0",), tuple(sings), marked))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_marked_curves(), st.data())
+def test_integer_route_matches_the_fraction_route(curve, data):
+    ids = curve.point_ids()
+    mults = data.draw(st.lists(st.integers(-3, 5), min_size=len(ids), max_size=len(ids)))
+    elts, rows = constraints(curve, Divisor.of(dict(zip(ids, mults))))
+    want = curves_ref._jet_rows(curve, elts)
+    for mp, n in zip(curve.marked_points, mults):
+        for d in range(-n):
+            want.append([ref_elt_expansion(elt, mp.component, mp.point, d, d + 1)[0] for elt in elts])
+    assert rows == want
+    assert [list(map(type, row)) for row in rows] == [list(map(type, row)) for row in want]
+    assert {type(x) for row in rows for x in row} <= {Fraction}
+    # each element's series and a drawn combination of them, at every marked
+    # point on a drawn window, against the Fraction sum of the elements
+    y = data.draw(st.lists(st.sampled_from([0, 1, -2, Fraction(3, 4), Fraction(-5, 3)]),
+                           min_size=len(elts), max_size=len(elts)).filter(any))
+    low = data.draw(st.integers(-6, 1))
+    high = data.draw(st.integers(low, low + 8))
+    for pid in ids:
+        series = _element_series(curve, pid, elts, [y], low, high)
+        for c, elt, s in zip(y, elts, series):
+            assert (s is None) == (not c)
+            if c:
+                assert s == _expansion(curve, pid, low, high, [(1, elt)]), (pid, elt)
+        got, want_series = _combine(y, series), _expansion(curve, pid, low, high, zip(y, elts))
+        assert got == want_series, pid
+        assert [type(x) for x in got.coeffs] == [int] * len(got.coeffs)
+        assert [(e, type(x)) for e, x in got.known_items()] == \
+            [(e, type(x)) for e, x in want_series.known_items()]

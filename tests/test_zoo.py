@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from nsc.curveio import curve_to_jsonable
 from nsc.curves import INF, arithmetic_genus, delta_invariant, validate
 from nsc.errors import ValidationError
-from nsc.zoo import ZOO_IDS, glued_cusps, zoo
+from nsc.zoo import ZOO_IDS, deep_cusp, glued_cusps, zoo
 
 
 def test_zoo_ids_are_eight():
@@ -42,6 +43,19 @@ def test_wide_glued_cusps_are_refused_before_any_basis_is_built():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
+
+
+def test_cusp_orders_must_be_positive_ints():
+    # a delta or cusp order is an int >= 1, bools refused, checked before
+    # anything is built: delta 0 would be a smooth point
+    for bad in (-1, 0, True, False, 2.0, Fraction(2), "2", None):
+        with pytest.raises(ValidationError, match=f"^delta {re.escape(repr(bad))} must be an int >= 1$"):
+            deep_cusp("c0", Fraction(0), bad)
+        with pytest.raises(ValidationError, match=f"^cusp order a1 {re.escape(repr(bad))} must be an int >= 1$"):
+            glued_cusps(bad, 2)
+        with pytest.raises(ValidationError, match=f"^cusp order a2 {re.escape(repr(bad))} must be an int >= 1$"):
+            glued_cusps(2, bad)
+    assert deep_cusp("c0", Fraction(0), 1).conductor == 2
 
 
 def test_all_cases_validate_and_have_genus_two():
