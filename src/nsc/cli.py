@@ -25,18 +25,19 @@ import sys
 from .curveio import curve_to_jsonable, dump_curve, load_curve, parse_divisor
 from .curves import MAX_JET_WIDTH, arithmetic_genus, h0, h1
 from .errors import InternalInconsistencyError, NscError, ValidationError
-from .genus2 import fit_parameters
+from .genus2 import Q_VARIABLES, fit_parameters
 from .normalform import run_recursion
 from .rational import INTEGER, format_rational
 from .sections import alpha_beta, canonical_parameter
-from .suites import SUITE_NAMES, parse_genus_range, run_suite
+from .suites import PERTURBATIONS, SUITE_NAMES, SUITES, parse_genus_range, run_suite
 from .zoo import ZOO_IDS, zoo
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 MAX_M_MAX = 32
 MAX_TABLE_GENUS, MAX_TABLE_M_MAX, MAX_TABLE_J_MAX = 48, 64, 16
 
-# the options each curve operation reads; giving any other is a usage error
+# the options each curve operation reads, the one it needs first; giving any
+# other is a usage error
 _CURVE_OPTIONS = {"genus": (), "h0": ("divisor",), "h1": ("divisor",), "alphabeta": ("point", "weights"),
                   "canonical": ("point", "weights", "m_max"), "fit": ("point",)}
 
@@ -76,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", required=True, choices=SUITE_NAMES)
     p.add_argument("--genus-range", default=None)
-    p.add_argument("--perturb", default=None, choices=("c1", "c2", "c3"))
+    p.add_argument("--perturb", default=None, choices=PERTURBATIONS)
 
     p = sub.add_parser("curve", help="exact computations on a curve spec file")
     p.add_argument("operation", choices=tuple(_CURVE_OPTIONS))
@@ -115,14 +116,18 @@ def _cmd_s_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.perturb is not None and args.suite != "buchberger":
-        raise ValidationError("--perturb applies to --suite buchberger only")
-    if args.genus_range is not None and args.suite != "closed-forms":
-        raise ValidationError("--genus-range applies to --suite closed-forms only")
-    genus_range = parse_genus_range(args.genus_range) if args.genus_range is not None else None
-    if genus_range is not None and genus_range[-1] > MAX_TABLE_GENUS:
-        raise ValidationError(f"genus {genus_range[-1]} is out of range: the limit is {MAX_TABLE_GENUS}")
-    ok, payload = run_suite(args.suite, genus_range=genus_range, perturb=args.perturb)
+    # an option that the suite's row does not list is a usage error, naming
+    # the suites that read it; a misused --perturb is reported first
+    options = {name: getattr(args, name) for name in ("perturb", "genus_range")}
+    for name, value in options.items():
+        owners = [suite for suite, (_, reads) in SUITES.items() if name in reads]
+        if value is not None and args.suite not in owners:
+            raise ValidationError(f"--{name.replace('_', '-')} applies to --suite {' or '.join(owners)} only")
+    if args.genus_range is not None:
+        genus_range = options["genus_range"] = parse_genus_range(args.genus_range)
+        if genus_range[-1] > MAX_TABLE_GENUS:
+            raise ValidationError(f"genus {genus_range[-1]} is out of range: the limit is {MAX_TABLE_GENUS}")
+    ok, payload = run_suite(args.suite, **options)
     _print_result("pass" if ok else "fail", payload)
     return EXIT_PASS if ok else EXIT_FAIL
 
@@ -141,62 +146,45 @@ def _cmd_curve(args) -> int:
         if getattr(args, name) is not None and name not in _CURVE_OPTIONS[op]:
             raise ValidationError(f"--{name.replace('_', '-')} does not apply to curve {op}")
     curve = load_curve(args.curve_file)
+    if op != "genus":
+        needed = _CURVE_OPTIONS[op][0]
+        if getattr(args, needed) is None:
+            raise ValidationError(f"{op} needs --{needed}")
     if op == "genus":
-        _print_result("pass", {"genus": arithmetic_genus(curve)})
-        return EXIT_PASS
-    if op in ("h0", "h1"):
-        if args.divisor is None:
-            raise ValidationError(f"{op} needs --divisor")
+        payload = {"genus": arithmetic_genus(curve)}
+    elif op == "h0":
         div = parse_divisor(args.divisor, curve)
-        if op == "h0":
-            res = h0(curve, div)
-            payload = {
-                "dimension": res.dimension,
-                "divisor": dict(div.items),
-                "basis": [fn.to_jsonable() for fn in res.basis],
-            }
+        res = h0(curve, div)
+        payload = {"dimension": res.dimension, "divisor": dict(div.items),
+                   "basis": [fn.to_jsonable() for fn in res.basis]}
+    elif op == "h1":
+        div = parse_divisor(args.divisor, curve)
+        payload = {"h1": h1(curve, div), "divisor": dict(div.items)}
+    else:
+        pid = f"p{curve.point_index(args.point, '--point')}"
+        g = arithmetic_genus(curve)
+        if op == "alphabeta":
+            others = [q for q in curve.point_ids() if q != pid]
+            if not others:
+                raise ValidationError("alphabeta needs a second marked point")
+            jid = others[0]
+            weights = _parse_weights(curve, args.weights) if args.weights is not None else {pid: g - 1, jid: 1}
+            alpha, beta = alpha_beta(curve, pid, jid, weights=weights)
+            payload = {"alpha": format_rational(alpha), "beta": format_rational(beta),
+                       "point": pid, "second_point": jid}
+        elif op == "canonical":
+            weights = _parse_weights(curve, args.weights) if args.weights is not None else {pid: g}
+            m_max = args.m_max if args.m_max is not None else g + 4
+            if m_max > MAX_M_MAX:
+                raise ValidationError(f"m-max {m_max} is out of range: the limit is {MAX_M_MAX}")
+            pc = canonical_parameter(curve, weights, pid, m_max)
+            coeffs = {str(e): format_rational(pc.coefficient(e)) for e in range(2, pc.order())}
+            payload = {"point": pid, "m_max": m_max, "coefficients": coeffs}
         else:
-            payload = {"h1": h1(curve, div), "divisor": dict(div.items)}
-        _print_result("pass", payload)
-        return EXIT_PASS
-    if args.point is None:
-        raise ValidationError(f"{op} needs --point")
-    pid = f"p{curve.point_index(args.point, '--point')}"
-    g = arithmetic_genus(curve)
-    if op == "alphabeta":
-        others = [q for q in curve.point_ids() if q != pid]
-        if not others:
-            raise ValidationError("alphabeta needs a second marked point")
-        jid = others[0]
-        weights = _parse_weights(curve, args.weights) if args.weights is not None else {pid: g - 1, jid: 1}
-        alpha, beta = alpha_beta(curve, pid, jid, weights=weights)
-        _print_result("pass", {
-            "alpha": format_rational(alpha),
-            "beta": format_rational(beta),
-            "point": pid,
-            "second_point": jid,
-        })
-        return EXIT_PASS
-    if op == "canonical":
-        weights = _parse_weights(curve, args.weights) if args.weights is not None else {pid: g}
-        m_max = args.m_max if args.m_max is not None else g + 4
-        if m_max > MAX_M_MAX:
-            raise ValidationError(f"m-max {m_max} is out of range: the limit is {MAX_M_MAX}")
-        pc = canonical_parameter(curve, weights, pid, m_max)
-        coeffs = {str(e): format_rational(pc.coefficient(e)) for e in range(2, pc.order())}
-        _print_result("pass", {"point": pid, "m_max": m_max, "coefficients": coeffs})
-        return EXIT_PASS
-    if op == "fit":
-        params = fit_parameters(curve, pid)
-        _print_result("pass", {
-            "q1": format_rational(params.q1),
-            "q20": format_rational(params.q20),
-            "q21": format_rational(params.q21),
-            "q30": format_rational(params.q30),
-            "q31": format_rational(params.q31),
-        })
-        return EXIT_PASS
-    raise ValidationError(f"unknown curve operation {op!r}")
+            params = fit_parameters(curve, pid)
+            payload = {name: format_rational(getattr(params, name)) for name in Q_VARIABLES}
+    _print_result("pass", payload)
+    return EXIT_PASS
 
 
 def _cmd_zoo(args) -> int:

@@ -24,8 +24,6 @@ import re
 
 from .curves import (
     INF,
-    MAX_SPEC_BYTES,
-    SPEC_CACHE_SIZE,
     Branch,
     CurveModel,
     Divisor,
@@ -36,6 +34,26 @@ from .curves import (
 )
 from .errors import ValidationError
 from .rational import INTEGER, format_rational, parse_rational
+
+# load_curve interns the curves of at most SPEC_CACHE_SIZE spec files, above
+# the 48 of the seeded CLI queries of a benchmark round and the 0 of its
+# canonical-parameter jobs.  MAX_SPEC_BYTES is the largest spec file it
+# reads.  The widest dense spec that validates, 63 basis vectors on two
+# branches of jet order 32 written by dump_curve, takes 78,914 bytes with
+# two-digit fractions and 87,025 with three-digit ones; the limit leaves
+# three times that.  The spec cache thus keeps at most SPEC_CACHE_SIZE x
+# MAX_SPEC_BYTES = 32 MiB of file bytes as its keys, besides the curves they
+# parse to.  Those are bounded by curves.MAX_BASIS_ENTRIES and
+# curves.MAX_MARKED_POINTS: at both bounds (one point of 64 x 64 entries, 64
+# marked points) a curve holds 0.27 MB of objects with one-digit entries and
+# 0.57 MB with 28-digit ones, the longest that fit in the file, so at most
+# about 74 MB at SPEC_CACHE_SIZE.  Resident memory grew by 0.32, 0.54 and
+# 0.90 MB a spec with one-, two- and three-digit entries, the rest being what
+# validation's elimination leaves in the allocator.  Before these bounds, a
+# 249 KB spec of 15 whole jet spaces of order 64 kept 3.6 MB, and one of
+# 5,000 marked points 1.8 MB.
+SPEC_CACHE_SIZE = 128
+MAX_SPEC_BYTES = 256 * 1024
 
 
 def parse_point(text: str, what: str = "point"):

@@ -14,7 +14,9 @@ regular at the point iff its jet is killed by all of them, and the delta
 invariant is their count.  Validation reads them too:
 the constants, the conductor tail and the products of basis jets lie in the
 span iff every condition kills them, and the branches are glued iff the
-conditions' entries on the constant terms have rank #branches - 1.
+conditions' entries on the constant terms have rank #branches - 1.  Summed
+per component, those entries have rank #components - 1 iff the curve is
+connected.
 Arithmetic genus and the section spaces of divisors supported on marked
 smooth points thus become finite exact linear algebra over Q.
 
@@ -100,35 +102,17 @@ MAX_JET_WIDTH = 64
 MAX_BASIS_ENTRIES = MAX_JET_WIDTH * MAX_JET_WIDTH
 MAX_MARKED_POINTS = 64
 
-# Bounds on the four module caches, so a long-lived process does not grow
-# them without limit.  _span_info keeps a point's conditions at one jet
-# order, each a tuple of (slot, int) pairs and an int denominator;
-# _elt_expansion keeps one element's expansion at one point on one window,
-# a tuple of ints and an int denominator.  Each is above the working set of
-# a benchmark round:
-# 32, 102, 2,112 and 48 entries on the seeded CLI queries (the last the spec
-# files curveio.load_curve interns), 11, 13, 413 and 0 on the
+# Bounds on the three module caches here (curveio.SPEC_CACHE_SIZE bounds the
+# fourth), so a long-lived process does not grow them without limit.
+# _span_info keeps a point's conditions at one jet order, each a tuple of
+# (slot, int) pairs and an int denominator; _elt_expansion keeps one
+# element's expansion at one point on one window, a tuple of ints and an int
+# denominator.  Each is above the working set of a benchmark round: 32, 102
+# and 2,112 entries on the seeded CLI queries, 11, 13 and 413 on the
 # canonical-parameter jobs.
 SPAN_CACHE_SIZE = 256
 VALIDATE_CACHE_SIZE = 512
 EXPANSION_CACHE_SIZE = 4096
-SPEC_CACHE_SIZE = 128
-
-# The largest spec file curveio.load_curve reads.  The widest dense spec that
-# validates, 63 basis vectors on two branches of jet order 32 written by
-# curveio.dump_curve, takes 78,914 bytes with two-digit fractions and 87,025
-# with three-digit ones; the limit leaves three times that.  The spec cache
-# thus keeps at most SPEC_CACHE_SIZE x MAX_SPEC_BYTES = 32 MiB of file bytes
-# as its keys, besides the curves they parse to.  Those are bounded by
-# MAX_BASIS_ENTRIES and MAX_MARKED_POINTS: at both bounds (one point of 64 x
-# 64 entries, 64 marked points) a curve holds 0.27 MB of objects with
-# one-digit entries and 0.57 MB with 28-digit ones, the longest that fit in
-# the file, so at most about 74 MB at SPEC_CACHE_SIZE.  Resident memory grew
-# by 0.32, 0.54 and 0.90 MB a spec with one-, two- and three-digit entries,
-# the rest being what validation's elimination leaves in the allocator.
-# Before these bounds, a 249 KB spec of 15 whole jet spaces of order 64
-# kept 3.6 MB, and one of 5,000 marked points 1.8 MB.
-MAX_SPEC_BYTES = 256 * 1024
 
 # Besides these, each CurveModel keeps the jet-condition columns of the
 # ambient elements asked of it (_jet_columns) for as long as the object
@@ -224,7 +208,9 @@ class CurveModel:
     # to its exact twin, and an int branch point equal to its Fraction, so
     # points, tangents and weights are checked to be exact here, on every
     # object.  So are the basis entries, to reject a float or bool by name;
-    # a singular point's key never equals its exact twin's.
+    # a singular point's key never equals its exact twin's.  Its key compares
+    # a jet order or conductor of 4.0 equal to 4 and True equal to 1, so
+    # those are checked to be ints too.
     @functools.cached_property
     def _valid(self):
         points = [("branch point", br) for sing in self.singularities for br in sing.branches]
@@ -238,6 +224,11 @@ class CurveModel:
                 raise ValidationError(f"marked point weight {mp.weight!r} must be an int, "
                                       f"not a {type(mp.weight).__name__}")
         for sing in self.singularities:
+            for field in ("jet_order", "conductor"):
+                value = getattr(sing, field)
+                if type(value) is not int:
+                    raise ValidationError(f"singular point {field} {value!r} must be an int, "
+                                          f"not a {type(value).__name__}")
             if not set(map(type, itertools.chain.from_iterable(sing.algebra_basis))) <= _EXACT:
                 x = next(x for v in sing.algebra_basis for x in v if type(x) not in _EXACT)
                 raise ValidationError(f"algebra basis entry {x!r} must be an int or a Fraction")
@@ -375,6 +366,7 @@ def _validate_cached(curve: CurveModel) -> bool:
         raise ValidationError(f"{len(curve.marked_points)} marked points is out of range: "
                               f"the limit is {MAX_MARKED_POINTS}")
 
+    on_constants = []  # each condition's entries on the components' constants
     for sing in curve.singularities:
         k, B = sing.jet_order, len(sing.branches)
         width = B * k
@@ -382,6 +374,11 @@ def _validate_cached(curve: CurveModel) -> bool:
         # branches' constant terms, where the constants and the gluing live
         conditions = _span_info(sing, k)
         at_zero = [[dict(phi).get(b * k, 0) for b in range(B)] for phi, _ in conditions]
+        for row in at_zero:
+            by_component = dict.fromkeys(curve.components, 0)
+            for br, x in zip(sing.branches, row):
+                by_component[br.component] += x
+            on_constants.append(list(by_component.values()))
         if any(sum(row) for row in at_zero):
             raise ValidationError("missing constants: the all-ones jet is not in the span")
 
@@ -438,23 +435,11 @@ def _validate_cached(curve: CurveModel) -> bool:
             )
         seen_marked.add(key)
 
-    # connectivity of the component graph, singularities joining their branches
-    if len(curve.components) > 1:
-        parent = {c: c for c in curve.components}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for sing in curve.singularities:
-            comps = [br.component for br in sing.branches]
-            for c in comps[1:]:
-                parent[find(c)] = find(comps[0])
-        roots = {find(c) for c in curve.components}
-        if len(roots) != 1:
-            raise ValidationError("disconnected curve")
+    # connected iff the only locally constant regular functions are the
+    # constants; every point glues its branches, so iff the conditions read
+    # on the components' constants have rank #components - 1
+    if linalg.rank(on_constants) != len(curve.components) - 1:
+        raise ValidationError("disconnected curve")
 
     return True
 

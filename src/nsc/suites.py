@@ -28,7 +28,7 @@ from .rational import INTEGER, format_rational
 from .sections import alpha_beta, rescale_tangent
 from .zoo import ZOO_IDS, zoo
 
-SUITE_NAMES = ("closed-forms", "buchberger", "grading", "zoo-genus", "c0", "ab-equivalence")
+PERTURBATIONS = ("c1", "c2", "c3")
 
 
 def parse_genus_range(text: str):
@@ -46,37 +46,35 @@ def suite_closed_forms(genus_range=range(2, 13)):
     return ok, {"suite": "closed-forms", "reports": [r.to_jsonable() for r in reports]}
 
 
+def _perturbed(rels, name: str):
+    """The relations with 1 added to c_i, for the perturbation named c_i."""
+    alt = list(rels.relations)
+    alt[PERTURBATIONS.index(name)] += 1
+    return type(rels)(rels.ring, tuple(alt))
+
+
 def suite_buchberger(perturb: str | None = None):
-    payload = {"suite": "buchberger"}
     rels = universal_relations(G2Params.symbolic())
     if perturb is not None:
-        if perturb not in ("c1", "c2", "c3"):
-            raise ValidationError("perturb must be one of c1, c2, c3")
-        which = int(perturb[1]) - 1
-        perturbed = list(rels.relations)
-        perturbed[which] = perturbed[which] + 1
-        rels = type(rels)(rels.ring, tuple(perturbed))
-        payload["perturbed"] = perturb
+        if perturb not in PERTURBATIONS:
+            raise ValidationError(f"perturb must be one of {', '.join(PERTURBATIONS)}")
+        cert = buchberger_verify(_perturbed(rels, perturb))
+        return cert.ok, {"suite": "buchberger", "perturbed": perturb, "symbolic": cert.to_jsonable()}
     cert = buchberger_verify(rels)
-    payload["symbolic"] = cert.to_jsonable()
-    ok = cert.ok
-    if perturb is None:
-        # the three single-coefficient perturbations must each break a reduction
-        broken = {}
-        for name, which in (("c1", 0), ("c2", 1), ("c3", 2)):
-            alt = list(universal_relations(G2Params.symbolic()).relations)
-            alt[which] = alt[which] + 1
-            broken[name] = not buchberger_verify(type(rels)(rels.ring, tuple(alt))).ok
-        payload["perturbations_fail"] = broken
-        ok = ok and all(broken.values())
-        report = solve_c()
-        payload["solve_c"] = {
+    # the single-coefficient perturbations must each break a reduction
+    broken = {name: not buchberger_verify(_perturbed(rels, name)).ok for name in PERTURBATIONS}
+    report = solve_c()
+    ok = cert.ok and all(broken.values()) and report.ok
+    return ok, {
+        "suite": "buchberger",
+        "symbolic": cert.to_jsonable(),
+        "perturbations_fail": broken,
+        "solve_c": {
             "status": "pass" if report.ok else "fail",
             "closed_forms": {k: str(v) for k, v in report.closed_forms.items()},
             "residuals": [str(r) for r in report.residuals],
-        }
-        ok = ok and report.ok
-    return ok, payload
+        },
+    }
 
 
 def suite_grading():
@@ -98,31 +96,20 @@ def suite_grading():
     }
 
 
-def _delta_stable(cur) -> bool:
-    """Every delta invariant is unchanged when read at two more jet orders."""
-    return all(
-        delta_invariant(cur, s) == delta_invariant(cur, s, s.jet_order + 2)
-        for s in cur.singularities
-    )
-
-
 def suite_zoo_genus():
-    cases = {}
+    """Each zoo case has genus 2 and ccusp<a> genus a, and every delta
+    invariant is unchanged when read at two more jet orders."""
+    payload = {"suite": "zoo-genus", "cases": {}, "family": {}}
     ok = True
-    for case in ZOO_IDS:
+    runs = [("cases", case, 2) for case in ZOO_IDS] + [("family", f"ccusp{a}", a) for a in range(1, 9)]
+    for group, case, genus in runs:
         cur = zoo(case)
         g = arithmetic_genus(cur)
-        stable = _delta_stable(cur)
-        cases[case] = {"genus": g, "delta_stable": stable}
-        ok = ok and g == 2 and stable
-    family = {}
-    for a in range(1, 9):
-        cur = zoo(f"ccusp{a}")
-        g = arithmetic_genus(cur)
-        stable = _delta_stable(cur)
-        family[f"ccusp{a}"] = {"genus": g, "delta_stable": stable}
-        ok = ok and g == a and stable
-    return ok, {"suite": "zoo-genus", "cases": cases, "family": family}
+        stable = all(delta_invariant(cur, s) == delta_invariant(cur, s, s.jet_order + 2)
+                     for s in cur.singularities)
+        payload[group][case] = {"genus": g, "delta_stable": stable}
+        ok = ok and g == genus and stable
+    return ok, payload
 
 
 def suite_c0():
@@ -145,7 +132,7 @@ def suite_c0():
     return ok, {"suite": "c0", "generic_points": results, "infinity": at_inf}
 
 
-def suite_ab_equivalence(minimum: int = 20):
+def suite_ab_equivalence():
     rng = random.Random(60422)
     spots = [Fraction(x) for x in (5, 7, -2, 11, 13)] + [Fraction(9, 2), Fraction(-7, 3)]
     rows = []
@@ -176,21 +163,26 @@ def suite_ab_equivalence(minimum: int = 20):
             })
             ok = ok and first and second
             checked += 1
-    ok = ok and checked >= minimum
+    ok = ok and checked >= 20
     return ok, {"suite": "ab-equivalence", "configurations": checked, "rows": rows}
 
 
-def run_suite(name: str, genus_range=None, perturb: str | None = None):
-    if name == "closed-forms":
-        return suite_closed_forms(genus_range or range(2, 13))
-    if name == "buchberger":
-        return suite_buchberger(perturb)
-    if name == "grading":
-        return suite_grading()
-    if name == "zoo-genus":
-        return suite_zoo_genus()
-    if name == "c0":
-        return suite_c0()
-    if name == "ab-equivalence":
-        return suite_ab_equivalence()
-    raise ValidationError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+# suite name -> (its function, the `nsc verify` options it reads), in the
+# order `nsc verify` lists them; run_suite passes a suite those of its options
+# that are given
+SUITES = {
+    "closed-forms": (suite_closed_forms, ("genus_range",)),
+    "buchberger": (suite_buchberger, ("perturb",)),
+    "grading": (suite_grading, ()),
+    "zoo-genus": (suite_zoo_genus, ()),
+    "c0": (suite_c0, ()),
+    "ab-equivalence": (suite_ab_equivalence, ()),
+}
+SUITE_NAMES = tuple(SUITES)
+
+
+def run_suite(name: str, **options):
+    if name not in SUITES:
+        raise ValidationError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    suite, reads = SUITES[name]
+    return suite(**{k: options[k] for k in reads if options.get(k) is not None})

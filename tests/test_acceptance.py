@@ -116,7 +116,7 @@ def test_criterion_07_smooth_point_suite_and_riemann_roch():
 
 
 def test_criterion_08_alpha_beta_equivalence():
-    ok, payload = suite_ab_equivalence(minimum=20)
+    ok, payload = suite_ab_equivalence()
     report(8, ok, f"(alpha!=0) <=> h1(2p1)=0 and ((alpha,beta)!=(0,0)) <=> h1(3p1)=0 "
                   f"over {payload['configurations']} two-pointed configurations")
 

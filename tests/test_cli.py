@@ -457,6 +457,77 @@ def test_help_exits_zero(capsys, argv):
     assert "usage: nsc" in capsys.readouterr().out
 
 
+def exit_and_stdout_sha256(capsys, *argv):
+    code, out = run_cli(capsys, *argv)
+    return hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
+
+
+# SHA-256 of "<exit code>\n<stdout>" per `nsc verify` argument list: every
+# suite, every perturbation, a genus range, option misuses (both options given
+# to a suite that reads neither reports --perturb first) and an unknown suite,
+# whose message lists the suites in argparse's wording
+VERIFY_SHA256 = {
+    "--suite closed-forms": "b9d3c873378264b2c603f333364f0e9e4529ff735b5bef7f463ed56b1f90eace",
+    "--suite buchberger": "d953ba9da39b371e54890ba7283c0537534cd0ddd4cf1a21c99d16a2f617748e",
+    "--suite grading": "9fa39c67b5250777525b6e135e1d2e42533caeef11e88b1d6b0e237d08234237",
+    "--suite zoo-genus": "f025d86b223a6e271869e6bcecabc16427a422cd718c989447e9903a13d582aa",
+    "--suite c0": "9c23cc67bfe87d32dec8b72e0d4516515e6aaa19bc5e6fe443ccf8eadc0275df",
+    "--suite ab-equivalence": "5f8026ddea4b30bfe35b4b271ff371d79718c22d53ec34f4f7f1538d4651f4c6",
+    "--suite buchberger --perturb c1": "541ed826b7fab3b87ec5f05ad7a5c197a2be48ed0d42fe3f0139a0053520a36d",
+    "--suite buchberger --perturb c2": "c65a3b2e9cae94e94caa54ccedf460c3d5218de1e5a17ad5a51226aea26901dd",
+    "--suite buchberger --perturb c3": "92727b78103a3120aad2014442c31bb52eef38e3ad879e31dfe7e0a46144f288",
+    "--suite closed-forms --genus-range 2..20": "40e618726c32d7223bf0237c77a1169a399cacbe1f5c2484759f283c1d2c85ef",
+    "--suite c0 --perturb c1": "6ccd079fd5a9cf2e99502e4dcc4d59ef158e3d46d7e724ec75f7243e36044101",
+    "--suite grading --genus-range 2..3": "0b822ab8e91045453836e7301658a83f93159b9012f3b0455a2e6e1fd531c3d7",
+    "--suite zoo-genus --perturb c2 --genus-range 2..3":
+        "6ccd079fd5a9cf2e99502e4dcc4d59ef158e3d46d7e724ec75f7243e36044101",
+    "--suite buchberger --perturb c1 --genus-range 2..3":
+        "0b822ab8e91045453836e7301658a83f93159b9012f3b0455a2e6e1fd531c3d7",
+    "--suite nope": "333df279b8a5305865750422fdf340f283b160473297c2df7c85eefcb1ec135a",
+}
+
+
+@pytest.mark.parametrize("argv", list(VERIFY_SHA256))
+def test_verify_bytes_pinned(capsys, argv):
+    assert exit_and_stdout_sha256(capsys, "verify", *argv.split()) == VERIFY_SHA256[argv]
+
+
+def test_suite_names_in_order():
+    from nsc.suites import SUITE_NAMES
+
+    assert SUITE_NAMES == ("closed-forms", "buchberger", "grading", "zoo-genus", "c0", "ab-equivalence")
+
+
+# the same per `nsc curve` argument list, the case's emitted spec in place of
+# its name; fit at p1 of IIc-C0, its Weierstrass point, is refused
+CURVE_SHA256 = {
+    "genus Ia": "110dc9ed08a532aebfc0764b0cc047206cd49df660ecc77d18305bf1d62f00c1",
+    "h0 Ia --divisor=2*p0": "da19cccf5c409ca1d61fb6119f232d2f76ca0596de9142f6a5ba7a666c00f006",
+    "h1 Ia --divisor=2*p0-1*p1": "958c426ff593e54f59a9448d7e633c6655fd52099a8afd6a6e1b20e70feb5754",
+    "alphabeta Ia --point p0": "a64cadb38133b2d0f178ae2484ccc83fd66d240767d1672bd66f4d5c33155d31",
+    "canonical Ia --point p0": "7c317e7e64c59973f6debdd1bf5f7a045f5d050ebc39efe06ffe1425916d88df",
+    "fit Ia --point p0": "41a899f396c4456d808c30fdfbe2f774fe2bdfd1ef30f75d6d209f794f40f3c0",
+    "fit Ia --point p1": "3f54257ec876bb65c9b439c816ce153abd40340cd8e98539f0e30eac6709b916",
+    "genus IIc-C0": "110dc9ed08a532aebfc0764b0cc047206cd49df660ecc77d18305bf1d62f00c1",
+    "h0 IIc-C0 --divisor=2*p1": "e9f7eb5a416a533a372615fd9a72ff5e466763aab7061e52ad0d7f96bfe513b5",
+    "h1 IIc-C0 --divisor=2*p1": "2f0dc6e48b34166a420efab9986b78f32ef55684ea1d49c8f6d2a864902ef95a",
+    "alphabeta IIc-C0 --point p0": "a0b71bf0b635518498eac8f24c75633d3b82a4fb523f0b3901d9db4bcbc4bc05",
+    "canonical IIc-C0 --point p0": "c0718a3e8ca6e5597a99cc5c833a94a2af21098de6cf9d3c1308eb7d6a2c31db",
+    "fit IIc-C0 --point p0": "48b00379b5a2cf63c2bcb3b01edc07ae13328339fd85823ae3e977625ade4a06",
+    "fit IIc-C0 --point p1": "6115d0f15dcf83c81c9d6e347bc2ab5a594388cbd37a7bc93bd56fa5f8ba31db",
+}
+
+
+def test_curve_bytes_pinned(tmp_path, capsys):
+    specs = {}
+    for case in ("Ia", "IIc-C0"):
+        specs[case] = str(tmp_path / f"{case}.json")
+        assert run_cli(capsys, "zoo", "emit", case, specs[case])[0] == 0
+    for argv, digest in CURVE_SHA256.items():
+        op, case, *options = argv.split()
+        assert exit_and_stdout_sha256(capsys, "curve", op, specs[case], *options) == digest, argv
+
+
 def test_output_byte_identical_across_runs(capsys):
     _, out1 = run_cli(capsys, "verify", "--suite", "c0")
     _, out2 = run_cli(capsys, "verify", "--suite", "c0")

@@ -7,6 +7,8 @@ import pytest
 
 from nsc.cli import main
 from nsc.curveio import (
+    MAX_SPEC_BYTES,
+    SPEC_CACHE_SIZE,
     _curve_from_text,
     curve_from_jsonable,
     curve_to_jsonable,
@@ -19,8 +21,6 @@ from nsc.curves import (
     INF,
     MAX_BASIS_ENTRIES,
     MAX_MARKED_POINTS,
-    MAX_SPEC_BYTES,
-    SPEC_CACHE_SIZE,
     Branch,
     CurveModel,
     Divisor,

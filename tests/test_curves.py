@@ -172,6 +172,27 @@ def test_validate_requires_exact_algebra_basis_entries():
         assert validate(cusp_curve(1, at))
 
 
+
+@pytest.mark.parametrize("field, exact", [("jet_order", 4), ("conductor", 2)])
+def test_validate_requires_int_jet_orders_and_conductors(field, exact):
+    # the point's key compares 4.0 and True equal to an int: a float or bool
+    # jet order or conductor is rejected by name with a cold cache and after
+    # the exact twin is cached
+    def cusp_curve(value, at):
+        fields = {"jet_order": 4, "conductor": 2, field: value}
+        basis = ((1, 0, 0, 0), (0, 0, Fraction(1), 0), (0, 0, 0, Fraction(1)))
+        sing = SingularPoint((Branch("c0", at),), fields["jet_order"], fields["conductor"], basis)
+        return CurveModel(("c0",), (sing,), ())
+
+    for twin_first, at in ((False, Fraction(-11 - exact, 17)), (True, Fraction(-12 - exact, 17))):
+        if twin_first:
+            validate(cusp_curve(exact, at))
+        for value in (float(exact), True):
+            with pytest.raises(ValidationError) as exc:
+                validate(cusp_curve(value, at))
+            assert str(exc.value) == f"singular point {field} {value!r} must be an int, not a {type(value).__name__}"
+        assert validate(cusp_curve(exact, at))
+
 def random_singular_curve(rng):
     """One singular point on one or several lines: 1-3 branches, jet order
     1-6, conductor 0..k+1, a basis of dense random rows or of unit jets,
@@ -196,25 +217,46 @@ def random_singular_curve(rng):
     return CurveModel(comps, (sing,), (MarkedPoint("c0", INF),))
 
 
-def test_validate_matches_the_reference_on_random_singular_points():
-    def outcome(check, curve):
-        try:
-            check(curve)
-            return "valid"
-        except ValidationError as exc:
-            return str(exc)
+def validation_outcome(check, curve):
+    try:
+        check(curve)
+        return "valid"
+    except ValidationError as exc:
+        return str(exc)
 
+
+def test_validate_matches_the_reference_on_random_singular_points():
     rng = random.Random(20261019)
     seen = Counter()
     for _ in range(6000):
         curve = random_singular_curve(rng)
-        got = outcome(validate, curve)
-        assert got == outcome(curves_ref._validate_cached, curve), curve
+        got = validation_outcome(validate, curve)
+        assert got == validation_outcome(curves_ref._validate_cached, curve), curve
         seen[got.split(":")[0]] += 1
     for kind in ("valid", "missing constants", "conductor violation", "non-subalgebra span",
                  "singularity does not glue its branches into one point"):
         assert seen[kind] >= 40, (kind, seen[kind])
 
+
+
+def ordinary_point(index, components):
+    """One branch on each component at t = index, glued only at their
+    constants: the constants and s on each branch, jet order 2."""
+    B = len(components)
+    ones = tuple(Fraction(d == 0) for _ in range(B) for d in range(2))
+    units = tuple(tuple(Fraction(s == 2 * b + 1) for s in range(2 * B)) for b in range(B))
+    return SingularPoint(tuple(Branch(c, Fraction(index)) for c in components), 2, 1, (ones,) + units)
+
+
+@pytest.mark.parametrize("components, glued, connected", [
+    (("c0", "c1", "c2", "c3"), (("c0", "c1"), ("c2", "c3")), False),  # two glued pairs
+    (("c0", "c1", "c2"), (("c0", "c1"), ("c1", "c2")), True),  # a chain
+    (("c0", "c1", "c2"), (("c0", "c1", "c2"),), True),  # one three-branch point
+])
+def test_connectivity_matches_the_reference(components, glued, connected):
+    curve = CurveModel(components, tuple(ordinary_point(i, comps) for i, comps in enumerate(glued)), ())
+    expected = "valid" if connected else "disconnected curve"
+    assert validation_outcome(validate, curve) == validation_outcome(curves_ref._validate_cached, curve) == expected
 
 def test_validate_rejects_a_marked_point_weight_that_is_not_an_int(tmp_path):
     # True == 1 and 1.0 == 1, so such a curve equals its exact twin, which the
