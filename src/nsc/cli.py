@@ -29,7 +29,7 @@ from .genus2 import Q_VARIABLES, fit_parameters
 from .normalform import run_recursion
 from .rational import INTEGER, format_rational
 from .sections import alpha_beta, canonical_parameter
-from .suites import PERTURBATIONS, SUITE_NAMES, SUITES, parse_genus_range, run_suite
+from .suites import OPTIONS, PERTURBATIONS, SUITE_NAMES, check_options, parse_genus_range, run_suite
 from .zoo import ZOO_IDS, zoo
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
@@ -116,13 +116,10 @@ def _cmd_s_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # an option that the suite's row does not list is a usage error, naming
-    # the suites that read it; a misused --perturb is reported first
-    options = {name: getattr(args, name) for name in ("perturb", "genus_range")}
-    for name, value in options.items():
-        owners = [suite for suite, (_, reads) in SUITES.items() if name in reads]
-        if value is not None and args.suite not in owners:
-            raise ValidationError(f"--{name.replace('_', '-')} applies to --suite {' or '.join(owners)} only")
+    # an option that the suite's row does not list is a usage error, reported
+    # before --genus-range is parsed
+    options = {name: getattr(args, name) for name in OPTIONS}
+    check_options(args.suite, options)
     if args.genus_range is not None:
         genus_range = options["genus_range"] = parse_genus_range(args.genus_range)
         if genus_range[-1] > MAX_TABLE_GENUS:

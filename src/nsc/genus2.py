@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .curves import CurveModel, Divisor, _h0_dimension, arithmetic_genus, validate
 from .errors import CohomologyError, InternalInconsistencyError, ValidationError
@@ -35,12 +36,20 @@ FHK_WEIGHTS = (5, 4, 3)
 RELATION_DEGREES = (8, 9, 10)
 
 
+@lru_cache(maxsize=16)
+def _ring(variables, weights, base) -> PolyRing:
+    """Each ring of this module is built once per base (None,
+    parameter_ring() and the ring of solve_c), so its polynomials share one
+    ring object and ring checks succeed by identity."""
+    return PolyRing(variables, weights, base)
+
+
 def parameter_ring() -> PolyRing:
-    return PolyRing(Q_VARIABLES, Q_WEIGHTS)
+    return _ring(Q_VARIABLES, Q_WEIGHTS, None)
 
 
 def relation_ring(base=None) -> PolyRing:
-    return PolyRing(("k", "h", "f"), FHK_WEIGHTS, base=base)
+    return _ring(("k", "h", "f"), FHK_WEIGHTS, base)
 
 
 @dataclass(frozen=True)
@@ -130,7 +139,7 @@ def buchberger_verify(rels: G2Relations) -> BuchbergerCertificate:
 # ---------------------------------------------------------------------------
 
 def coefficient_f_ring(base=None) -> PolyRing:
-    return PolyRing(("f",), (3,), base=base)
+    return _ring(("f",), (3,), base)
 
 
 def _deg(p: MultiPoly) -> int:

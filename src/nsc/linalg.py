@@ -6,7 +6,9 @@ on sparse rows: each row has its denominators cleared and is kept as a
 {column: int} dict of its nonzero entries, scaled to content 1 after every
 change.  It divides by the pivots only once, when the reduced rows are turned
 back into Fractions.  The reduced row echelon form is unique, so the result
-does not depend on how the elimination reached it.
+does not depend on how the elimination reached it.  `rref` returns it dense;
+`nullspace` and `solve_affine` read their vectors straight off the integer
+rows, making one Fraction per nonzero entry.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _primitive(row: dict) -> dict:
@@ -34,10 +37,10 @@ def _eliminate(rows):
     """
     work = []
     for r in rows:
-        nonzero = [(c, x) for c, x in enumerate(r) if x]
-        if nonzero:
-            den = lcm(*(x.denominator for _, x in nonzero))
-            work.append(_primitive({c: x.numerator * (den // x.denominator) for c, x in nonzero}))
+        ratios = [(c, x.as_integer_ratio()) for c, x in enumerate(r) if x]
+        if ratios:
+            den = lcm(*[d for _, (_, d) in ratios])
+            work.append(_primitive({c: n * (den // d) for c, (n, d) in ratios}))
     pivots = []
     r = 0
     ncols = len(rows[0]) if rows else 0
@@ -96,34 +99,40 @@ def nullspace(rows, ncols=None):
         if not rows:
             raise ValueError("ncols required for empty constraint list")
         ncols = len(rows[0])
-    red, pivots = rref(rows) if rows else ([], [])
-    return _kernel(red, pivots, ncols)
+    return _kernel(*_eliminate(rows), ncols)
 
 
-def _kernel(red, pivots, ncols):
-    """Kernel basis of the first ncols columns of a reduced matrix, one vector
-    per free column."""
-    free = [c for c in range(ncols) if c not in pivots]
+def _kernel(reduced, pivots, ncols):
+    """Kernel basis of the first ncols columns of an eliminated matrix, one
+    vector per free column: 1 there and minus the reduced rows' entries in
+    that column at their pivots."""
+    pivot_set = set(pivots)
     basis = []
-    for fcol in free:
-        v = [Fraction(0)] * ncols
-        v[fcol] = Fraction(1)
-        for i, pcol in enumerate(pivots):
-            v[pcol] = -red[i][fcol]
+    for fcol in range(ncols):
+        if fcol in pivot_set:
+            continue
+        v = [_ZERO] * ncols
+        v[fcol] = _ONE
+        for row, pcol in zip(reduced, pivots):
+            a = row.get(fcol)
+            if a is not None:
+                v[pcol] = Fraction(-a, row[pcol])
         basis.append(v)
     return basis
 
 
 def solve_affine(rows, rhs):
-    """All solutions of rows @ x = rhs: (particular, kernel_basis) or None."""
+    """All solutions of rows @ x = rhs: (particular, kernel_basis), or None
+    when the system is inconsistent.  At least one equation is needed."""
     if not rows:
-        return None
+        raise ValueError("solve_affine needs at least one equation")
     ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
+    reduced, pivots = _eliminate([list(r) + [b] for r, b in zip(rows, rhs)])
     if ncols in pivots:  # a pivot in the rhs column: inconsistent
         return None
-    x = [Fraction(0)] * ncols
-    for i, p in enumerate(pivots):
-        x[p] = red[i][ncols]
-    return x, _kernel(red, pivots, ncols)
+    x = [_ZERO] * ncols
+    for row, p in zip(reduced, pivots):
+        b = row.get(ncols)
+        if b is not None:
+            x[p] = Fraction(b, row[p])
+    return x, _kernel(reduced, pivots, ncols)

@@ -7,14 +7,25 @@ largest variable first: among equal weighted degrees the monomial whose last
 nonzero exponent difference is negative is the larger one.  Under this
 convention (precedence k > h > f, weights 5,4,3) the leading monomials of the
 genus-2 relation shapes are h^2, hk, k^2.
+
+Weights and exponents are ints (not bools).  A polynomial never changes once
+built: arithmetic builds each result's term dict once and hands it over
+without a copy, and `poly_reduce` divides on one private term dict.  Two
+rings are compared by identity first, then by value.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, le, sub
 
 from .errors import ValidationError
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -27,7 +38,7 @@ class MonomialOrder:
     def __post_init__(self):
         if len(self.variables) != len(self.weights):
             raise ValidationError("one weight per variable required")
-        if any(w <= 0 or not isinstance(w, int) for w in self.weights):
+        if not all(_is_int(w) and w > 0 for w in self.weights):
             raise ValidationError("weights must be positive integers")
 
     def weighted_degree(self, exps) -> int:
@@ -36,6 +47,11 @@ class MonomialOrder:
     def sort_key(self, exps):
         """Key increasing with the order; usable with max()."""
         return (self.weighted_degree(exps), tuple(-e for e in reversed(exps)))
+
+    def heap_key(self, exps):
+        """Key decreasing with the order: the smallest key is the largest
+        monomial, as heapq pops it."""
+        return (-self.weighted_degree(exps), exps[::-1])
 
 
 class PolyRing:
@@ -63,6 +79,8 @@ class PolyRing:
 
     def coerce_coeff(self, x):
         if self.base is None:
+            if type(x) is Fraction:
+                return x
             if isinstance(x, (int, Fraction)):
                 return Fraction(x)
             if isinstance(x, MultiPoly):
@@ -70,7 +88,7 @@ class PolyRing:
                 if const is not None:
                     return const
             raise ValidationError(f"cannot coerce {x!r} into QQ")
-        if isinstance(x, MultiPoly) and x.ring == self.base:
+        if isinstance(x, MultiPoly) and _same_ring(x.ring, self.base):
             return x
         return self.base.const(x)
 
@@ -81,7 +99,7 @@ class PolyRing:
         n = len(self.variables)
         for exps, c in terms.items():
             exps = tuple(exps)
-            if len(exps) != n or any(e < 0 or not isinstance(e, int) for e in exps):
+            if len(exps) != n or not all(_is_int(e) and e >= 0 for e in exps):
                 raise ValidationError(f"bad exponent vector {exps!r}")
             c = self.coerce_coeff(c)
             if c:
@@ -91,10 +109,10 @@ class PolyRing:
                     clean[exps] = c
                 elif exps in clean:
                     del clean[exps]
-        return MultiPoly(self, clean)
+        return MultiPoly._adopt(self, clean)
 
     def zero(self) -> "MultiPoly":
-        return MultiPoly(self, {})
+        return MultiPoly._adopt(self, {})
 
     def one(self) -> "MultiPoly":
         return self.const(1)
@@ -102,15 +120,15 @@ class PolyRing:
     def const(self, c) -> "MultiPoly":
         c = self.coerce_coeff(c)
         if not c:
-            return MultiPoly(self, {})
-        return MultiPoly(self, {(0,) * len(self.variables): c})
+            return MultiPoly._adopt(self, {})
+        return MultiPoly._adopt(self, {(0,) * len(self.variables): c})
 
     def var(self, name: str) -> "MultiPoly":
         if name not in self._index:
             raise ValidationError(f"unknown variable {name!r}")
         exps = [0] * len(self.variables)
         exps[self._index[name]] = 1
-        return MultiPoly(self, {tuple(exps): self.coeff_one()})
+        return MultiPoly._adopt(self, {tuple(exps): self.coeff_one()})
 
     def gens(self):
         return tuple(self.var(v) for v in self.variables)
@@ -168,6 +186,37 @@ def _coeff_weights(c):
     return out
 
 
+def _same_ring(a: PolyRing, b: PolyRing) -> bool:
+    return a is b or a == b
+
+
+def _accumulate(terms: dict, more: dict) -> None:
+    """Add the terms of `more` into the term dict `terms`, dropping zeros."""
+    for exps, c in more.items():
+        s = terms.get(exps)
+        s = c if s is None else s + c
+        if s:
+            terms[exps] = s
+        elif exps in terms:
+            del terms[exps]
+
+
+def _product(a: dict, b: dict) -> dict:
+    """The term dict of the product of two term dicts."""
+    terms = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            c = c1 * c2
+            s = terms.get(e)
+            s = c if s is None else s + c
+            if s:
+                terms[e] = s
+            elif e in terms:
+                del terms[e]
+    return terms
+
+
 class MultiPoly:
     """Immutable sparse polynomial: map exponent tuple -> nonzero coefficient."""
 
@@ -176,6 +225,15 @@ class MultiPoly:
     def __init__(self, ring: PolyRing, terms: dict):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", dict(terms))
+
+    @classmethod
+    def _adopt(cls, ring: PolyRing, terms: dict) -> "MultiPoly":
+        """The polynomial with the term dict `terms`, which the caller built
+        for it and no longer touches: no copy is made."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "terms", terms)
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError("MultiPoly is immutable")
@@ -191,7 +249,7 @@ class MultiPoly:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.ring.const(other)
-        if not isinstance(other, MultiPoly) or other.ring != self.ring:
+        if not isinstance(other, MultiPoly) or not _same_ring(other.ring, self.ring):
             return NotImplemented
         return self.terms == other.terms
 
@@ -207,7 +265,7 @@ class MultiPoly:
         if not self.terms:
             return Fraction(0)
         zero_exp = (0,) * len(self.ring.variables)
-        if set(self.terms) != {zero_exp}:
+        if len(self.terms) != 1 or zero_exp not in self.terms:
             return None
         c = self.terms[zero_exp]
         if _coeff_is_rational(c):
@@ -217,7 +275,7 @@ class MultiPoly:
     # -- arithmetic ------------------------------------------------------------
 
     def _coerce_operand(self, other):
-        if isinstance(other, MultiPoly) and other.ring == self.ring:
+        if isinstance(other, MultiPoly) and _same_ring(other.ring, self.ring):
             return other
         return self.ring.const(other)
 
@@ -227,22 +285,25 @@ class MultiPoly:
         except ValidationError:
             return NotImplemented
         terms = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = terms.get(exps)
-            s = c if s is None else s + c
-            if s:
-                terms[exps] = s
-            elif exps in terms:
-                del terms[exps]
-        return MultiPoly(self.ring, terms)
+        _accumulate(terms, other.terms)
+        return MultiPoly._adopt(self.ring, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.ring, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._adopt(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-self._coerce_operand(other))
+        other = self._coerce_operand(other)
+        terms = dict(self.terms)
+        for exps, c in other.terms.items():
+            s = terms.get(exps)
+            s = -c if s is None else s - c
+            if s:
+                terms[exps] = s
+            elif exps in terms:
+                del terms[exps]
+        return MultiPoly._adopt(self.ring, terms)
 
     def __rsub__(self, other):
         return self._coerce_operand(other) - self
@@ -252,27 +313,18 @@ class MultiPoly:
             other = self._coerce_operand(other)
         except ValidationError:
             return NotImplemented
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                s = terms.get(e)
-                s = c if s is None else s + c
-                if s:
-                    terms[e] = s
-                elif e in terms:
-                    del terms[e]
-        return MultiPoly(self.ring, terms)
+        return MultiPoly._adopt(self.ring, _product(self.terms, other.terms))
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
         """Division by a unit scalar only."""
         inv = _coeff_invert(self.ring.coerce_coeff(scalar))
-        return MultiPoly(self.ring, {e: c * inv for e, c in self.terms.items()})
+        return MultiPoly._adopt(self.ring, {e: c * inv for e, c in self.terms.items()})
 
     def __pow__(self, n: int):
+        if not _is_int(n):
+            raise ValidationError(f"polynomial power {n!r} must be an int, not a {type(n).__name__}")
         if n < 0:
             raise ValidationError("negative polynomial power")
         out = self.ring.one()
@@ -313,26 +365,32 @@ class MultiPoly:
         return max(e[i] for e in self.terms)
 
     def substitute(self, assignments: dict) -> "MultiPoly":
-        """Substitute ring elements for variables (others left alone)."""
+        """Substitute ring elements for variables (others left alone).  Each
+        substituted value is raised to each power once per call."""
+        ring = self.ring
         values = {}
         for name, val in assignments.items():
-            if name not in self.ring._index:
+            if name not in ring._index:
                 raise ValidationError(f"unknown variable {name!r}")
-            values[self.ring._index[name]] = self._coerce_operand(val)
-        out = self.ring.zero()
+            values[ring._index[name]] = self._coerce_operand(val)
+        order = sorted(values)
+        powers = {}
+        terms = {}
         for exps, c in self.terms.items():
-            term = self.ring.const(c)
-            for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                if i in values:
-                    term = term * values[i] ** e
-                else:
-                    mono = [0] * len(exps)
-                    mono[i] = e
-                    term = term * MultiPoly(self.ring, {tuple(mono): self.ring.coeff_one()})
-            out = out + term
-        return out
+            # the variables left alone stay in the monomial; the values'
+            # powers multiply it in variable order
+            substituted = [(i, exps[i]) for i in order if exps[i]]
+            kept = list(exps)
+            for i, _ in substituted:
+                kept[i] = 0
+            term = {tuple(kept): c}
+            for i, e in substituted:
+                power = powers.get((i, e))
+                if power is None:
+                    power = powers[i, e] = (values[i] ** e).terms
+                term = _product(term, power)
+            _accumulate(terms, term)
+        return MultiPoly._adopt(ring, terms)
 
     # -- printing ---------------------------------------------------------------
 
@@ -370,10 +428,6 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
-def _divides(a, b) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
 def poly_reduce(f: MultiPoly, basis):
     """Multivariate division: f = sum(q_i * basis_i) + remainder.
 
@@ -381,34 +435,71 @@ def poly_reduce(f: MultiPoly, basis):
     choice is deterministic (first match in basis order), so quotients are
     reproducible; the remainder is basis-order independent exactly when the
     basis is a Groebner basis.
+
+    The division runs on one private term dict, whose monomials wait in a heap
+    keyed by the order; each monomial's key is computed once per call.  A
+    step removes the leading term, which the divisor's leading term cancels
+    exactly, and subtracts the multiple of the divisor's other terms; the
+    monomials it adds are smaller, so a monomial taken from the heap never
+    comes back.  Each quotient and the remainder are built once, term by term
+    in the order the division meets them.
     """
     basis = list(basis)
     if not basis:
         raise ValidationError("empty basis")
     ring = f.ring
-    lts = []
+    divisors = []
     for b in basis:
+        if not _same_ring(b.ring, ring):
+            raise ValidationError(f"basis element in {b.ring!r}, not in {ring!r}")
         lt = b.leading_term()
         if lt is None:
             raise ValidationError("zero basis element")
-        lts.append(lt)
-    quotients = [ring.zero() for _ in basis]
-    remainder = ring.zero()
-    p = f
-    while p.terms:
-        exps, c = p.leading_term()
-        for i, (lexps, lc) in enumerate(lts):
-            if _divides(lexps, exps):
-                q_exps = tuple(a - b for a, b in zip(exps, lexps))
-                q = MultiPoly(ring, {q_exps: c * _coeff_invert(lc)})
-                quotients[i] = quotients[i] + q
-                p = p - q * basis[i]
+        lexps, lc = lt
+        divisors.append((lexps, lc, [(e, c) for e, c in b.terms.items() if e != lexps]))
+    inverses = [None] * len(basis)  # of the leading coefficients, on first use
+    keys = {}
+    heap_key = ring.order.heap_key
+
+    def entry(exps):
+        key = keys.get(exps)
+        if key is None:
+            key = keys[exps] = heap_key(exps)
+        return key, exps
+
+    p = dict(f.terms)
+    heap = [entry(exps) for exps in p]
+    heapq.heapify(heap)
+    quotients = [{} for _ in basis]
+    remainder = {}
+    while heap:
+        exps = heapq.heappop(heap)[1]
+        c = p.pop(exps, None)
+        if c is None:  # cancelled after it entered the heap
+            continue
+        for i, (lexps, lc, tail) in enumerate(divisors):
+            if all(map(le, lexps, exps)):
+                if inverses[i] is None:
+                    inverses[i] = _coeff_invert(lc)
+                q_exps = tuple(map(sub, exps, lexps))
+                qc = quotients[i][q_exps] = c * inverses[i]
+                for e, bc in tail:
+                    e = tuple(map(add, q_exps, e))
+                    t = qc * bc
+                    s = p.get(e)
+                    if s is None:
+                        p[e] = -t
+                        heapq.heappush(heap, entry(e))
+                    else:
+                        s = s - t
+                        if s:
+                            p[e] = s
+                        else:
+                            del p[e]
                 break
         else:
-            t = MultiPoly(ring, {exps: c})
-            remainder = remainder + t
-            p = p - t
-    return quotients, remainder
+            remainder[exps] = c
+    return [MultiPoly._adopt(ring, q) for q in quotients], MultiPoly._adopt(ring, remainder)
 
 
 def s_polynomial(f: MultiPoly, g: MultiPoly) -> MultiPoly:

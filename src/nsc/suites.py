@@ -179,10 +179,25 @@ SUITES = {
     "ab-equivalence": (suite_ab_equivalence, ()),
 }
 SUITE_NAMES = tuple(SUITES)
+OPTIONS = ("perturb", "genus_range")  # in the order their misuse is reported
+
+
+def check_options(name: str, options: dict) -> None:
+    """Refuse a given option (one that is not None) that the suite's row does
+    not list, naming the suites that read it."""
+    reads = SUITES[name][1]
+    for option in OPTIONS:
+        if options.get(option) is not None and option not in reads:
+            owners = [suite for suite, (_, r) in SUITES.items() if option in r]
+            raise ValidationError(f"--{option.replace('_', '-')} applies to --suite {' or '.join(owners)} only")
+    unknown = sorted(set(options) - set(OPTIONS))
+    if unknown:
+        raise ValidationError(f"unknown suite option {unknown[0]!r}; choose from {', '.join(OPTIONS)}")
 
 
 def run_suite(name: str, **options):
     if name not in SUITES:
         raise ValidationError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    check_options(name, options)
     suite, reads = SUITES[name]
     return suite(**{k: options[k] for k in reads if options.get(k) is not None})

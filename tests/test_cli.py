@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from nsc.cli import main
+from nsc.errors import ValidationError
 
 
 def run_cli(capsys, *argv):
@@ -496,6 +497,21 @@ def test_suite_names_in_order():
     from nsc.suites import SUITE_NAMES
 
     assert SUITE_NAMES == ("closed-forms", "buchberger", "grading", "zoo-genus", "c0", "ab-equivalence")
+
+
+def test_run_suite_refuses_an_option_its_suite_does_not_read():
+    # the same refusal, in the same words, as `nsc verify` gives
+    from nsc.suites import run_suite
+
+    with pytest.raises(ValidationError, match=r"^--perturb applies to --suite buchberger only$"):
+        run_suite("c0", perturb="c1")
+    with pytest.raises(ValidationError, match=r"^--genus-range applies to --suite closed-forms only$"):
+        run_suite("grading", genus_range=range(2, 4))
+    with pytest.raises(ValidationError, match="--perturb applies"):
+        run_suite("zoo-genus", perturb="c2", genus_range=range(2, 4))
+    with pytest.raises(ValidationError, match="unknown suite option 'tangent'"):
+        run_suite("c0", tangent=2)
+    assert run_suite("c0", perturb=None, genus_range=None)[0]
 
 
 # the same per `nsc curve` argument list, the case's emitted spec in place of

@@ -59,6 +59,17 @@ def test_relations_match_the_hand_written_reference():
         assert [str(r) for r in rels.relations] == [str(r) for r in reference]
 
 
+def test_rings_are_built_once_per_base():
+    # polynomials of one ring share one ring object, so ring checks succeed
+    # by identity; an equal base gives the same ring
+    assert parameter_ring() is parameter_ring()
+    assert relation_ring() is relation_ring(None)
+    assert coefficient_f_ring() is coefficient_f_ring(None)
+    assert symbolic_relations().ring is relation_ring(parameter_ring())
+    assert normal_presentation(G2Params.symbolic()).ring is coefficient_f_ring(parameter_ring())
+    assert relation_ring(parameter_ring()).base is parameter_ring()
+
+
 def test_displayed_relations_term_by_term():
     rels = symbolic_relations()
     qr = parameter_ring()

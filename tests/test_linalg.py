@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from nsc import linalg
@@ -33,6 +34,47 @@ def reference_rref(rows):
         if r == len(m):
             break
     return m[:r], pivots
+
+
+def reference_nullspace(rows, ncols=None):
+    """nullspace as it was before it read the kernel off the integer rows:
+    through the dense rref, kept as the second route."""
+    if ncols is None:
+        ncols = len(rows[0])
+    red, pivots = linalg.rref(rows) if rows else ([], [])
+    return reference_kernel(red, pivots, ncols)
+
+
+def reference_kernel(red, pivots, ncols):
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fcol in free:
+        v = [Fraction(0)] * ncols
+        v[fcol] = Fraction(1)
+        for i, pcol in enumerate(pivots):
+            v[pcol] = -red[i][fcol]
+        basis.append(v)
+    return basis
+
+
+def reference_solve_affine(rows, rhs):
+    """solve_affine as it was before it read the solution off the integer
+    rows, for a nonempty system."""
+    ncols = len(rows[0])
+    red, pivots = linalg.rref([list(r) + [b] for r, b in zip(rows, rhs)])
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for i, p in enumerate(pivots):
+        x[p] = red[i][ncols]
+    return x, reference_kernel(red, pivots, ncols)
+
+
+def assert_same_vectors(got, expected):
+    """Equal by value and by type, entry by entry."""
+    assert got == expected
+    assert [[type(x) for x in v] for v in got] == [[type(x) for x in v] for v in expected]
+    assert repr(got) == repr(expected)
 
 
 # mostly zeros and small entries, as in the jet-condition rows, plus ints and
@@ -105,10 +147,11 @@ def test_solve_affine_agrees_with_the_reference(rows, data):
         rhs = apply(rows, x0)
     else:
         rhs = data.draw(st.lists(ENTRIES, min_size=len(rows), max_size=len(rows)))
-    solved = linalg.solve_affine(rows, rhs)
     if not rows:
-        assert solved is None
+        with pytest.raises(ValueError):
+            linalg.solve_affine(rows, rhs)
         return
+    solved = linalg.solve_affine(rows, rhs)
     red, pivots = reference_rref([list(r) + [b] for r, b in zip(rows, rhs)])
     assert (solved is None) == (ncols in pivots)
     if solved is None:
@@ -120,6 +163,51 @@ def test_solve_affine_agrees_with_the_reference(rows, data):
     assert x == particular
     assert apply(rows, x) == [Fraction(b) for b in rhs]
     assert kernel == linalg.nullspace(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.integers(0, 8))
+def test_nullspace_matches_the_rref_route(rows, ncols):
+    # wide, tall, empty and zero rows, by value and by type
+    ncols = len(rows[0]) if rows else ncols
+    assert_same_vectors(linalg.nullspace(rows, ncols=ncols), reference_nullspace(rows, ncols))
+
+
+@st.composite
+def systems(draw):
+    """A nonempty system: a right-hand side made consistent from a drawn
+    solution, drawn at random, or made inconsistent by a nonzero entry
+    against an inserted zero row."""
+    rows = draw(matrices().filter(bool))
+    ncols = len(rows[0])
+    kind = draw(st.sampled_from(("consistent", "drawn", "inconsistent")))
+    if kind == "drawn":
+        return rows, draw(st.lists(ENTRIES, min_size=len(rows), max_size=len(rows)))
+    x0 = draw(st.lists(ENTRIES, min_size=ncols, max_size=ncols))
+    rhs = apply(rows, x0)
+    if kind == "inconsistent":
+        at = draw(st.integers(0, len(rows)))
+        rows.insert(at, [draw(st.sampled_from((0, Fraction(0))))] * ncols)
+        rhs.insert(at, draw(ENTRIES.filter(bool)))
+    return rows, rhs
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems())
+def test_solve_affine_matches_the_rref_route(system):
+    rows, rhs = system
+    got, expected = linalg.solve_affine(rows, rhs), reference_solve_affine(rows, rhs)
+    assert (got is None) == (expected is None)
+    if got is not None:
+        assert_same_vectors([got[0]], [expected[0]])
+        assert_same_vectors(got[1], expected[1])
+
+
+def test_solve_affine_needs_an_equation():
+    with pytest.raises(ValueError):
+        linalg.solve_affine([], [])
+    with pytest.raises(ValueError):
+        linalg.nullspace([])
 
 
 def test_solve_affine_inconsistent_is_none():

@@ -1,10 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import multipoly_reference as ref
 from nsc.errors import ValidationError
-from nsc.multipoly import MonomialOrder, PolyRing, poly_reduce, s_polynomial
+from nsc.multipoly import MonomialOrder, MultiPoly, PolyRing, poly_reduce, s_polynomial
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
 
@@ -165,3 +166,111 @@ def test_substitute_variable_shift():
     p = f * f + 2 * f + 1
     shifted = p.substitute({"f": f - 1})
     assert shifted == f * f
+
+
+def test_weights_and_exponents_must_be_ints():
+    for weights in (("a",), (2.0,), (True,), (0,), (-1,)):
+        with pytest.raises(ValidationError):
+            PolyRing(("x",), weights)
+    ring = PolyRing(("x", "y"), (1, 2))
+    x = ring.var("x")
+    for n in (2.5, True, False, "2", -1):
+        with pytest.raises(ValidationError):
+            x ** n
+    for exps in ((1.0, 0), (True, 0), (-1, 0), (1,)):
+        with pytest.raises(ValidationError):
+            ring.element({exps: 1})
+    assert x ** 0 == ring.one() and x ** 2 == x * x
+
+
+# -- the division and substitution against tests/multipoly_reference.py ------
+
+SMALL = st.one_of(st.integers(-3, 3), st.fractions(min_value=-4, max_value=4, max_denominator=5))
+
+
+@st.composite
+def rings(draw):
+    """Q[x, y, z] with drawn weights, or the same over Q[q1, q2]."""
+    weights = tuple(draw(st.lists(st.integers(1, 3), min_size=3, max_size=3)))
+    base = PolyRing(("q1", "q2"), (1, 2)) if draw(st.booleans()) else None
+    return PolyRing(("x", "y", "z"), weights, base=base)
+
+
+def coefficients(ring):
+    if ring.base is None:
+        return SMALL
+    return st.builds(ring.base.element, st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 1)), SMALL,
+                                                        max_size=3))
+
+
+def polys(ring, max_size=6, max_exponent=3):
+    exps = st.tuples(*[st.integers(0, max_exponent)] * len(ring.variables))
+    return st.builds(ring.element, st.dictionaries(exps, coefficients(ring), max_size=max_size))
+
+
+@st.composite
+def divisions(draw):
+    """A dividend and a basis of 1 to 3 polynomials with unit leading
+    coefficients, not in general a Groebner basis, so that the remainder
+    depends on which divisor the division picks."""
+    ring = draw(rings())
+    f = draw(polys(ring, max_size=6, max_exponent=3))
+    basis = []
+    for _ in range(draw(st.integers(1, 3))):
+        b = draw(polys(ring, max_size=4, max_exponent=2).filter(bool))
+        lexps, _ = b.leading_term()
+        unit = draw(st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool))
+        basis.append(MultiPoly(ring, {**b.terms, lexps: ring.coerce_coeff(unit)}))
+    return f, basis
+
+
+def assert_same_poly(got, expected):
+    """Equal term by term, in the same order, with the same coefficient
+    types, and printed the same."""
+    assert got.ring == expected.ring
+    assert list(got.terms) == list(expected.terms)
+    for exps, c in got.terms.items():
+        assert type(c) is type(expected.terms[exps])
+        assert c == expected.terms[exps]
+        assert str(c) == str(expected.terms[exps])
+    assert str(got) == str(expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(divisions())
+def test_poly_reduce_matches_the_reference(division):
+    f, basis = division
+    quotients, rem = poly_reduce(f, basis)
+    ref_quotients, ref_rem = ref.poly_reduce(f, basis)
+    assert len(quotients) == len(ref_quotients)
+    for q, expected in zip(quotients, ref_quotients):
+        assert_same_poly(q, expected)
+    assert_same_poly(rem, ref_rem)
+    assert sum((q * b for q, b in zip(quotients, basis)), rem) == f
+
+
+def test_poly_reduce_takes_the_first_divisor_that_matches():
+    # both leading monomials, x^2 and xy, divide x^2 y; the basis is not a
+    # Groebner basis, so the remainder depends on which one is taken
+    ring = PolyRing(("x", "y"), (1, 1))
+    x, y = ring.gens()
+    a, b = x * x - y, x * y - 1
+    assert poly_reduce(x * x * y, [a, b]) == ([y, ring.zero()], y * y)
+    assert poly_reduce(x * x * y, [b, a]) == ([x, ring.zero()], x)
+
+
+def test_poly_reduce_rejects_a_basis_from_another_ring():
+    ring = PolyRing(("x", "y"), (1, 1))
+    other = PolyRing(("x", "y"), (1, 2))
+    with pytest.raises(ValidationError):
+        poly_reduce(ring.var("x"), [other.var("x")])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_substitute_matches_the_reference(data):
+    ring = data.draw(rings())
+    p = data.draw(polys(ring))
+    names = data.draw(st.lists(st.sampled_from(ring.variables), unique=True))
+    assignments = {name: data.draw(st.one_of(polys(ring, max_size=3, max_exponent=2), SMALL)) for name in names}
+    assert_same_poly(p.substitute(assignments), ref.substitute(p, assignments))
