@@ -192,7 +192,7 @@ class GeneralPresentation:
         k, h, f = ring.gens()
 
         def lift(p: MultiPoly) -> MultiPoly:
-            return ring.element({(0, 0, e[0]): c for e, c in p.terms.items()})
+            return MultiPoly(ring, {(0, 0, e[0]): c for e, c in p.terms.items()})
 
         rel1 = h * h - (lift(self.p1) * k + lift(self.q1) * h + lift(self.c1))
         rel2 = h * k - (lift(self.p2) * k + lift(self.q2) * h + lift(self.c2))
@@ -362,7 +362,7 @@ def presentation_from_series(sf: LaurentSeries, sh: LaurentSeries, sk: LaurentSe
             raise InternalInconsistencyError(
                 f"pole-{pole_bound} product does not lie on the section basis: residual {residual}"
             )
-        rows.append(tuple(ring.element(t) for t in terms))
+        rows.append(tuple(MultiPoly(ring, t) for t in terms))
     # rows hold (p_i, q_i, c_i); the fields run p1, p2, p3, q1, ...
     return GeneralPresentation(*(x for column in zip(*rows) for x in column))
 

@@ -80,8 +80,12 @@ class LaurentSeries:
         if content != 1 or start:
             nums = [x // content for x in nums[start:]]
             den //= content
-        for put, value in zip(_SLOTS, (var, low + start, tuple(nums), den, cut, w)):
-            put(self, value)
+        _set_var(self, var)
+        _set_low(self, low + start)
+        _set_coeffs(self, tuple(nums))
+        _set_den(self, den)
+        _set_cut(self, cut)
+        _set_w(self, w)
 
     @classmethod
     def _of(cls, var, low, nums, den, cut, w):
@@ -258,7 +262,8 @@ class LaurentSeries:
 
 
 # the slots' own setters: LaurentSeries.__setattr__ refuses every assignment
-_SLOTS = tuple(getattr(LaurentSeries, name).__set__ for name in LaurentSeries.__slots__)
+_set_var, _set_low, _set_coeffs, _set_den, _set_cut, _set_w = (
+    getattr(LaurentSeries, name).__set__ for name in LaurentSeries.__slots__)
 
 
 class ParamChange:
@@ -324,14 +329,18 @@ def series_substitute(s: LaurentSeries, eps, r: int) -> LaurentSeries:
     if not top:  # no term u^(e + i(r-1)), i >= 1, lands in the window
         return s
     pq = [p ** i * q ** (top - i) for i in range(top + 1)]
-    acc = [0] * size
+    step, lead = r - 1, pq[0]
+    acc = [x * lead for x in s.coeffs]  # the i = 0 terms
     for k, x in enumerate(s.coeffs):
         if x:
-            e, binom, last = s.low + k, 1, min(top, (size - 1 - k) // (r - 1))
-            acc[k] += x * pq[0]
-            for i in range(1, (last if e < 0 else min(last, e)) + 1):  # C(e,i) = 0 for i > e >= 0
+            e, binom, i = s.low + k, 1, 0
+            stop = k + e * step + 1  # C(e,i) = 0 for i > e >= 0
+            if e < 0 or stop > size:
+                stop = size
+            for at in range(k + step, stop, step):  # at = k + i*step
+                i += 1
                 binom = binom * (e - i + 1) // i
-                acc[k + i * (r - 1)] += x * binom * pq[i]
+                acc[at] += x * binom * pq[i]
     return LaurentSeries._of(s.var, s.low, acc, s.den * q ** top, s.cut, s.w)
 
 

@@ -123,9 +123,12 @@ def _kernel(reduced, pivots, ncols):
 
 def solve_affine(rows, rhs):
     """All solutions of rows @ x = rhs: (particular, kernel_basis), or None
-    when the system is inconsistent.  At least one equation is needed."""
+    when the system is inconsistent.  At least one equation is needed, and
+    one right-hand side entry per equation."""
     if not rows:
         raise ValueError("solve_affine needs at least one equation")
+    if len(rhs) != len(rows):
+        raise ValueError(f"solve_affine got {len(rhs)} right-hand side entries for {len(rows)} equations")
     ncols = len(rows[0])
     reduced, pivots = _eliminate([list(r) + [b] for r, b in zip(rows, rhs)])
     if ncols in pivots:  # a pivot in the rhs column: inconsistent

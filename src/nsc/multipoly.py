@@ -94,23 +94,6 @@ class PolyRing:
 
     # -- element constructors -----------------------------------------------
 
-    def element(self, terms: dict) -> "MultiPoly":
-        clean = {}
-        n = len(self.variables)
-        for exps, c in terms.items():
-            exps = tuple(exps)
-            if len(exps) != n or not all(_is_int(e) and e >= 0 for e in exps):
-                raise ValidationError(f"bad exponent vector {exps!r}")
-            c = self.coerce_coeff(c)
-            if c:
-                acc = clean.get(exps)
-                c = c if acc is None else acc + c
-                if c:
-                    clean[exps] = c
-                elif exps in clean:
-                    del clean[exps]
-        return MultiPoly._adopt(self, clean)
-
     def zero(self) -> "MultiPoly":
         return MultiPoly._adopt(self, {})
 
@@ -223,8 +206,25 @@ class MultiPoly:
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: PolyRing, terms: dict):
+        """The polynomial sum c*x^exps over the (exps, c) items of terms:
+        each exponent vector is checked, each c coerced into the ring's
+        coefficients, and zero sums dropped."""
+        clean = {}
+        n = len(ring.variables)
+        for exps, c in terms.items():
+            exps = tuple(exps)
+            if len(exps) != n or not all(_is_int(e) and e >= 0 for e in exps):
+                raise ValidationError(f"bad exponent vector {exps!r}")
+            c = ring.coerce_coeff(c)
+            if c:
+                acc = clean.get(exps)
+                c = c if acc is None else acc + c
+                if c:
+                    clean[exps] = c
+                elif exps in clean:
+                    del clean[exps]
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", dict(terms))
+        object.__setattr__(self, "terms", clean)
 
     @classmethod
     def _adopt(cls, ring: PolyRing, terms: dict) -> "MultiPoly":

@@ -187,8 +187,12 @@ class ClosedFormReport:
 
 
 def closed_form_check(g: int) -> ClosedFormReport:
-    """Compare s_{g+1,1} and s_{g+1,2} against their closed forms, exactly."""
-    result = run_recursion(g, g + 3, 2)
+    """Compare s_{g+1,1} and s_{g+1,2} against their closed forms, exactly.
+
+    The entry (m, j) is final after stage m-g+j+1, so the two read here are
+    final after stage 4: run_recursion(g, g + 1, 2) runs exactly those four
+    stages, and any deeper run gives the same two values."""
+    result = run_recursion(g, g + 1, 2)
     return ClosedFormReport(
         genus=g,
         computed_s1=result.s_table.value(g + 1, 1),

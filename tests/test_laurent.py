@@ -385,6 +385,33 @@ def test_a_step_that_cannot_reach_the_window_returns_the_series(data):
     agrees(s, ref.series_substitute(rs, eps, r))
 
 
+@st.composite
+def gapped_pairs(draw, w):
+    """(series, reference series) shaped like the recursion's: a lead, a run
+    of zeros, then a tail, as in a normal form u^-m + sum_j s_j u^(-g+j) or
+    a parameter change u + c*u^r + ...; the window may straddle u^0."""
+    low, gap, size = draw(st.integers(-12, 2)), draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    lead = draw(coefficients(w, low, unit=True))
+    tail = [draw(coefficients(w, low + 1 + gap + i)) for i in range(size)]
+    zeros = [0 if w is None else Graded(0, low + 1 + i + w) for i in range(gap)]
+    t = (low, [lead, *zeros, *tail], low + 1 + gap + size + draw(st.integers(0, 2)))
+    return LaurentSeries("u", *t), ref.LaurentSeries("u", *t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_recursion_shaped_series_match_the_reference(data):
+    # r runs past the window width, where no term lands and s comes back as it is
+    w = data.draw(kinds)
+    (s, rs), (x, rx) = data.draw(gapped_pairs(w)), data.draw(gapped_pairs(w if w is None else -w))
+    r = data.draw(st.integers(2, s.cut - s.low + 3))
+    eps = data.draw(coefficients(None if w is None else -1, r))
+    out = series_substitute(s, eps, r)
+    agrees(out, ref.series_substitute(rs, eps, r))
+    assert window(out) == window(substitute_by_powers(s, step_series(eps, r, s), s.cut))
+    agrees(s * x, rs * rx)
+
+
 # -- the reduction against the sequential route -----------------------------------
 
 

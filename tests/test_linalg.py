@@ -210,6 +210,16 @@ def test_solve_affine_needs_an_equation():
         linalg.nullspace([])
 
 
+def test_solve_affine_needs_one_rhs_entry_per_equation():
+    # a short right-hand side once dropped the second equation: a rank-2
+    # system read as ([1, 0], [[0, 1]])
+    with pytest.raises(ValueError, match="1 right-hand side entries for 2 equations"):
+        linalg.solve_affine([[1, 0], [0, 1]], [1])
+    with pytest.raises(ValueError, match="3 right-hand side entries for 2 equations"):
+        linalg.solve_affine([[1, 0], [0, 1]], [1, 2, 3])
+    assert linalg.solve_affine([[1, 0], [0, 1]], [1, 2]) == ([1, 2], [])
+
+
 def test_solve_affine_inconsistent_is_none():
     rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
     assert linalg.solve_affine(rows, [1, 3, 0]) is None

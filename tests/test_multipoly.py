@@ -1,3 +1,4 @@
+from functools import partial
 from fractions import Fraction
 
 import pytest
@@ -86,7 +87,7 @@ def naive_remainder(p, basis):
             for b, (le, lc) in zip(basis, lts):
                 if all(x <= y for x, y in zip(le, exps)):
                     c = p.terms[exps]
-                    q = ring.element({tuple(a - b2 for a, b2 in zip(exps, le)): c / lc})
+                    q = MultiPoly(ring, {tuple(a - b2 for a, b2 in zip(exps, le)): c / lc})
                     p = p - q * b
                     changed = True
                     break
@@ -179,8 +180,24 @@ def test_weights_and_exponents_must_be_ints():
             x ** n
     for exps in ((1.0, 0), (True, 0), (-1, 0), (1,)):
         with pytest.raises(ValidationError):
-            ring.element({exps: 1})
+            MultiPoly(ring, {exps: 1})
     assert x ** 0 == ring.one() and x ** 2 == x * x
+
+
+def test_the_constructor_drops_zeros_and_coerces():
+    # MultiPoly(ring, terms) once kept a zero coefficient: truthy, printed
+    # "0*x" and unequal to the zero polynomial
+    ring = PolyRing(("x",), (1,))
+    zero = MultiPoly(ring, {(1,): 0})
+    assert not zero and zero == ring.zero() and str(zero) == str(ring.zero())
+    two_x = MultiPoly(ring, {(1,): 2, (0,): Fraction(0)})
+    assert two_x.terms == {(1,): Fraction(2)} and type(two_x.terms[(1,)]) is Fraction
+    assert two_x == 2 * ring.var("x")
+    nested = PolyRing(("f",), (3,), base=PolyRing(("q",), (1,)))
+    assert MultiPoly(nested, {(2,): 3}).terms == {(2,): nested.base.const(3)}
+    assert not MultiPoly(nested, {(2,): nested.base.zero()})
+    with pytest.raises(ValidationError):
+        MultiPoly(ring, {(1,): "1"})
 
 
 # -- the division and substitution against tests/multipoly_reference.py ------
@@ -199,13 +216,13 @@ def rings(draw):
 def coefficients(ring):
     if ring.base is None:
         return SMALL
-    return st.builds(ring.base.element, st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 1)), SMALL,
-                                                        max_size=3))
+    return st.builds(partial(MultiPoly, ring.base),
+                     st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 1)), SMALL, max_size=3))
 
 
 def polys(ring, max_size=6, max_exponent=3):
     exps = st.tuples(*[st.integers(0, max_exponent)] * len(ring.variables))
-    return st.builds(ring.element, st.dictionaries(exps, coefficients(ring), max_size=max_size))
+    return st.builds(partial(MultiPoly, ring), st.dictionaries(exps, coefficients(ring), max_size=max_size))
 
 
 @st.composite

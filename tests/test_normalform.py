@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -146,6 +148,13 @@ def test_closed_forms_genus_2_to_40():
         assert closed_form_check(g).passed, g
 
 
+def test_closed_form_check_reads_the_entries_of_a_deeper_run():
+    # closed_form_check runs only the four stages its two entries need
+    for g in range(2, 49):
+        rep, deep = closed_form_check(g), run_recursion(g, g + 3, 2).s_table
+        assert (rep.computed_s1, rep.computed_s2) == (deep.value(g + 1, 1), deep.value(g + 1, 2)), g
+
+
 def test_correction_monomial_check_passes():
     res = run_recursion(2, 5, 2)
     rep = correction_monomial_check(res)
@@ -241,6 +250,23 @@ def test_integer_form_matches_the_graded_route(args):
     assert new.normal_forms.keys() == old.normal_forms.keys()
     for m, series in new.normal_forms.items():
         agrees(series, old.normal_forms[m])
+
+
+def result_digest(res: NormalFormResult) -> str:
+    """SHA-256 over every field of a result: the s-table JSON, the repr of
+    the parameter change, the str of each normal form and each stage record."""
+    parts = [json.dumps(res.s_table.to_jsonable(), sort_keys=True), repr(res.param_change)]
+    parts += [f"{m}: {s}" for m, s in sorted(res.normal_forms.items())]
+    parts += [repr(rec) for rec in res.stages]
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("args, digest", [
+    ((6, 18, 12), "4241a775a99115b5903701e3f0de0c93fef3971d34e16e4aeedaa4b3e22d7c4c"),
+    ((2, 64, 16), "c92f45e91261c773d0a6b5c4c4a8a10839b9c37a42aa36cbf3e0cfe34b88a86c"),
+])
+def test_whole_result_pinned(args, digest):
+    assert result_digest(run_recursion(*args)) == digest
 
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
