@@ -8,12 +8,10 @@ reading a coefficient beyond the window raises, it is never fabricated.
 The coefficients are integer numerators over one positive denominator: the
 coefficient at u^e is coeffs[e - low] / den, in lowest terms (den > 0,
 gcd(den, *coeffs) = 1, a nonzero first numerator).  Each operation runs on
-the integers and divides out the content of its result once.  A series may
-carry a lam weight w: its coefficient at u^e is then the monomial
-r*lam^(w+e), read as a `Graded` (a plain rational where w+e = 0), the scalar
-of the polar-term recursion.  A plain series has w = None.  Sums need equal
-weights, products add them, and a series with no nonzero coefficient takes
-any weight; any other mix raises.
+the integers and divides out the content of its result once.  The scalars
+are exact: an int (not a bool) or a `Fraction`, and a coefficient reads back
+as a `Fraction`; the exponents and windows are ints.  Anything else raises
+`ValidationError`.
 
 `series_substitute` advances s through one correction step t = u + eps*u^r,
 given as the pair (eps, r): it expands u^e -> sum_i C(e,i) eps^i
@@ -33,42 +31,37 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import InternalInconsistencyError, TruncationError, ValidationError
-from .rational import Graded
+from .errors import TruncationError, ValidationError
 
 
-def _scalar(x):
-    """(value, lam-degree) of an exact scalar; zero and plain rationals have
-    degree 0."""
+def _scalar(x) -> Fraction:
+    """An exact scalar, an int (not a bool) or a `Fraction`, as a `Fraction`."""
     if type(x) is Fraction:
-        return x, 0
-    if isinstance(x, Graded):
-        return x.r, x.d if x.r else 0
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x), 0
+        return x
+    if type(x) is int or isinstance(x, Fraction):
+        return Fraction(x)
     raise ValidationError(f"not an exact scalar: {x!r}")
 
 
+def _int(x, name: str) -> int:
+    """x, which must be an int and not a bool."""
+    if type(x) is not int:
+        raise ValidationError(f"{name} must be an int, got {x!r}")
+    return x
+
 
 class LaurentSeries:
-    __slots__ = ("var", "low", "coeffs", "den", "cut", "w")
+    __slots__ = ("var", "low", "coeffs", "den", "cut")
 
     def __init__(self, var: str, low: int, coeffs, cut: int):
-        """The series with the given coefficients (int, Fraction or `Graded`)
-        from u^low on, known below u^cut.  Any `Graded` value makes it
-        weighted; its nonzero values must then be homogeneous, r*lam^(w+e)
-        at u^e for one w, a plain rational counting as lam^0."""
+        """The series with the given coefficients (int or Fraction) from u^low
+        on, known below u^cut."""
         values = [_scalar(c) for c in coeffs]
-        w = None
-        if any(isinstance(c, Graded) for c in coeffs):
-            weights = {d - e for e, (r, d) in enumerate(values, low) if r}
-            if len(weights) > 1:
-                raise ValidationError(f"coefficients not homogeneous in lam: {coeffs!r}")
-            w = weights.pop() if weights else None
-        den = lcm(*(r.denominator for r, _ in values))
-        self._set(var, low, [r.numerator * (den // r.denominator) for r, _ in values], den, cut, w)
+        den = lcm(*(r.denominator for r in values))
+        self._set(var, _int(low, "low"), [r.numerator * (den // r.denominator) for r in values], den,
+                  _int(cut, "cut"))
 
-    def _set(self, var, low, nums, den, cut, w):
+    def _set(self, var, low, nums, den, cut):
         """Store nums[k]/den at u^(low+k) on [low, cut), in lowest terms."""
         cut = max(cut, low)
         if len(nums) != cut - low:
@@ -85,12 +78,11 @@ class LaurentSeries:
         _set_coeffs(self, tuple(nums))
         _set_den(self, den)
         _set_cut(self, cut)
-        _set_w(self, w)
 
     @classmethod
-    def _of(cls, var, low, nums, den, cut, w):
+    def _of(cls, var, low, nums, den, cut):
         out = cls.__new__(cls)
-        out._set(var, low, nums, den, cut, w)
+        out._set(var, low, nums, den, cut)
         return out
 
     def __setattr__(self, *a):
@@ -118,16 +110,12 @@ class LaurentSeries:
             )
         return self.coeffs[exponent - self.low] if exponent >= self.low else 0
 
-    def _value(self, x: int, exponent: int):
-        r = Fraction(x, self.den)
-        return r if self.w is None or self.w + exponent == 0 else Graded(r, self.w + exponent)
-
-    def coefficient(self, exponent: int):
-        return self._value(self.numerator(exponent), exponent)
+    def coefficient(self, exponent: int) -> Fraction:
+        return Fraction(self.numerator(exponent), self.den)
 
     def known_items(self):
         """(exponent, coefficient) pairs over the stored window, ascending."""
-        return [(e, self._value(x, e)) for e, x in enumerate(self.coeffs, self.low)]
+        return [(e, Fraction(x, self.den)) for e, x in enumerate(self.coeffs, self.low)]
 
     def valuation(self) -> int | None:
         """Exponent of the first nonzero known coefficient; None if all known are zero."""
@@ -145,41 +133,32 @@ class LaurentSeries:
     def _plus(self, other: "LaurentSeries", sign: int):
         """self + sign*other."""
         self._check_compatible(other)
-        if self.w != other.w and self.coeffs and other.coeffs:
-            raise InternalInconsistencyError(f"lam-degree mismatch: {self!r} and {other!r}")
-        w = self.w if self.coeffs else other.w
         low, cut = min(self.low, other.low), min(self.cut, other.cut)
         den = lcm(self.den, other.den)
         acc = [0] * (cut - low)
         for s, f in ((self, den // self.den), (other, sign * (den // other.den))):
             for k, x in enumerate(s.coeffs[:max(cut - s.low, 0)], s.low - low):
                 acc[k] += x * f
-        return LaurentSeries._of(self.var, low, acc, den, cut, w)
+        return LaurentSeries._of(self.var, low, acc, den, cut)
 
     def __add__(self, other):
         return self._plus(other, 1)
 
     def __neg__(self):
-        return LaurentSeries._of(self.var, self.low, [-x for x in self.coeffs], self.den, self.cut, self.w)
+        return LaurentSeries._of(self.var, self.low, [-x for x in self.coeffs], self.den, self.cut)
 
     def __sub__(self, other):
         return self._plus(other, -1)
 
     def scale(self, c):
-        r, d = _scalar(c)
-        if d and self.w is None and self.coeffs:
-            raise InternalInconsistencyError(f"lam-degree mismatch: a plain series {self!r} times lam^{d}")
-        w = None if self.w is None else self.w + d
+        r = _scalar(c)
         return LaurentSeries._of(self.var, self.low, [r.numerator * x for x in self.coeffs],
-                                 self.den * r.denominator, self.cut, w)
+                                 self.den * r.denominator, self.cut)
 
     def __mul__(self, other):
         if not isinstance(other, LaurentSeries):
             return self.scale(other)
         self._check_compatible(other)
-        if (self.w is None) != (other.w is None) and self.coeffs and other.coeffs:
-            raise InternalInconsistencyError(f"lam-degree mismatch: a plain and a weighted series, {self!r} * {other!r}")
-        w = None if self.w is None or other.w is None else self.w + other.w
         low = self.low + other.low
         cut = min(self.cut + other.low, other.cut + self.low)
         width = cut - low
@@ -188,15 +167,15 @@ class LaurentSeries:
             if a:
                 for j, b in enumerate(other.coeffs[:width - i], i):
                     acc[j] += a * b
-        return LaurentSeries._of(self.var, low, acc, self.den * other.den, cut, w)
+        return LaurentSeries._of(self.var, low, acc, self.den * other.den, cut)
 
     __rmul__ = __mul__
 
     def truncate(self, cut: int) -> "LaurentSeries":
         """Narrow the known window to exponents < cut."""
-        if cut >= self.cut:
+        if _int(cut, "cut") >= self.cut:
             return self
-        return LaurentSeries._of(self.var, self.low, self.coeffs, self.den, cut, self.w)
+        return LaurentSeries._of(self.var, self.low, self.coeffs, self.den, cut)
 
     # no caller in the package: kept as perfbench/tracing.py wraps it by name
     def inverse(self, cut: int | None = None) -> "LaurentSeries":
@@ -209,7 +188,7 @@ class LaurentSeries:
         if not self.coeffs:
             raise ZeroDivisionError("negative power of a (known-)zero series")
         v = self.low
-        out_cut = self.cut - 2 * v if cut is None else min(cut, self.cut - 2 * v)
+        out_cut = self.cut - 2 * v if cut is None else min(_int(cut, "cut"), self.cut - 2 * v)
         terms = max(out_cut + v, 0)
         a = self.coeffs
         nums = [a[0] ** (terms - 1)] if terms else []
@@ -217,13 +196,9 @@ class LaurentSeries:
             nums.append(-sum(a[i] * nums[m - i] for i in range(1, m + 1) if a[i]) // a[0])
         sign = -1 if a[0] < 0 and terms % 2 else 1
         nums = [sign * self.den * x for x in nums]
-        w = None if self.w is None else -self.w
-        return LaurentSeries._of(self.var, -v, nums, abs(a[0]) ** terms, out_cut, w)
+        return LaurentSeries._of(self.var, -v, nums, abs(a[0]) ** terms, out_cut)
 
     # -- comparison / printing ---------------------------------------------------
-
-    def _degree(self, exponent: int) -> int:
-        return 0 if self.w is None else self.w + exponent
 
     def __eq__(self, other):
         if not isinstance(other, LaurentSeries):
@@ -234,9 +209,6 @@ class LaurentSeries:
             and self.cut == other.cut
             and self.den == other.den
             and self.coeffs == other.coeffs
-            # a plain coefficient equals the same rational at lam^0
-            and (self.w == other.w or all(self._degree(e) == other._degree(e)
-                                          for e, x in enumerate(self.coeffs, self.low) if x))
         )
 
     def __hash__(self):
@@ -248,7 +220,6 @@ class LaurentSeries:
             if not c:
                 continue
             cs = str(c)
-            cs = f"({cs})" if (" " in cs or "*" in cs) else cs
             if e == 0:
                 parts.append(cs)
             else:
@@ -262,7 +233,7 @@ class LaurentSeries:
 
 
 # the slots' own setters: LaurentSeries.__setattr__ refuses every assignment
-_set_var, _set_low, _set_coeffs, _set_den, _set_cut, _set_w = (
+_set_var, _set_low, _set_coeffs, _set_den, _set_cut = (
     getattr(LaurentSeries, name).__set__ for name in LaurentSeries.__slots__)
 
 
@@ -292,9 +263,6 @@ class ParamChange:
     def coefficient(self, exponent: int):
         return self.series.coefficient(exponent)
 
-    def is_identity(self) -> bool:
-        return not any(self.series.coeffs[1:])  # the lead is the 1 at u^1
-
     def compose(self, eps, r: int) -> "ParamChange":
         """Substitution for t = self(w + eps*w^r): one correction step,
         applied inside self."""
@@ -309,8 +277,7 @@ class ParamChange:
 
 def series_substitute(s: LaurentSeries, eps, r: int) -> LaurentSeries:
     """Exact coefficients of s(t) with t = u + eps*u^r, r >= 2, on the window
-    of s (eps = 0 is the identity).  Over a weighted s, eps must have
-    lam-degree r - 1, and over a plain one it must be a plain rational.
+    of s (eps = 0 is the identity).  r must be an int.
 
     Each monomial expands in closed form, u^e -> sum_i C(e,i) eps^i
     u^(e + i(r-1)), with the generalized binomial C(e,i) = C(e,i-1)(e-i+1)/i.
@@ -318,12 +285,9 @@ def series_substitute(s: LaurentSeries, eps, r: int) -> LaurentSeries:
     index i the window reaches, the terms are the integers
     C(e,i) p^i q^(top-i): no series product and one content division.
     """
-    if r < 2:
+    if _int(r, "r") < 2:
         raise ValidationError(f"a correction step u + eps*u^r needs r >= 2, got r = {r}")
-    value, d = _scalar(eps)
-    need = 0 if s.w is None else r - 1
-    if value and s.coeffs and d != need:
-        raise InternalInconsistencyError(f"a step u + ({eps!r})*u^{r} on this series needs a lam^{need} coefficient")
+    value = _scalar(eps)
     p, q, size = value.numerator, value.denominator, len(s.coeffs)
     top = max(size - 1, 0) // (r - 1) if p else 0
     if not top:  # no term u^(e + i(r-1)), i >= 1, lands in the window
@@ -341,7 +305,7 @@ def series_substitute(s: LaurentSeries, eps, r: int) -> LaurentSeries:
                 i += 1
                 binom = binom * (e - i + 1) // i
                 acc[at] += x * binom * pq[i]
-    return LaurentSeries._of(s.var, s.low, acc, s.den * q ** top, s.cut, s.w)
+    return LaurentSeries._of(s.var, s.low, acc, s.den * q ** top, s.cut)
 
 
 def series_reduce(s: LaurentSeries, divisors):
@@ -350,29 +314,25 @@ def series_reduce(s: LaurentSeries, divisors):
     subtract x times the series when x is nonzero.  Returns (multipliers,
     remainder), the multipliers being every x read, zeros included.
 
-    The remainder equals the sequential r = r - d.scale(x) in value, window,
-    den and lam weight, and a lam-degree mismatch raises
-    `InternalInconsistencyError` as there.  It runs on one list of integer
+    The remainder equals the sequential r = r - d.scale(x) in value, window
+    and den.  It runs on one list of integer
     numerators over one denominator: a step x = p/q rescales the list to
     lcm(den, q*d.den) and subtracts the integers of x*d; the content is
     divided out once, at the end.
     """
-    var, w, low, cut, den = s.var, s.w, s.low, s.cut, s.den
+    var, low, cut, den = s.var, s.low, s.cut, s.den
     nums = list(s.coeffs)
     multipliers = []
     for e, d in divisors:
         if e >= cut:  # the remainder's own read raises the TruncationError
-            LaurentSeries._of(var, low, nums, den, cut, w).numerator(e)
+            LaurentSeries._of(var, low, nums, den, cut).numerator(e)
         x = nums[e - low] if e >= low else 0
         value = Fraction(x, den)
-        multipliers.append(value if w is None or w + e == 0 else Graded(value, w + e))
+        multipliers.append(value)
         if not x:
             continue
         if d.var != var:
             raise ValidationError("series are in different variables")
-        if d.coeffs and d.w != (None if w is None else -e):  # x*d must have the weight w
-            raise InternalInconsistencyError(
-                f"lam-degree mismatch: {multipliers[-1]!r} times {d!r} against a series of weight {w}")
         step = value.denominator * d.den
         new = lcm(den, step)
         a, b = new // den, value.numerator * (new // step)
@@ -387,4 +347,4 @@ def series_reduce(s: LaurentSeries, divisors):
         at = d.low - low
         nums[at:at + len(part)] = [y - b * z for y, z in zip(nums[at:at + len(part)], part)]
         den = new
-    return multipliers, LaurentSeries._of(var, low, nums, den, cut, w)
+    return multipliers, LaurentSeries._of(var, low, nums, den, cut)

@@ -1,9 +1,14 @@
 """Leading-polar-term recursion for the canonical parameter at a moving point.
 
-The model works over Q[lam] with lam a graded indeterminate of weight 1.  Each
-coefficient is a monomial r*lam^(m+e) at u^e in f[-m]: every series of the
-recursion is a `LaurentSeries` of weight w = m (integer numerators over one
-denominator), read as `Graded` scalars.  The inputs are the filtration
+The paper's model works over Q[lam] with lam a graded indeterminate of
+weight 1, the weight of the G_m action behind the stack's weights.  Every
+value of the recursion is homogeneous, so its degree is fixed by where it
+sits: the coefficient at u^e of f[-m] has degree m+e, the stage-n pole
+coefficient and correction degree n-1, the subtraction multiplier p_i degree
+i, and the parameter change's coefficient at u^e degree e-1.  The degree
+carries nothing the indices do not, so the recursion runs over Q at lam = 1,
+on `LaurentSeries` of integer numerators over one denominator, and reads
+each value as the rational r of r*lam^degree.  The inputs are the filtration
 representatives
 
     F[-(g+1)] = t^-(g+1) - lam * t^-g,      F[-m] = t^-m   (m >= g+2),
@@ -25,6 +30,9 @@ A table entry for (m, j) only becomes final once the recursion has run past
 stage m-g+j+1 (later corrections first disturb exponent -m+n-1), so the
 recursion internally runs (m_max-g) + j_max + 1 stages and reports exactly the
 stable window.
+
+`correction_monomial_check` checks the grading by a second route, the torus
+action lam -> 2*lam: a run from lam = 2 must scale each value by 2^degree.
 """
 
 from __future__ import annotations
@@ -34,28 +42,18 @@ from fractions import Fraction
 
 from .errors import InternalInconsistencyError, ValidationError
 from .laurent import LaurentSeries, ParamChange, series_reduce, series_substitute
-from .rational import Graded, format_rational
-
-
-def _monomial_value(c, degree: int) -> Fraction:
-    """The rational r with c = r * lam^degree; rejects anything else."""
-    if not c:
-        return Fraction(0)
-    if not isinstance(c, Graded) or c.d != degree:
-        raise InternalInconsistencyError(
-            f"expected a pure lam^{degree} monomial, got {c}"
-        )
-    return c.r
+from .rational import format_rational
 
 
 @dataclass(frozen=True)
 class StageRecord:
-    """One recursion stage: the read pole coefficient, the correction, the
-    subtraction multipliers (all monomials r*lam^d, as `Graded`)."""
+    """One recursion stage n: the read pole coefficient, the correction and
+    the subtraction multipliers, as rationals r of r*lam^degree: degree n-1
+    for the first two, i for p_i."""
 
     n: int
-    pole_coefficient: Graded | None  # c read at u^-g before correcting
-    correction: Graded | None        # c/(g+n-1), coefficient of u_n^n
+    pole_coefficient: Fraction | None  # c read at u^-g before correcting
+    correction: Fraction | None        # c/(g+n-1), coefficient of u_n^n
     multipliers: tuple  # p_1 .. p_{n-1} used to build f[-(g+n)]
 
 
@@ -102,18 +100,22 @@ def run_recursion(g: int, m_max: int | None = None, j_max: int = 6) -> NormalFor
         raise ValidationError("m_max must be an integer >= g+1")
     if not (type(j_max) is int and j_max >= 0):
         raise ValidationError("j_max must be an integer >= 0")
+    return _recursion(g, m_max, j_max, 1)
 
+
+def _recursion(g: int, m_max: int, j_max: int, lam) -> NormalFormResult:
+    """The recursion from F[-(g+1)] = t^-(g+1) - lam*t^-g at the rational
+    lam: each value is r*lam^degree, its degree given by its indices."""
     cut = -g + j_max + 1
     stages_total = (m_max - g) + j_max + 1
 
-    one = Graded(1, 0)  # a lam^0 lead: each series below is weighted, of weight -exponent
-    total = LaurentSeries.monomial("u", 1, one, stages_total + 1)  # t in the current parameter
+    total = LaurentSeries.monomial("u", 1, 1, stages_total + 1)  # t in the current parameter
     # t^-1 and t^-(g+n-1) are known on stages_total terms.  A product loses
     # one at the top, and F[-(g+n)] is read below u^(-g+stages_total-n): below
     # u^cut up to m_max, at u^-g by the next correction, below it at the end.
-    inverse = LaurentSeries.monomial("u", -1, one, stages_total - 1)
-    power = LaurentSeries.monomial("u", -(g + 1), one, stages_total - (g + 1))
-    current = {g + 1: LaurentSeries("u", -(g + 1), [one, Graded(-1, 1)], cut)}  # F[-(g+1)]
+    inverse = LaurentSeries.monomial("u", -1, 1, stages_total - 1)
+    power = LaurentSeries.monomial("u", -(g + 1), 1, stages_total - (g + 1))
+    current = {g + 1: LaurentSeries("u", -(g + 1), [1, -lam], cut)}  # F[-(g+1)]
     stages = [StageRecord(1, None, None, ())]
 
     for n in range(2, stages_total + 1):
@@ -138,11 +140,8 @@ def run_recursion(g: int, m_max: int | None = None, j_max: int = 6) -> NormalFor
         current[g + n] = work
         stages.append(StageRecord(n, c, eps, tuple(multipliers)))
 
-    entries = {}
-    for m in range(g + 1, m_max + 1):
-        for j in range(1, j_max + 1):
-            entries[(m, j)] = _monomial_value(current[m].coefficient(-g + j), m - g + j)
-
+    entries = {(m, j): current[m].coefficient(-g + j)
+               for m in range(g + 1, m_max + 1) for j in range(1, j_max + 1)}
     normal_forms = {m: current[m] for m in range(g + 1, m_max + 1)}
     return NormalFormResult(
         genus=g,
@@ -222,23 +221,41 @@ class MonomialCheckReport:
 
 
 def correction_monomial_check(result: NormalFormResult) -> MonomialCheckReport:
-    """Every correction coefficient at stage n must be a pure r*lam^(n-1)
-    monomial and every subtraction multiplier p_i a pure lam^i monomial."""
+    """Check the grading by the torus action lam -> 2*lam: rerun the
+    recursion from lam = 2 and require every value of degree d to be 2^d
+    times the result's.  That is each stage-n pole coefficient and correction
+    (d = n-1), each multiplier p_i (d = i), each coefficient at u^e of f[-m]
+    (d = m+e) and of the parameter change (d = e-1), and each s_{m,j}
+    (d = m-g+j).  Also checks that stage n has n-1 multipliers."""
+    g = result.genus
+    scaled = _recursion(g, result.m_max, result.j_max, 2)
     failures = []
     counts = {}
-    for rec in result.stages:
+
+    def scales(what, x, y, d):
+        if y != 2 ** d * x:
+            failures.append(f"{what} = {x} does not scale by 2^{d} under lam -> 2*lam: the rerun reads {y}")
+
+    if len(result.stages) != len(scaled.stages):
+        failures.append(f"expected {len(scaled.stages)} stages, got {len(result.stages)}")
+    for rec, twice in zip(result.stages, scaled.stages):
         if rec.n == 1:
             continue
         counts[rec.n] = len(rec.multipliers)
         if len(rec.multipliers) != rec.n - 1:
             failures.append(f"stage {rec.n}: expected {rec.n - 1} multipliers, got {len(rec.multipliers)}")
-        try:
-            _monomial_value(rec.correction, rec.n - 1)
-        except InternalInconsistencyError:
-            failures.append(f"stage {rec.n}: correction {rec.correction} is not a pure lam^{rec.n - 1} monomial")
-        for i, p in enumerate(rec.multipliers, start=1):
-            try:
-                _monomial_value(p, i)
-            except InternalInconsistencyError:
-                failures.append(f"stage {rec.n}: multiplier p_{i} = {p} is not a pure lam^{i} monomial")
+        scales(f"stage {rec.n}: pole coefficient", rec.pole_coefficient, twice.pole_coefficient, rec.n - 1)
+        scales(f"stage {rec.n}: correction", rec.correction, twice.correction, rec.n - 1)
+        for i, (p, q) in enumerate(zip(rec.multipliers, twice.multipliers), start=1):
+            scales(f"stage {rec.n}: multiplier p_{i}", p, q, i)
+    series = [(f"f[-{m}]", s, scaled.normal_forms[m], m) for m, s in sorted(result.normal_forms.items())]
+    series.append(("the parameter change", result.param_change.series, scaled.param_change.series, -1))
+    for what, s, twice, w in series:
+        if (s.low, s.cut) != (twice.low, twice.cut):
+            failures.append(f"{what}: the rerun has another window")
+            continue
+        for e, c in s.known_items():
+            scales(f"{what}: coefficient at u^{e}", c, twice.coefficient(e), w + e)
+    for (m, j), v in sorted(result.s_table.entries.items()):
+        scales(f"s_{m},{j}", v, scaled.s_table.value(m, j), m - g + j)
     return MonomialCheckReport(result.genus, tuple(failures), counts)

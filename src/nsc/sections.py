@@ -82,7 +82,7 @@ def _element_series(curve, pid, elts, coords, low, high) -> list:
             out.append(None)
             continue
         nums, den = _elt_expansion(elt, mp.component, mp.point, low, high)
-        out.append(LaurentSeries._of("u", low, [x * f for x, f in zip(nums, factors)], den * foot, high, None))
+        out.append(LaurentSeries._of("u", low, [x * f for x, f in zip(nums, factors)], den * foot, high))
     return out
 
 

@@ -4,6 +4,10 @@ negative powers by one pass of J.C.P. Miller's power recurrence.  This is the
 route `nsc.laurent` replaced by integer numerators over one denominator; the
 tests compare the package's series against it operation by operation.
 
+`Graded` is the monomial r*lam^d, the scalar the polar-term recursion ran on
+over Q[lam] before it ran over Q at lam = 1: the graded reference recursion
+in the tests runs on it, so each value it reads carries its lam-degree.
+
 `series_reduce` is the sequential route that `nsc.laurent.series_reduce`
 replaced: one scaled series subtracted at a time.  It runs on this module's
 series or on the package's.
@@ -13,10 +17,67 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from nsc.errors import TruncationError, ValidationError
-from nsc.rational import Graded
+from nsc.errors import InternalInconsistencyError, TruncationError, ValidationError
 
 _ZERO = Fraction(0)
+
+
+def _parts(x):
+    return (x.r, x.d) if isinstance(x, Graded) else (x, 0)
+
+
+class Graded:
+    """The monomial r * lam^d: a rational r with a lam-degree d.
+
+    Q embeds as degree 0 and zero is homogeneous of every degree.  Products
+    add degrees and division by a rational keeps the degree.  A sum of two
+    nonzero values of different degrees is no monomial, so it raises.
+    """
+
+    __slots__ = ("r", "d")
+
+    def __init__(self, r, d: int):
+        self.r = r if type(r) is Fraction else Fraction(r)
+        self.d = d
+
+    def __add__(self, other):
+        r, d = _parts(other)
+        if r and self.r and d != self.d:
+            raise InternalInconsistencyError(f"lam-degree mismatch: {self!r} + {other!r}")
+        return Graded(self.r + r, self.d if self.r else d)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Graded(-self.r, self.d)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        r, d = _parts(other)
+        return Graded(self.r * r, self.d + d)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return Graded(self.r / other, self.d)
+
+    def __pow__(self, n: int):
+        return Graded(self.r ** n, self.d * n)
+
+    def __bool__(self):
+        return bool(self.r)
+
+    def __eq__(self, other):
+        r, d = _parts(other)
+        return self.r == r and (d == self.d or not r)
+
+    def __hash__(self):
+        return hash(self.r if self.d == 0 or not self.r else (self.r, self.d))
+
+    def __repr__(self):
+        return f"{self.r}*lam^{self.d}"
 
 
 def _coerce(x):

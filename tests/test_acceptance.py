@@ -20,8 +20,7 @@ from nsc.curves import (
 )
 from nsc.deskcheck import contraction_point_report
 from nsc.genus2 import G2Params, fit_parameters
-from nsc.normalform import run_recursion
-from nsc.rational import Graded
+from nsc.normalform import _recursion, run_recursion
 from nsc.suites import (
     suite_ab_equivalence,
     suite_buchberger,
@@ -51,12 +50,16 @@ def test_criterion_01_closed_forms_genus_2_to_12():
 
 
 def test_criterion_02_genus2_recursion_intermediates():
-    res = run_recursion(2, 5, 2)
-    ok1 = res.stages[1].correction == Graded(Fraction(-1, 3), 1)
-    ok2 = res.stages[2].pole_coefficient == Graded(Fraction(10, 9), 2)
-    ok3 = res.normal_forms[3].coefficient(-1) == Graded(Fraction(-5, 6), 2)
-    report(2, ok1 and ok2 and ok3,
-           "first correction -lam/3 u^2; (10/9)lam^2 at u^-2 in F[-4]; (-5/6)lam^2 at u^-1 in f[-3]")
+    # the run over Q reads each value at lam = 1; the run from lam = 2 reads
+    # it times 2^degree, degrees 1, 2 and 2
+    def read(res):
+        return res.stages[1].correction, res.stages[2].pole_coefficient, res.normal_forms[3].coefficient(-1)
+
+    ok1 = read(run_recursion(2, 5, 2)) == (Fraction(-1, 3), Fraction(10, 9), Fraction(-5, 6))
+    ok2 = read(_recursion(2, 5, 2, 2)) == (Fraction(-2, 3), Fraction(40, 9), Fraction(-10, 3))
+    report(2, ok1 and ok2,
+           "first correction -lam/3 u^2; (10/9)lam^2 at u^-2 in F[-4]; (-5/6)lam^2 at u^-1 in f[-3]; "
+           "-2/3, 40/9 and -10/3 at lam = 2")
 
 
 def test_criterion_03_buchberger_suite():

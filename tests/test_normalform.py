@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -6,27 +7,28 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import laurent_reference as ref
+from laurent_reference import Graded
 from nsc.errors import InternalInconsistencyError, ValidationError
 from nsc.laurent import LaurentSeries, series_substitute
 from nsc.normalform import (
     NormalFormResult,
     StageRecord,
     STable,
-    _monomial_value,
+    _recursion,
     closed_form_check,
     closed_form_s1,
     closed_form_s2,
     correction_monomial_check,
     run_recursion,
 )
-from nsc.rational import Graded
 from test_laurent import agrees
 
 
 def reference_recursion(g: int, m_max: int | None = None, j_max: int = 6) -> NormalFormResult:
-    """The recursion over reference series of `Graded` values, reading
-    t^-(g+n) off the parameter change by one Miller pass per stage: the route
-    the integer form replaced."""
+    """The recursion over Q[lam], on reference series of `Graded` values,
+    reading t^-(g+n) off the parameter change by one Miller pass per stage:
+    the route the integer form replaced.  Every value it holds, the s-table's
+    included, is a `Graded` monomial that carries its lam-degree."""
     if not (isinstance(g, int) and g >= 2):
         raise ValidationError("genus must be an integer >= 2")
     if m_max is None:
@@ -68,10 +70,7 @@ def reference_recursion(g: int, m_max: int | None = None, j_max: int = 6) -> Nor
         current[g + n] = work
         stages.append(StageRecord(n, c, eps, tuple(multipliers)))
 
-    entries = {}
-    for m in range(g + 1, m_max + 1):
-        for j in range(1, j_max + 1):
-            entries[(m, j)] = _monomial_value(current[m].coefficient(-g + j), m - g + j)
+    entries = {(m, j): current[m].coefficient(-g + j) for m in range(g + 1, m_max + 1) for j in range(1, j_max + 1)}
 
     normal_forms = {m: current[m] for m in range(g + 1, m_max + 1)}
     return NormalFormResult(
@@ -88,7 +87,7 @@ def reference_recursion(g: int, m_max: int | None = None, j_max: int = 6) -> Nor
 def test_first_correction_g2():
     # t1 = u2 - (lam/3) u2^2
     res = run_recursion(2, 5, 2)
-    assert res.stages[1].correction == Graded(Fraction(-1, 3), 1)
+    assert res.stages[1].correction == Fraction(-1, 3)
 
 
 def test_stage3_pole_coefficient_g2():
@@ -96,7 +95,7 @@ def test_stage3_pole_coefficient_g2():
     res = run_recursion(2, 5, 2)
     rec = res.stages[2]
     assert rec.n == 3
-    assert rec.pole_coefficient == Graded(Fraction(10, 9), 2)
+    assert rec.pole_coefficient == Fraction(10, 9)
 
 
 def test_stage3_correction_simplifies():
@@ -105,7 +104,7 @@ def test_stage3_correction_simplifies():
     for g in range(2, 7):
         res = run_recursion(g, g + 3, 2)
         rec = res.stages[2]
-        assert rec.correction == Graded(Fraction(g + 3, 2 * (g + 1) ** 2), 2)
+        assert rec.correction == Fraction(g + 3, 2 * (g + 1) ** 2)
 
 
 def test_stage4_correction_closed_form():
@@ -114,9 +113,9 @@ def test_stage4_correction_closed_form():
         res = run_recursion(g, g + 3, 2)
         rec = res.stages[3]
         assert rec.n == 4
-        assert rec.correction == Graded(Fraction(-(g * g + 3 * g - 1), 3 * (g + 1) ** 3), 3)
+        assert rec.correction == Fraction(-(g * g + 3 * g - 1), 3 * (g + 1) ** 3)
     res2 = run_recursion(2, 5, 2)
-    assert res2.stages[3].correction == Graded(Fraction(-1, 9), 3)
+    assert res2.stages[3].correction == Fraction(-1, 9)
 
 
 def test_s_table_g2_reference_values():
@@ -128,7 +127,7 @@ def test_s_table_g2_reference_values():
 def test_normal_form_shape():
     res = run_recursion(2, 6, 3)
     for m, series in res.normal_forms.items():
-        assert series.coefficient(-m) == Graded(1, 0)
+        assert series.coefficient(-m) == 1
         for e in range(-m + 1, -2 + 1):  # (-m, -g] must vanish
             assert not series.coefficient(e)
 
@@ -206,12 +205,13 @@ def test_stability_genus6_deep_window():
 
 
 def test_param_change_coefficients_are_graded_monomials():
-    res = run_recursion(2, 6, 2)
-    pc = res.param_change
-    assert pc.coefficient(1) == Graded(1, 0)
+    # the coefficient at u^e has lam-degree e - 1: the run from lam = 2 reads
+    # 2^(e-1) times it
+    pc, twice = run_recursion(2, 6, 2).param_change, _recursion(2, 6, 2, 2).param_change
+    assert pc.coefficient(1) == twice.coefficient(1) == 1
+    assert pc.order() == twice.order() == 8
     for e in range(2, pc.order()):
-        c = pc.coefficient(e)
-        assert not c or (isinstance(c, Graded) and c.d == e - 1)
+        assert pc.coefficient(e) and twice.coefficient(e) == 2 ** (e - 1) * pc.coefficient(e)
 
 
 def test_rejects_bad_arguments():
@@ -238,18 +238,45 @@ def test_stable_json_form():
 RECURSION_GRID = [(g, g + d, d) for d in (2, 3, 4, 5, 6) for g in (2, 4, 6, 8)] + [(3, 11, 8), (6, 18, 12)]
 
 
-@pytest.mark.parametrize("args", RECURSION_GRID + [(g, g + 3, 2) for g in (2, 9, 16)] + [(2, 40, 16)])
+def ungraded(x, degree):
+    """The rational r of the reference value x = r*lam^d, after checking
+    that d is the degree its indices give (zero has every degree)."""
+    if x is None:
+        return None
+    r, d = ref._parts(x)
+    assert not r or d == degree, (x, degree)
+    return r
+
+
+def ungraded_series(x, w):
+    """The reference series x over Q, its coefficient at u^e of degree w + e."""
+    return ref.LaurentSeries(x.var, x.low, [ungraded(c, w + e) for e, c in x.known_items()], x.cut)
+
+
+@pytest.mark.parametrize("args", RECURSION_GRID + [(g, g + 3, 2) for g in (2, 9, 16)] + [(2, 40, 16), (2, 64, 16)])
 def test_integer_form_matches_the_graded_route(args):
-    # every field: s-table, normal forms, parameter change and stage records;
-    # Graded equality compares the lam-degree of every nonzero value
+    # every field: s-table, normal forms, parameter change and stage records.
+    # Each value over Q is the r of the graded reference's r*lam^d, and each
+    # d is the degree the indices give: m-g+j for s_{m,j}, m+e at u^e of
+    # f[-m], e-1 at u^e of the parameter change, n-1 for the stage-n pole
+    # coefficient and correction, i for p_i
     new, old = run_recursion(*args), reference_recursion(*args)
-    assert (new.genus, new.m_max, new.j_max, new.s_table, new.stages) == \
-        (old.genus, old.m_max, old.j_max, old.s_table, old.stages)
-    agrees(new.param_change.series, old.param_change.series)
-    assert repr(new.param_change) == repr(old.param_change)
+    g = new.genus
+    assert (new.genus, new.m_max, new.j_max) == (old.genus, old.m_max, old.j_max)
+    assert new.s_table == STable(g, {(m, j): ungraded(v, m - g + j) for (m, j), v in old.s_table.entries.items()})
+    assert [rec.n for rec in new.stages] == [rec.n for rec in old.stages]
+    for rec, was in zip(new.stages, old.stages):
+        n = rec.n
+        assert rec == StageRecord(n, ungraded(was.pole_coefficient, n - 1), ungraded(was.correction, n - 1),
+                                  tuple(ungraded(p, i) for i, p in enumerate(was.multipliers, start=1)))
+        assert all(type(x) is Fraction for x in (rec.pole_coefficient, rec.correction, *rec.multipliers)
+                   if x is not None)
+    expected = ungraded_series(old.param_change.series, -1)
+    agrees(new.param_change.series, expected)
+    assert repr(new.param_change) == repr(ref.ParamChange(expected))
     assert new.normal_forms.keys() == old.normal_forms.keys()
     for m, series in new.normal_forms.items():
-        agrees(series, old.normal_forms[m])
+        agrees(series, ungraded_series(old.normal_forms[m], m))
 
 
 def result_digest(res: NormalFormResult) -> str:
@@ -261,9 +288,10 @@ def result_digest(res: NormalFormResult) -> str:
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 
 
+# recorded where test_integer_form_matches_the_graded_route passes on the same args
 @pytest.mark.parametrize("args, digest", [
-    ((6, 18, 12), "4241a775a99115b5903701e3f0de0c93fef3971d34e16e4aeedaa4b3e22d7c4c"),
-    ((2, 64, 16), "c92f45e91261c773d0a6b5c4c4a8a10839b9c37a42aa36cbf3e0cfe34b88a86c"),
+    ((6, 18, 12), "5df324be79f93284efa5a9c15b45da1036ff741fd1ae2e0c1d2cca40840ca028"),
+    ((2, 64, 16), "ce29f76fa78d1475cdf64c8085a7230f1e98a84ba14e8ed65ab283511e70d926"),
 ])
 def test_whole_result_pinned(args, digest):
     assert result_digest(run_recursion(*args)) == digest
@@ -273,44 +301,65 @@ rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**
 
 
 @st.composite
-def graded_series(draw):
-    """(a series whose coefficient at u^e has lam-degree w + e, the reference
-    series of the same values, w)."""
-    w, low = draw(st.integers(-4, 4)), draw(st.integers(-8, 3))
+def wide_series(draw):
+    """(a series of large rationals, the reference series of the same values)."""
+    low = draw(st.integers(-8, 3))
     values = draw(st.lists(rationals, max_size=12))
-    coeffs = [Graded(r, w + low + k) for k, r in enumerate(values)]
     cut = low + len(values) + draw(st.integers(0, 1))
-    return LaurentSeries("u", low, coeffs, cut), ref.LaurentSeries("u", low, coeffs, cut), w
+    return LaurentSeries("u", low, values, cut), ref.LaurentSeries("u", low, values, cut)
 
 
 @settings(max_examples=150, deadline=None)
-@given(graded_series(), rationals, st.integers(2, 5))
-def test_integer_step_matches_series_substitute(sw, r_eps, r):
-    s, old, _ = sw
-    eps = Graded(r_eps, r - 1)
+@given(wide_series(), rationals, st.integers(2, 5))
+def test_integer_step_matches_series_substitute(pair, eps, r):
+    s, old = pair
     agrees(series_substitute(s, eps, r), ref.series_substitute(old, eps, r))
 
 
 @settings(max_examples=150, deadline=None)
-@given(graded_series(), graded_series(), rationals)
-def test_integer_product_and_subtraction_match_laurent_series(aw, bw, r):
-    (a, old_a, wa), (b, old_b, wb) = aw, bw
+@given(wide_series(), wide_series(), rationals)
+def test_integer_product_and_subtraction_match_laurent_series(a_pair, b_pair, c):
+    (a, old_a), (b, old_b) = a_pair, b_pair
     agrees(a * b, old_a * old_b)
-    c = Graded(r, wa - wb)
     agrees(a - b.scale(c), old_a - old_b.scale(c))
 
 
-def test_integer_form_checks_lam_degrees():
-    # (1/2) u^-3 + (3/2) lam^2 u^-1 + (9/4) lam^3, of weight 3
-    s = LaurentSeries("u", -3, [Graded(Fraction(1, 2), 0), 0, Graded(Fraction(3, 2), 2), Graded(Fraction(9, 4), 3)], 1)
-    assert (s.coeffs, s.den, s.w) == ((2, 0, 6, 9), 4, 3)
-    assert s.coefficient(-1) == Graded(Fraction(3, 2), 2) and s.coefficient(-1).d == 2
-    assert s.coefficient(0).d == 3
-    assert type(s.coefficient(-3)) is Fraction  # lam^0: a plain rational
-    series_substitute(s, Graded(5, 2), 3)
-    with pytest.raises(InternalInconsistencyError):
-        series_substitute(s, Graded(5, 3), 3)  # the step u + eps*u^3 needs eps of degree 2
-    t = LaurentSeries("u", -2, [Graded(1, 0), 0, 0], 1)  # weight 2
-    s - t.scale(Graded(1, 1))
-    with pytest.raises(InternalInconsistencyError):
-        s - t.scale(Graded(1, 2))
+# -- the torus action lam -> 2*lam: correction_monomial_check's second route ------
+
+
+@pytest.mark.parametrize("args", RECURSION_GRID + [(2, 64, 16)])
+def test_torus_check_passes(args):
+    res = run_recursion(*args)
+    rep = correction_monomial_check(res)
+    assert rep.passed, rep.failures
+    assert rep.to_jsonable() == {"genus": res.genus, "status": "pass", "failures": [],
+                                 "multiplier_counts": {str(n): n - 1 for n in range(2, len(res.stages) + 1)}}
+
+
+def with_stage(res, n, **changes):
+    stages = list(res.stages)
+    stages[n - 1] = dataclasses.replace(stages[n - 1], **changes)
+    return dataclasses.replace(res, stages=tuple(stages))
+
+
+def test_torus_check_names_a_changed_multiplier_or_correction():
+    res = run_recursion(3, 11, 8)
+    rec = res.stages[4]  # stage 5
+    p = list(rec.multipliers)
+    p[2] += Fraction(1, 7)
+    for changes, named in (({"multipliers": tuple(p)}, "stage 5: multiplier p_3 = "),
+                           ({"correction": rec.correction + Fraction(1, 7)}, "stage 5: correction = ")):
+        rep = correction_monomial_check(with_stage(res, 5, **changes))
+        assert rep.to_jsonable()["status"] == "fail"
+        assert len(rep.failures) == 1 and rep.failures[0].startswith(named), rep.failures
+
+
+def test_torus_check_names_a_missing_multiplier_and_a_changed_series():
+    res = run_recursion(2, 6, 3)
+    rep = correction_monomial_check(with_stage(res, 3, multipliers=res.stages[2].multipliers[:1]))
+    assert rep.failures == ("stage 3: expected 2 multipliers, got 1",)
+    assert rep.stage_multiplier_counts[3] == 1
+    f5 = res.normal_forms[5]
+    changed = {**res.normal_forms, 5: f5 + LaurentSeries.monomial("u", -1, 1, f5.cut)}
+    rep = correction_monomial_check(dataclasses.replace(res, normal_forms=changed))
+    assert len(rep.failures) == 1 and rep.failures[0].startswith("f[-5]: coefficient at u^-1 = ")

@@ -26,6 +26,11 @@ def mp(point, tangent=1, weight=None):
     return MarkedPoint("c0", point if point is INF else Fraction(point), Fraction(tangent), weight)
 
 
+def is_identity(pc):
+    """The parameter change is t = u on its whole window."""
+    return not any(c for e, c in pc.series.known_items() if e != 1)
+
+
 def test_deep_cusp_sections_have_no_alpha_tail():
     # at the torus-fixed curve every expansion coefficient vanishes
     for g in (2, 3):
@@ -52,7 +57,7 @@ def test_glued_cusps_torus_fixed_two_point_curve():
         w = {"p0": a1, "p1": a2}
         assert h1(cur, Divisor.of(w)) == 0
         for i, a_i in (("p0", a1), ("p1", a2)):
-            assert canonical_parameter(cur, w, i, a_i + 4).is_identity()
+            assert is_identity(canonical_parameter(cur, w, i, a_i + 4))
             for m in range(a_i + 1, a_i + 4):
                 sec = f_sections(cur, w, i, m, tail=6)
                 for pid in ("p0", "p1"):
@@ -101,14 +106,14 @@ def test_section_rejects_weierstrass_configuration():
 def test_canonical_parameter_identity_on_deep_cusp():
     cur = zoo("ccusp2", marked=(mp(INF, weight=2),))
     pc = canonical_parameter(cur, {"p0": 2}, "p0", 6)
-    assert pc.is_identity()
+    assert is_identity(pc)
 
 
 def test_canonical_parameter_postcondition_and_idempotence():
     cur = zoo("Ic")  # two cusps, marked at 5 and 7
     w = {"p0": 1, "p1": 1}
     pc = canonical_parameter(cur, w, "p0", 6)
-    assert not pc.is_identity()
+    assert not is_identity(pc)
     for m in range(2, 7):
         _, _, expansions = reference_section(cur, w, "p0", m, pc, tail=0)
         assert expansions["p0"].coefficient(-1) == 0
@@ -211,7 +216,7 @@ def test_canonical_parameter_needs_a_step():
     for m_max in (0, 1, 2):
         with pytest.raises(ValidationError, match=f"m_max = {m_max}"):
             canonical_parameter(cur, {"p0": 2}, "p0", m_max)
-    assert canonical_parameter(cur, {"p0": 2}, "p0", 3).is_identity()
+    assert is_identity(canonical_parameter(cur, {"p0": 2}, "p0", 3))
 
 
 def test_pole_orders_must_be_ints():
@@ -400,7 +405,7 @@ def test_second_route_covers_steps_and_special_points():
             for i in ("p0", "p1"):
                 got = outcome(reference_canonical, curve, weights, i, weights[i] + 4)
                 errors += got[0] == "CohomologyError"
-                steps += got[0] == "ok" and not got[1].is_identity()
+                steps += got[0] == "ok" and not is_identity(got[1])
     assert steps >= 20 and errors >= 3
 
 
