@@ -57,6 +57,21 @@ def test_largest_admitted_s_table_bytes_pinned(capsys):
     )
 
 
+# SHA-256 of the stdout of the two largest recursion commands the limits
+# admit at g = 48, the bytes the CI's standard-library step compares too
+LARGEST_RECURSION_SHA256 = {
+    "s-table --genus 48 --m-max 64 --j-max 16": "3bdda6f7857cfa145180aeb20bb2faba951d060d6005e2ea7a58d661be702f6e",
+    "verify --suite closed-forms --genus-range 2..48": "4907a43fda47c9b23551739873bf4918f8f90745b01ceeb43387430ffaf2ab5a",
+}
+
+
+@pytest.mark.parametrize("argv", list(LARGEST_RECURSION_SHA256))
+def test_largest_genus_recursion_bytes_pinned(capsys, argv):
+    code, out = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LARGEST_RECURSION_SHA256[argv]
+
+
 def test_s_table_empty_table_passes(capsys):
     code, doc = run_json(capsys, "s-table", "--genus", "2", "--m-max", "3", "--j-max", "0")
     assert code == 0

@@ -292,6 +292,8 @@ def result_digest(res: NormalFormResult) -> str:
 @pytest.mark.parametrize("args, digest", [
     ((6, 18, 12), "5df324be79f93284efa5a9c15b45da1036ff741fd1ae2e0c1d2cca40840ca028"),
     ((2, 64, 16), "ce29f76fa78d1475cdf64c8085a7230f1e98a84ba14e8ed65ab283511e70d926"),
+    ((48, 64, 16), "85e8793e46d1246698bc2f5bd17612e78b9ac3100b3a36f716d035e8c0183bad"),
+    ((3, 11, 8), "68b115ff4d36b391386329a9bd3ef6391a58be1b6d38464c318f4759d1a7a07d"),
 ])
 def test_whole_result_pinned(args, digest):
     assert result_digest(run_recursion(*args)) == digest
