@@ -51,6 +51,7 @@ from operator import attrgetter
 
 from . import linalg
 from .errors import InternalInconsistencyError, ValidationError
+from .laurent import _scalar
 from .rational import format_rational
 
 
@@ -571,9 +572,13 @@ class FunctionOnCurve:
     __slots__ = ("curve", "elts", "coords")
 
     def __init__(self, curve, elts, coords):
+        """One exact coordinate, an int (not a bool) or a `Fraction`, per
+        element of elts."""
         self.curve = curve
         self.elts = list(elts)
-        self.coords = [Fraction(c) for c in coords]
+        self.coords = [_scalar(c) for c in coords]
+        if len(self.coords) != len(self.elts):
+            raise ValidationError(f"{len(self.coords)} coordinates for {len(self.elts)} elements")
 
     def component_terms(self, component: str):
         """(constant, [(point, order, coeff), ...]) for one component."""

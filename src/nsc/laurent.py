@@ -177,7 +177,6 @@ class LaurentSeries:
             return self
         return LaurentSeries._of(self.var, self.low, self.coeffs, self.den, cut)
 
-    # no caller in the package: kept as perfbench/tracing.py wraps it by name
     def inverse(self, cut: int | None = None) -> "LaurentSeries":
         """Multiplicative inverse on [-v, min(cut, self.cut - 2v)), v the
         valuation; the lowest coefficient must be a unit.
@@ -295,7 +294,7 @@ def series_substitute(s: LaurentSeries, eps, r: int) -> LaurentSeries:
     pq = [p ** i * q ** (top - i) for i in range(top + 1)]
     step, lead = r - 1, pq[0]
     acc = [x * lead for x in s.coeffs]  # the i = 0 terms
-    for k, x in enumerate(s.coeffs):
+    for k, x in enumerate(s.coeffs[:size - step]):  # the rest map past the window
         if x:
             e, binom, i = s.low + k, 1, 0
             stop = k + e * step + 1  # C(e,i) = 0 for i > e >= 0

@@ -26,10 +26,21 @@ lead is 1 at its exponent, so the multipliers p_1 .. p_(n-1) are the
 coefficients read there, and all of them are subtracted on one list of
 integer numerators.
 
+The parameter change t = u + ... is not carried: t^-1 is known on
+[-1, S-1), S the number of stages, and its inverse is t on [1, S+1), read
+off once at the end.
+
 A table entry for (m, j) only becomes final once the recursion has run past
 stage m-g+j+1 (later corrections first disturb exponent -m+n-1), so the
 recursion internally runs (m_max-g) + j_max + 1 stages and reports exactly the
-stable window.
+stable window.  The last j_max + 1 stages build f[-m] for m > m_max, which is
+never reported: the next stage reads it at u^-g for its correction, and
+later stages subtract it only from f[-m'] with m' > m_max, reading their
+multipliers below u^-g.  So those series are built on [-m, -g+1) instead of
+[-m, cut), by cutting the stage's t^-(g+n) at -g+1 before the subtraction.
+That is sound because they only pass through corrections, which map u^e to
+exponents >= e, and subtractions, which read each coefficient at its own
+exponent: below u^(-g+1) they agree with the series on the long window.
 
 `correction_monomial_check` checks the grading by a second route, the torus
 action lam -> 2*lam: a run from lam = 2 must scale each value by 2^degree.
@@ -103,25 +114,25 @@ def run_recursion(g: int, m_max: int | None = None, j_max: int = 6) -> NormalFor
     return _recursion(g, m_max, j_max, 1)
 
 
-def _recursion(g: int, m_max: int, j_max: int, lam) -> NormalFormResult:
-    """The recursion from F[-(g+1)] = t^-(g+1) - lam*t^-g at the rational
+def _recursion(g: int, m_max: int, j_max: int, lam: int) -> NormalFormResult:
+    """The recursion from F[-(g+1)] = t^-(g+1) - lam*t^-g at the integer
     lam: each value is r*lam^degree, its degree given by its indices."""
     cut = -g + j_max + 1
     stages_total = (m_max - g) + j_max + 1
 
-    total = LaurentSeries.monomial("u", 1, 1, stages_total + 1)  # t in the current parameter
     # t^-1 and t^-(g+n-1) are known on stages_total terms.  A product loses
     # one at the top, and F[-(g+n)] is read below u^(-g+stages_total-n): below
     # u^cut up to m_max, at u^-g by the next correction, below it at the end.
-    inverse = LaurentSeries.monomial("u", -1, 1, stages_total - 1)
-    power = LaurentSeries.monomial("u", -(g + 1), 1, stages_total - (g + 1))
-    current = {g + 1: LaurentSeries("u", -(g + 1), [1, -lam], cut)}  # F[-(g+1)]
+    # The operands are built in lowest terms, so they skip the checked
+    # constructor.
+    inverse = LaurentSeries._of("u", -1, [1], 1, stages_total - 1)
+    power = LaurentSeries._of("u", -(g + 1), [1], 1, stages_total - (g + 1))
+    current = {g + 1: LaurentSeries._of("u", -(g + 1), [1, -lam], 1, cut)}  # F[-(g+1)]
     stages = [StageRecord(1, None, None, ())]
 
     for n in range(2, stages_total + 1):
         c = current[g + n - 1].coefficient(-g)
         eps = c / (g + n - 1)  # the step u_{n-1} = u_n + eps*u_n^n
-        total = series_substitute(total, eps, n)
         inverse, power = series_substitute(inverse, eps, n), series_substitute(power, eps, n)
         for m in current:
             current[m] = series_substitute(current[m], eps, n)
@@ -130,7 +141,9 @@ def _recursion(g: int, m_max: int, j_max: int, lam) -> NormalFormResult:
                 f"stage {n}: correction failed to kill the u^-{g} coefficient"
             )
         power = power * inverse  # t^-(g+n), F[-(g+n)] before the subtractions
-        multipliers, work = series_reduce(power.truncate(cut),
+        # f[-m] past m_max is read only at u^-g and below: keep it short
+        top = cut if g + n <= m_max else -g + 1
+        multipliers, work = series_reduce(power.truncate(top),
                                           [(-g - n + i, current[g + n - i]) for i in range(1, n)])
         for e in range(-g - n + 1, -g):
             if work.numerator(e):
@@ -147,7 +160,7 @@ def _recursion(g: int, m_max: int, j_max: int, lam) -> NormalFormResult:
         genus=g,
         m_max=m_max,
         j_max=j_max,
-        param_change=ParamChange(total),
+        param_change=ParamChange(inverse.inverse()),  # t on [1, stages_total + 1)
         normal_forms=normal_forms,
         s_table=STable(g, entries),
         stages=tuple(stages),

@@ -186,6 +186,7 @@ def f_sections(curve: CurveModel, weights: dict, i: str, m: int, tail: int = 6) 
     """Solve for f_i[-m]; expansions are returned at every marked point to
     exponents < tail, in each point's parameter u = s/v."""
     _check_int("m", m)
+    _check_int("tail", tail)
     validate(curve)
     weights = _normalize_weights(curve, weights)
     i = f"p{curve.point_index(i)}"

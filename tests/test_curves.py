@@ -14,6 +14,7 @@ from nsc.curves import (
     Branch,
     CurveModel,
     Divisor,
+    FunctionOnCurve,
     MarkedPoint,
     SingularPoint,
     _elt_expansion,
@@ -738,6 +739,20 @@ def test_h0_monotone_under_divisor_growth():
         a, b = h0(cur, d0).dimension, h0(cur, d1).dimension
         assert all(d0.multiplicity(pid) <= d1.multiplicity(pid) for pid in cur.point_ids())
         assert a <= b <= a + (d1.degree() - d0.degree())
+
+
+def test_function_coordinates_are_exact_and_one_per_element():
+    cur, elts = zoo("Ia"), [("const", "c0")]
+    fn = FunctionOnCurve(cur, elts, [Fraction(1, 3)])
+    assert fn.coords == [Fraction(1, 3)] and type(FunctionOnCurve(cur, elts, [2]).coords[0]) is Fraction
+    # a float once stored its binary value, a bool read as 1
+    for bad in (0.1, True, False, "1", None):
+        with pytest.raises(ValidationError, match=f"^not an exact scalar: {re.escape(repr(bad))}$"):
+            FunctionOnCurve(cur, elts, [bad])
+    # zip once cut a short or a long list to the elements
+    for coords in ([], [1, 2]):
+        with pytest.raises(ValidationError, match=f"^{len(coords)} coordinates for 1 elements$"):
+            FunctionOnCurve(cur, elts, coords)
 
 
 def test_weierstrass_locus_on_c0():

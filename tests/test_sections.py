@@ -232,6 +232,16 @@ def test_pole_orders_must_be_ints():
     assert f_sections(cur, {"p0": 2}, "p1", 1).order == 1
 
 
+def test_expansion_tail_must_be_an_int():
+    # tail=True once printed "+ O(u^True)", tail=2.5 raised a bare TypeError
+    cur = zoo("Ia")
+    for bad in (2.5, Fraction(3), True, False, "3", None):
+        with pytest.raises(ValidationError, match=f"^tail {re.escape(repr(bad))} must be an int, not a "):
+            f_sections(cur, {"p0": 2}, "p1", 3, tail=bad)
+    sec = f_sections(cur, {"p0": 2}, "p1", 3, tail=1)
+    assert all(s.cut == 1 for s in sec.expansions.values())
+
+
 # ---------------------------------------------------------------------------
 # second route: the ambient-element solve
 # ---------------------------------------------------------------------------
