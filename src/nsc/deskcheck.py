@@ -22,7 +22,7 @@ from fractions import Fraction
 from .curves import MarkedPoint
 from .normalform import run_recursion
 from .rational import format_rational
-from .sections import _canonicalise, _combine, _regular_basis, _solve_section
+from .sections import solve_sections
 from .zoo import zoo
 
 M_MAX = 6
@@ -66,16 +66,10 @@ def pinched_curve_alpha_table(m_max: int = M_MAX, q_max: int = J_MAX - 2) -> dic
     m' <= m_max + q_max + g.
     """
     curve = zoo("IIc-C0", marked=(MarkedPoint("c0", Fraction(1), Fraction(1), 2),))
-    weights = {"p0": GENUS}
-    depth = m_max + q_max + GENUS
-    _, _, expansions = _regular_basis(curve, weights, "p0", depth, q_max + 1)
-    _, expansions = _canonicalise(weights, "p0", depth, expansions, depth + 6)
-    table = {}
-    for m in range(GENUS + 1, m_max + 1):
-        section = _combine(_solve_section(weights, "p0", m, expansions, depth + 6), expansions)
-        for q in range(-GENUS + 1, q_max + 1):
-            table[(m, q)] = section.coefficient(q)
-    return table
+    _, _, solved = solve_sections(curve, {"p0": GENUS}, "p0", range(GENUS + 1, m_max + 1), high=q_max + 1,
+                                  depth=m_max + q_max + GENUS)
+    return {(m, q): expansions["p0"].coefficient(q)
+            for m, (_, expansions) in solved.items() for q in range(-GENUS + 1, q_max + 1)}
 
 
 def contraction_point_report() -> ContractionPointReport:
@@ -83,22 +77,18 @@ def contraction_point_report() -> ContractionPointReport:
     alpha = pinched_curve_alpha_table()
     s = run_recursion(GENUS, M_MAX, J_MAX).s_table.entries
 
-    # fit c^2 on the first ladder entry, then the sign on an odd-weight one
-    base = (GENUS + 1, -1)
-    if not alpha[base] or not s[(GENUS + 1, 1)]:
+    # fit c as the ratio of alpha/s at weight m+q = 3 to alpha/s at weight 2:
+    # the two entries agree with one c exactly when this c fits both
+    base, probe = (GENUS + 1, 1 - GENUS), (GENUS + 2, 1 - GENUS)
+    if not (alpha[base] and s[(base[0], 1)] and s[(probe[0], 1)]):
         return ContractionPointReport(None, (), (), alpha, s)
-    c_squared = alpha[base] / s[(GENUS + 1, 1)]
-    scale = None
-    for candidate in _square_roots(c_squared):
-        probe = (GENUS + 2, -1)  # odd weight m+q = 3 fixes the sign
-        if s[probe[0], 1] and alpha[probe] == candidate ** 3 * s[(probe[0], 1)]:
-            scale = candidate
-            break
+    scale = alpha[probe] / s[(probe[0], 1)] / (alpha[base] / s[(base[0], 1)])
     matched = []
     discrepancies = []
     for m in range(GENUS + 1, M_MAX + 1):
         for j in range(1, J_MAX + 1):
             q = -GENUS + j
+            expected = scale ** (m + q) * s[(m, j)]
             row = {
                 "m": m,
                 "j": j,
@@ -113,32 +103,10 @@ def contraction_point_report() -> ContractionPointReport:
                     "exponent 0 is the constant-normalized coefficient, not a "
                     "moduli coordinate; compared values differ by convention"
                 )
-                row["expected_if_coordinate"] = (
-                    None if scale is None else format_rational(scale ** (m + q) * s[(m, j)])
-                )
+                row["expected_if_coordinate"] = format_rational(expected)
                 discrepancies.append(row)
                 continue
-            expected = None if scale is None else scale ** (m + q) * s[(m, j)]
-            row["expected"] = None if expected is None else format_rational(expected)
-            row["match"] = expected is not None and alpha[(m, q)] == expected
+            row["expected"] = format_rational(expected)
+            row["match"] = alpha[(m, q)] == expected
             matched.append(row)
     return ContractionPointReport(scale, tuple(matched), tuple(discrepancies), alpha, s)
-
-
-def _square_roots(x: Fraction):
-    """Rational square roots of x, if any."""
-    if x < 0:
-        return []
-    num = _isqrt_exact(x.numerator)
-    den = _isqrt_exact(x.denominator)
-    if num is None or den is None:
-        return []
-    r = Fraction(num, den)
-    return [r, -r] if r else [r]
-
-
-def _isqrt_exact(n: int):
-    import math
-
-    r = math.isqrt(n)
-    return r if r * r == n else None

@@ -28,7 +28,7 @@ from .curves import CurveModel, Divisor, _h0_dimension, arithmetic_genus, valida
 from .errors import CohomologyError, InternalInconsistencyError, ValidationError
 from .laurent import LaurentSeries, series_reduce
 from .multipoly import MultiPoly, PolyRing, poly_reduce, s_polynomial
-from .sections import _combine, _normalize_weights, _regular_basis, _solve_section
+from .sections import solve_sections
 
 Q_VARIABLES = ("q1", "q20", "q21", "q30", "q31")
 Q_WEIGHTS = (4, 5, 2, 6, 3)
@@ -378,10 +378,8 @@ def section_series(curve: CurveModel, point_id: str):
     """Expansions of the degree 3, 4, 5 section generators at the marked point,
     solved over one basis of the regular functions."""
     pid = f"p{curve.point_index(point_id)}"
-    validate(curve)
-    weights = _normalize_weights(curve, {pid: 2})
-    _, _, expansions = _regular_basis(curve, weights, pid, 5, _SECTION_TAIL)
-    return tuple(_combine(_solve_section(weights, pid, m, expansions, None), expansions) for m in (3, 4, 5))
+    solved = solve_sections(curve, {pid: 2}, pid, (3, 4, 5), high=_SECTION_TAIL)[2]
+    return tuple(solved[m][1][pid] for m in (3, 4, 5))
 
 
 def normalize_presentation(sf: LaurentSeries, sh: LaurentSeries, sk: LaurentSeries) -> GeneralPresentation:

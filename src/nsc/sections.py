@@ -7,20 +7,23 @@ p_j whose expansion at p_i in the chosen parameter is
 
     u^-m  +  (nothing between exponents -m and -a_i)  +  c_{-a_i} u^-a_i + ...
 
-with constant term zero.  One solver serves every caller.  It takes a basis
-of the regular functions with poles bounded by m_max p_i + sum_{j != i} a_j
-p_j once, by one nullspace of the jet conditions, and expands it once at p_i.
-The basis is triangular in the pole order at p_i, so f_i[-m] for m <= m_max
-is a small solve over the basis functions with poles of order at most m.
-The canonical parameter at p_i is the unique tangent-compatible parameter
-making the coefficient at u^-a_i vanish for every m; it is found order by
-order, advancing the basis expansions through each exact correction step.
-The sections in the canonical parameter are solved over those advanced
-expansions; their expansions at the other marked points need no change.
-Every expansion of a function is its coordinates' combination (`_combine`)
-of the ambient elements' series at the marked point, each built once
-(`_element_series`) straight from the element's integer numerators over one
-denominator, the tangent's powers folded in on the integers.
+with constant term zero.  One entry, `solve_sections`, serves every caller:
+`f_sections`, `canonical_parameter`, `alpha_beta`, the genus-2 fit's section
+series and the desk check's alpha table.  It takes a basis of the regular
+functions with poles bounded by m_max p_i + sum_{j != i} a_j p_j once, by one
+nullspace of the jet conditions, and expands it once at p_i.  The basis is
+triangular in the pole order at p_i, so f_i[-m] for m <= m_max is a small
+solve over the basis functions with poles of order at most m.  The
+canonical parameter at p_i is the unique tangent-compatible parameter making
+the coefficient at u^-a_i vanish for every m; given a depth, the entry finds
+it order by order, advancing the basis expansions through each exact
+correction step, and solves the sections over those advanced expansions.
+A section's expansion at p_i is its coordinates' combination (`_combine`) of
+the basis expansions.  Its expansion at another marked point, which the
+change at p_i leaves alone, is its ambient coordinates' combination of the
+elements' series there (`_element_series`), each built once straight from
+the element's integer numerators over one denominator, the tangent's powers
+folded in on the integers.
 """
 
 from __future__ import annotations
@@ -176,10 +179,45 @@ def _combine(y, series) -> LaurentSeries:
     return sum(terms[1:], terms[0])
 
 
-def _function(curve, elts, basis, y) -> FunctionOnCurve:
-    """The function with coordinates y over the (first) basis functions."""
-    return FunctionOnCurve(curve, elts, [sum(c * b[k] for c, b in zip(y, basis) if c)
-                                         for k in range(len(elts))])
+def solve_sections(curve: CurveModel, weights: dict, i: str, orders, high: int = 1,
+                   depth: int | None = None, order: int | None = None, at=()):
+    """(pc, elts, {m: (coords, expansions)}): f_i[-m] for m in orders over one
+    basis, with poles at p_i bounded by depth or max(orders).  Given a depth,
+    the sections are in the canonical parameter pc for f_i[-m], m <= depth,
+    known below u^order (depth + 6 by default); else pc is None.  coords are
+    over the ambient elements elts; expansions maps p_i to the expansion on
+    [-m, high) and each other point in at to the one on [-a_j, high)."""
+    validate(curve)
+    weights = _normalize_weights(curve, weights)
+    i = f"p{curve.point_index(i)}"
+    a_i = weights.get(i, 0)
+    if depth is not None and depth <= a_i:
+        raise ValidationError(f"need m_max > a_i = {a_i} for a correction step, got m_max = {depth}")
+    for m in orders:
+        if m <= a_i:
+            raise ValidationError(f"need m > a_i = {a_i}, got m = {m}")
+    elts, basis, expansions = _regular_basis(curve, weights, i, max(orders) if depth is None else depth, high)
+    pc = None
+    if depth is not None:
+        order = depth + 6 if order is None else order
+        pc, expansions = _canonicalise(weights, i, depth, expansions, order)
+    found = {}
+    for m in orders:
+        y = _solve_section(weights, i, m, expansions, order)
+        found[m] = y, [sum(c * b[k] for c, b in zip(y, basis) if c) for k in range(len(elts))]
+    # the other points keep their own parameters: only p_i's moves
+    series = {pid: _element_series(curve, pid, elts, [x for _, x in found.values()], -weights.get(pid, 0), high)
+              for pid in at if pid != i}
+    return pc, elts, {m: (x, {pid: _combine(x, series[pid]) if pid in series else _combine(y, expansions)
+                              for pid in curve.point_ids() if pid == i or pid in series})
+                      for m, (y, x) in found.items()}
+
+
+# f_sections expands on [-m, tail): 1 <= tail, so the window holds the zero
+# constant term, and tail <= MAX_TAIL.  At the bound f_3 on zoo("Ia") takes
+# about 0.015 s, and f_37 on ccusp31, marked at 3 and at infinity, about
+# 0.23 s (Python 3.11, one core of a shared x86-64 host).
+MAX_TAIL = 1024
 
 
 def f_sections(curve: CurveModel, weights: dict, i: str, m: int, tail: int = 6) -> Section:
@@ -187,19 +225,11 @@ def f_sections(curve: CurveModel, weights: dict, i: str, m: int, tail: int = 6) 
     exponents < tail, in each point's parameter u = s/v."""
     _check_int("m", m)
     _check_int("tail", tail)
-    validate(curve)
-    weights = _normalize_weights(curve, weights)
-    i = f"p{curve.point_index(i)}"
-    a_i = weights.get(i, 0)
-    if m <= a_i:
-        raise ValidationError(f"need m > a_i = {a_i}, got m = {m}")
-    elts, basis, expansions = _regular_basis(curve, weights, i, m, 1)
-    fn = _function(curve, elts, basis, _solve_section(weights, i, m, expansions, None))
-    expansions = {}
-    for pid in curve.point_ids():
-        low = -m if pid == i else -weights.get(pid, 0)
-        expansions[pid] = _combine(fn.coords, _element_series(curve, pid, elts, [fn.coords], low, tail))
-    return Section(i, m, fn, expansions)
+    if not 1 <= tail <= MAX_TAIL:
+        raise ValidationError(f"tail {tail} must be in 1..{MAX_TAIL}")
+    _, elts, solved = solve_sections(curve, weights, i, (m,), high=tail, at=curve.point_ids())
+    coords, expansions = solved[m]
+    return Section(f"p{curve.point_index(i)}", m, FunctionOnCurve(curve, elts, coords), expansions)
 
 
 def canonical_parameter(curve: CurveModel, weights: dict, i: str, m_max: int,
@@ -207,16 +237,14 @@ def canonical_parameter(curve: CurveModel, weights: dict, i: str, m_max: int,
     """Tangent-compatible parameter change at p_i making the coefficient at
     u^-a_i of every f_i[-m], m <= m_max, vanish exactly; m_max must exceed
     a_i, or there is no correction to compute.  The change is the
-    composition of the exact correction steps, known below u^order."""
+    composition of the exact correction steps, known below u^order (an int
+    >= 2; m_max + 6 by default)."""
     _check_int("m_max", m_max)
-    validate(curve)
-    weights = _normalize_weights(curve, weights)
-    i = f"p{curve.point_index(i)}"
-    a_i = weights.get(i, 0)
-    if m_max <= a_i:
-        raise ValidationError(f"need m_max > a_i = {a_i} for a correction step, got m_max = {m_max}")
-    _, _, expansions = _regular_basis(curve, weights, i, m_max, 1)
-    return _canonicalise(weights, i, m_max, expansions, m_max + 6 if order is None else order)[0]
+    if order is not None:
+        _check_int("order", order)
+        if order < 2:
+            raise ValidationError(f"order {order} must be at least 2: the change t = u + ... is known below u^order")
+    return solve_sections(curve, weights, i, (), depth=m_max, order=order)[0]
 
 
 def alpha_beta(curve: CurveModel, i: str = "p0", j: str = "p1",
@@ -235,12 +263,8 @@ def alpha_beta(curve: CurveModel, i: str = "p0", j: str = "p1",
     weights = _normalize_weights(curve, weights)
     if weights.get(j, 0) < 1:
         raise ValidationError("the second point must carry weight >= 1")
-    elts, basis, expansions = _regular_basis(curve, weights, i, g + 1, 1)
-    _, expansions = _canonicalise(weights, i, g + 1, expansions, g + 4)
-    fns = [_function(curve, elts, basis, _solve_section(weights, i, m, expansions, g + 4)) for m in (g, g + 1)]
-    # the expansions at p_j need no parameter change: only p_i's moves
-    at_j = _element_series(curve, j, elts, [fn.coords for fn in fns], -weights[j], 1)
-    return tuple(_combine(fn.coords, at_j).coefficient(-1) for fn in fns)
+    _, _, solved = solve_sections(curve, weights, i, (g, g + 1), depth=g + 1, order=g + 4, at=(j,))
+    return tuple(solved[m][1][j].coefficient(-1) for m in (g, g + 1))
 
 
 def rescale_tangent(curve: CurveModel, point_id: str, factor) -> CurveModel:

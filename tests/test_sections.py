@@ -13,8 +13,8 @@ from nsc.curves import (
 from nsc.errors import CohomologyError, TruncationError, ValidationError
 from nsc.laurent import ParamChange
 from nsc.sections import (
-    _canonicalise, _combine, _element_series, _function, _regular_basis, _solve_section, alpha_beta,
-    canonical_parameter, f_sections, rescale_tangent,
+    MAX_TAIL, _combine, _element_series, alpha_beta, canonical_parameter, f_sections, rescale_tangent,
+    solve_sections,
 )
 import curves_reference as curves_ref
 from sections_reference import _elt_expansion as ref_elt_expansion, _expansion
@@ -236,6 +236,38 @@ def test_pole_orders_must_be_ints():
     assert all(s.cut == 1 for s in f_sections(cur, {"p0": 2}, "p1", 1, tail=1).expansions.values())
 
 
+def test_canonical_parameter_checks_order_by_name():
+    # order=True raised "cut must be an int" and order=0 a truncation error
+    # about u^1: the order is a non-bool int, at least 2, checked after m_max
+    cur = zoo("Ia")
+    for bad in (True, 2.5, Fraction(6), "6"):
+        with pytest.raises(ValidationError, match=f"^order {re.escape(repr(bad))} must be an int, not a "):
+            canonical_parameter(cur, {"p0": 2}, "p1", 4, order=bad)
+    with pytest.raises(ValidationError, match="^m_max "):
+        canonical_parameter(cur, {"p0": 2}, "p1", 4.0, order=True)
+    for bad in (1, 0, -3):
+        with pytest.raises(ValidationError, match=f"^order {bad} must be at least 2"):
+            canonical_parameter(cur, {"p0": 2}, "p1", 4, order=bad)
+    # from 2 through m_max + 1 the order is too short for the last step
+    for short in (2, 5):
+        with pytest.raises(TruncationError, match="it must be known below u\\^"):
+            canonical_parameter(cur, {"p0": 2}, "p1", 4, order=short)
+    assert canonical_parameter(cur, {"p0": 2}, "p1", 4, order=6).order() == 6
+
+
+def test_f_sections_bounds_tail():
+    # tail=-100 returned 0 + O(u^-3), a window without the zero constant
+    # term; 10**6 ran for minutes
+    cur = zoo("Ia")
+    for bad in (0, -100, MAX_TAIL + 1, 10**6):
+        with pytest.raises(ValidationError, match=f"^tail {bad} must be in 1..{MAX_TAIL}$"):
+            f_sections(cur, {"p0": 2}, "p0", 3, tail=bad)
+    for tail in (1, MAX_TAIL):
+        sec = f_sections(cur, {"p0": 2}, "p0", 3, tail=tail)
+        assert {s.cut for s in sec.expansions.values()} == {tail}
+        assert sec.expansions["p0"].coefficient(0) == 0
+
+
 # ---------------------------------------------------------------------------
 # second route: the ambient-element solve
 # ---------------------------------------------------------------------------
@@ -297,20 +329,16 @@ def reference_alpha_beta(curve, weights, i, j):
 
 
 def canonical_sections(curve, weights, i, m_max):
-    """f_i[-m] for a_i < m <= m_max in the canonical parameter, from the
-    solver's steps as alpha_beta composes them: m -> the outcome of (nonzero
+    """f_i[-m] for a_i < m <= m_max in the canonical parameter, each solved
+    by the entry as alpha_beta solves its two: m -> the outcome of (nonzero
     coordinates, expansions at every marked point to exponents < 1)."""
-    order = m_max + 6
-    elts, basis, expansions = _regular_basis(curve, weights, i, m_max, 1)
-    _, expansions = _canonicalise(weights, i, m_max, expansions, order)
     out = {}
     for m in range(weights[i] + 1, m_max + 1):
-        got = outcome(_solve_section, weights, i, m, expansions, order)
+        got = outcome(solve_sections, curve, weights, i, (m,), depth=m_max, at=curve.point_ids())
         if got[0] == "ok":
-            fn = _function(curve, elts, basis, got[1])
-            at = {pid: _expansion(curve, pid, -weights[pid], 1, zip(fn.coords, fn.elts))
-                  for pid in curve.point_ids() if pid != i}
-            got = "ok", (nonzero_coords(fn.elts, fn.coords), {**at, i: _combine(got[1], expansions)})
+            _, elts, solved = got[1]
+            coords, expansions = solved[m]
+            got = "ok", (nonzero_coords(elts, coords), expansions)
         out[m] = got
     return out
 
