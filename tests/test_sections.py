@@ -237,8 +237,8 @@ def test_pole_orders_must_be_ints():
 
 
 def test_canonical_parameter_checks_order_by_name():
-    # order=True raised "cut must be an int" and order=0 a truncation error
-    # about u^1: the order is a non-bool int, at least 2, checked after m_max
+    # the order is a non-bool int, checked after m_max, and at least 2: a
+    # change t = u + ... known below u^1 has no known term at all
     cur = zoo("Ia")
     for bad in (True, 2.5, Fraction(6), "6"):
         with pytest.raises(ValidationError, match=f"^order {re.escape(repr(bad))} must be an int, not a "):
@@ -256,8 +256,8 @@ def test_canonical_parameter_checks_order_by_name():
 
 
 def test_f_sections_bounds_tail():
-    # tail=-100 returned 0 + O(u^-3), a window without the zero constant
-    # term; 10**6 ran for minutes
+    # the window must hold the zero constant term, and its width sets the
+    # work: tail=10**6 would run for minutes
     cur = zoo("Ia")
     for bad in (0, -100, MAX_TAIL + 1, 10**6):
         with pytest.raises(ValidationError, match=f"^tail {bad} must be in 1..{MAX_TAIL}$"):
