@@ -630,9 +630,6 @@ class H0Result:
     dimension: int
     basis: tuple  # FunctionOnCurve
 
-    def __iter__(self):
-        return iter(self.basis)
-
 
 def _canonical_divisor(curve: CurveModel, divisor: Divisor) -> Divisor:
     """Resolve id aliases (e.g. "pinf") to the canonical p<i> keys, merging."""
@@ -699,6 +696,4 @@ def h1_corank(curve: CurveModel, divisor: Divisor) -> int:
     """Independent oracle: corank of the full constraint matrix (jet conditions
     plus prescribed-zero conditions) on the ambient pole space."""
     _, rows = constraints(curve, divisor)
-    if not rows:
-        return 0
     return len(rows) - linalg.rank(rows)

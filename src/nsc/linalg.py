@@ -1,14 +1,13 @@
 """Exact linear algebra over Q.
 
-Matrices come in and go out as dense lists of rows of rationals (ints or
-Fractions in, Fractions out).  The elimination itself runs over Python ints
-on sparse rows: each row has its denominators cleared and is kept as a
+Matrices come in as lists of rows of rationals (ints or Fractions), every
+row as long as the first.  The one elimination, `rref`, runs over Python
+ints on sparse rows: each row has its denominators cleared and is kept as a
 {column: int} dict of its nonzero entries, scaled to content 1 after every
-change.  It divides by the pivots only once, when the reduced rows are turned
-back into Fractions.  The reduced row echelon form is unique, so the result
-does not depend on how the elimination reached it.  `rref` returns it dense;
+change.  The reduced row echelon form is unique, so the result does not
+depend on how the elimination reached it.  `rank` counts its pivots;
 `nullspace` and `solve_affine` read their vectors straight off the integer
-rows, making one Fraction per nonzero entry.
+rows, dividing by the pivots once and making one Fraction per nonzero entry.
 """
 
 from __future__ import annotations
@@ -28,22 +27,26 @@ def _primitive(row: dict) -> dict:
     return {c: v // content for c, v in row.items()}
 
 
-def _eliminate(rows):
-    """Gauss-Jordan over integer rows: (reduced, pivots).
+def rref(rows):
+    """Reduced row echelon form over integer rows: (reduced, pivots).
 
-    ``reduced[i]`` is a primitive {column: int} row whose lowest column is
-    ``pivots[i]``, and every other reduced row is zero at ``pivots[i]``.
-    Dividing each row by its pivot entry gives the reduced row echelon form.
+    ``reduced[i]`` is the i-th row of the reduced row echelon form scaled to
+    a primitive {column: int} row: its lowest column is ``pivots[i]``, and
+    every other reduced row is zero at ``pivots[i]``.  Dividing each row by
+    its pivot entry gives the unique reduced row.  A row whose length differs
+    from the first row's raises ValueError.
     """
+    ncols = len(rows[0]) if rows else 0
     work = []
-    for r in rows:
+    for i, r in enumerate(rows):
+        if len(r) != ncols:
+            raise ValueError(f"row {i} is not as long as row 0")
         ratios = [(c, x.as_integer_ratio()) for c, x in enumerate(r) if x]
         if ratios:
             den = lcm(*[d for _, (_, d) in ratios])
             work.append(_primitive({c: n * (den // d) for c, (n, d) in ratios}))
     pivots = []
     r = 0
-    ncols = len(rows[0]) if rows else 0
     for c in range(ncols):
         if r == len(work):
             break
@@ -75,31 +78,17 @@ def _eliminate(rows):
     return work[:r], pivots
 
 
-def rref(rows):
-    """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
-    reduced, pivots = _eliminate(rows)
-    ncols = len(rows[0]) if rows else 0
-    out = []
-    for row, c in zip(reduced, pivots):
-        p = row[c]
-        dense = [_ZERO] * ncols
-        for k, v in row.items():
-            dense[k] = Fraction(v, p)
-        out.append(dense)
-    return out, pivots
-
-
 def rank(rows) -> int:
-    return len(_eliminate(rows)[1])
+    return len(rref(rows)[1])
 
 
-def nullspace(rows, ncols=None):
-    """Basis of {x : rows @ x = 0}, in reduced (deterministic) form."""
-    if ncols is None:
-        if not rows:
-            raise ValueError("ncols required for empty constraint list")
-        ncols = len(rows[0])
-    return _kernel(*_eliminate(rows), ncols)
+def nullspace(rows, ncols):
+    """Basis of {x in Q^ncols : rows @ x = 0}, in reduced (deterministic)
+    form.  A row whose length is not ncols raises ValueError: here for the
+    first row, in `rref` for the others."""
+    if rows and len(rows[0]) != ncols:
+        raise ValueError(f"row 0 has {len(rows[0])} entries, not ncols = {ncols}")
+    return _kernel(*rref(rows), ncols)
 
 
 def _kernel(reduced, pivots, ncols):
@@ -130,7 +119,7 @@ def solve_affine(rows, rhs):
     if len(rhs) != len(rows):
         raise ValueError(f"solve_affine got {len(rhs)} right-hand side entries for {len(rows)} equations")
     ncols = len(rows[0])
-    reduced, pivots = _eliminate([list(r) + [b] for r, b in zip(rows, rhs)])
+    reduced, pivots = rref([list(r) + [b] for r, b in zip(rows, rhs)])
     if ncols in pivots:  # a pivot in the rhs column: inconsistent
         return None
     x = [_ZERO] * ncols

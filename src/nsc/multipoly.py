@@ -342,9 +342,6 @@ class MultiPoly:
         exps = max(self.terms, key=self.ring.order.sort_key)
         return exps, self.terms[exps]
 
-    def monomials(self):
-        return set(self.terms)
-
     def weighted_degrees(self):
         """All total weighted degrees present, coefficients' grading included."""
         out = set()

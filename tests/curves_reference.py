@@ -34,6 +34,7 @@ from nsc.curves import (
     format_point,
 )
 from nsc.errors import ValidationError
+from linalg_reference import reference_rref
 from sections_reference import _elt_expansion
 
 
@@ -212,5 +213,5 @@ def h0_basis(curve: CurveModel, divisor):
     kernel of the constraint rows."""
     elts, rows = constraints(curve, divisor)
     kernel = linalg.nullspace(rows, ncols=len(elts))
-    kernel, _ = linalg.rref(kernel) if kernel else ([], [])
+    kernel, _ = reference_rref(kernel)
     return kernel
