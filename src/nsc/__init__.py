@@ -25,7 +25,7 @@ from .genus2 import (
     universal_relations,
 )
 from .laurent import LaurentSeries, ParamChange, series_substitute
-from .multipoly import MonomialOrder, MultiPoly, PolyRing, poly_reduce, s_polynomial
+from .multipoly import MultiPoly, PolyRing, poly_reduce, s_polynomial
 from .normalform import closed_form_check, correction_monomial_check, run_recursion
 from .rational import Rational, format_rational, parse_rational
 from .sections import alpha_beta, canonical_parameter, f_sections
@@ -41,7 +41,6 @@ __all__ = [
     "G2Params",
     "LaurentSeries",
     "MarkedPoint",
-    "MonomialOrder",
     "MultiPoly",
     "ParamChange",
     "PolyRing",

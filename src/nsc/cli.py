@@ -159,17 +159,17 @@ def _cmd_curve(args) -> int:
         payload = {"h1": h1(curve, div), "divisor": dict(div.items)}
     else:
         pid = f"p{curve.point_index(args.point, '--point')}"
-        g = arithmetic_genus(curve)
         if op == "alphabeta":
             others = [q for q in curve.point_ids() if q != pid]
             if not others:
                 raise ValidationError("alphabeta needs a second marked point")
             jid = others[0]
-            weights = _parse_weights(curve, args.weights) if args.weights is not None else {pid: g - 1, jid: 1}
+            weights = _parse_weights(curve, args.weights) if args.weights is not None else None
             alpha, beta = alpha_beta(curve, pid, jid, weights=weights)
             payload = {"alpha": format_rational(alpha), "beta": format_rational(beta),
                        "point": pid, "second_point": jid}
         elif op == "canonical":
+            g = arithmetic_genus(curve)
             weights = _parse_weights(curve, args.weights) if args.weights is not None else {pid: g}
             m_max = args.m_max if args.m_max is not None else g + 4
             if m_max > MAX_M_MAX:

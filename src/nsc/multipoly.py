@@ -17,7 +17,6 @@ rings are compared by identity first, then by value.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, le, sub
 
@@ -28,18 +27,24 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
-    """Weighted degrevlex on exponent tuples (largest variable first)."""
+class PolyRing:
+    """Polynomial ring with named weighted variables over QQ or another
+    PolyRing, ordered by weighted degrevlex on exponent tuples (largest
+    variable first)."""
 
-    variables: tuple
-    weights: tuple
-
-    def __post_init__(self):
-        if len(self.variables) != len(self.weights):
+    def __init__(self, variables, weights=None, base=None):
+        variables = tuple(variables)
+        if len(set(variables)) != len(variables):
+            raise ValidationError("duplicate variable names")
+        weights = (1,) * len(variables) if weights is None else tuple(weights)
+        if len(variables) != len(weights):
             raise ValidationError("one weight per variable required")
-        if not all(_is_int(w) and w > 0 for w in self.weights):
+        if not all(_is_int(w) and w > 0 for w in weights):
             raise ValidationError("weights must be positive integers")
+        self.variables = variables
+        self.weights = weights
+        self.base = base  # None means Fraction coefficients
+        self._index = {v: i for i, v in enumerate(variables)}
 
     def weighted_degree(self, exps) -> int:
         return sum(w * e for w, e in zip(self.weights, exps))
@@ -52,22 +57,6 @@ class MonomialOrder:
         """Key decreasing with the order: the smallest key is the largest
         monomial, as heapq pops it."""
         return (-self.weighted_degree(exps), exps[::-1])
-
-
-class PolyRing:
-    """Polynomial ring with named weighted variables over QQ or another PolyRing."""
-
-    def __init__(self, variables, weights=None, base=None):
-        variables = tuple(variables)
-        if len(set(variables)) != len(variables):
-            raise ValidationError("duplicate variable names")
-        if weights is None:
-            weights = (1,) * len(variables)
-        self.variables = variables
-        self.weights = tuple(weights)
-        self.base = base  # None means Fraction coefficients
-        self.order = MonomialOrder(variables, self.weights)
-        self._index = {v: i for i, v in enumerate(variables)}
 
     # -- coefficient domain -------------------------------------------------
 
@@ -164,7 +153,7 @@ def _coeff_weights(c):
         return {0} if c else set()
     out = set()
     for exps, cc in c.terms.items():
-        d = c.ring.order.weighted_degree(exps)
+        d = c.ring.weighted_degree(exps)
         out.update(d + w for w in _coeff_weights(cc))
     return out
 
@@ -339,14 +328,14 @@ class MultiPoly:
         order; None for zero."""
         if not self.terms:
             return None
-        exps = max(self.terms, key=self.ring.order.sort_key)
+        exps = max(self.terms, key=self.ring.sort_key)
         return exps, self.terms[exps]
 
     def weighted_degrees(self):
         """All total weighted degrees present, coefficients' grading included."""
         out = set()
         for exps, c in self.terms.items():
-            d = self.ring.order.weighted_degree(exps)
+            d = self.ring.weighted_degree(exps)
             out.update(d + w for w in _coeff_weights(c))
         return out
 
@@ -402,9 +391,8 @@ class MultiPoly:
     def __str__(self):
         if not self.terms:
             return "0"
-        order = self.ring.order
         parts = []
-        for exps in sorted(self.terms, key=order.sort_key, reverse=True):
+        for exps in sorted(self.terms, key=self.ring.sort_key, reverse=True):
             c = self.terms[exps]
             mono = self.ring.monomial_str(exps)
             cs = self._coeff_str(c)
@@ -456,7 +444,7 @@ def poly_reduce(f: MultiPoly, basis):
         divisors.append((lexps, lc, [(e, c) for e, c in b.terms.items() if e != lexps]))
     inverses = [None] * len(basis)  # of the leading coefficients, on first use
     keys = {}
-    heap_key = ring.order.heap_key
+    heap_key = ring.heap_key
 
     def entry(exps):
         key = keys.get(exps)

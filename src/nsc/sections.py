@@ -16,8 +16,10 @@ triangular in the pole order at p_i, so f_i[-m] for m <= m_max is a small
 solve over the basis functions with poles of order at most m.  The
 canonical parameter at p_i is the unique tangent-compatible parameter making
 the coefficient at u^-a_i vanish for every m; given a depth, the entry finds
-it order by order, advancing the basis expansions through each exact
-correction step, and solves the sections over those advanced expansions.
+it order by order as exact correction steps u -> u + eps u^r, advancing the
+basis expansions through each step, solves the sections over those advanced
+expansions and returns the steps.  Only `canonical_parameter` composes them,
+into the change known below u^(m_max + 6).
 A section's expansion at p_i is its coordinates' combination (`_combine`) of
 the basis expansions.  Its expansion at another marked point, which the
 change at p_i leaves alone, is its ambient coordinates' combination of the
@@ -42,7 +44,7 @@ from .curves import (
     constraints,
     validate,
 )
-from .errors import CohomologyError, TruncationError, ValidationError
+from .errors import CohomologyError, ValidationError
 from .laurent import LaurentSeries, ParamChange, series_substitute
 
 
@@ -122,38 +124,34 @@ def _regular_basis(curve, weights, i, m_max, high):
     return elts, basis, [_combine(b, series) for b in basis]
 
 
-def _canonicalise(weights, i, m_max, expansions, order):
-    """(pc, expansions): the tangent-compatible change at p_i, known below
-    u^order, making the coefficient at u^-a_i of every f_i[-m] with
-    a_i < m <= m_max vanish, and the basis expansions advanced through it.
+def _canonicalise(weights, i, m_max, expansions):
+    """(steps, expansions): the correction steps (eps, r), each the exact
+    change u -> u + eps u^r applied in turn, making the coefficient at
+    u^-a_i of every f_i[-m] with a_i < m <= m_max vanish, and the basis
+    expansions advanced through them.
 
-    Each correction u -> u + (alpha/m) u^r is exact, so the expansions
-    advance by it with no loss of window."""
+    Each step is exact, so the expansions advance by it with no loss of
+    window."""
     a_i = weights.get(i, 0)
-    pc = ParamChange.identity("u", order=order)
+    steps = []
     for m in range(a_i + 1, m_max + 1):
-        y = _solve_section(weights, i, m, expansions, order)
+        y = _solve_section(weights, i, m, expansions)
         alpha = sum(c * s.numerator(-a_i) / s.den for c, s in zip(y, expansions) if c)
         if alpha:
             eps, r = alpha / m, m - a_i + 1
-            pc = pc.compose(eps, r)
+            steps.append((eps, r))
             expansions = [series_substitute(s, eps, r) for s in expansions]
-    return pc, expansions
+    return steps, expansions
 
 
-def _solve_section(weights, i, m, expansions, order):
+def _solve_section(weights, i, m, expansions):
     """Coordinates of f_i[-m] over the first basis functions, those with a
     pole of order at most m at p_i, given the basis expansions there: the
     unique combination with coefficient 1 at -m, none on (-m, -a_i) and
-    constant term zero.  The expansions are in a parameter known below
-    u^order (None: u = s/v itself); a valuation-1 change keeps each
-    expansion's valuation.  The rows are the expansions' integer numerators:
-    the solve is for z_k = y_k / den_k, and y_k = z_k * den_k."""
-    if order is not None and order <= m + 1:
-        raise TruncationError(
-            f"a parameter known below u^{order} cannot fix the constant term of "
-            f"f_{i}[-{m}]: it must be known below u^{m + 2}"
-        )
+    constant term zero.  The expansions are in u = s/v or advanced through
+    exact correction steps; a valuation-1 change keeps each expansion's
+    valuation.  The rows are the expansions' integer numerators: the solve
+    is for z_k = y_k / den_k, and y_k = z_k * den_k."""
     near = [s for s in expansions if s.low >= -m]
     targets = [(-m, 1)] + [(e, 0) for e in range(-m + 1, -weights.get(i, 0))] + [(0, 0)]
     rows = [[s.numerator(e) for s in near] for e, _ in targets]
@@ -180,13 +178,14 @@ def _combine(y, series) -> LaurentSeries:
 
 
 def solve_sections(curve: CurveModel, weights: dict, i: str, orders, high: int = 1,
-                   depth: int | None = None, order: int | None = None, at=()):
-    """(pc, elts, {m: (coords, expansions)}): f_i[-m] for m in orders over one
-    basis, with poles at p_i bounded by depth or max(orders).  Given a depth,
-    the sections are in the canonical parameter pc for f_i[-m], m <= depth,
-    known below u^order (depth + 6 by default); else pc is None.  coords are
-    over the ambient elements elts; expansions maps p_i to the expansion on
-    [-m, high) and each other point in at to the one on [-a_j, high)."""
+                   depth: int | None = None, at=()):
+    """(steps, elts, {m: (coords, expansions)}): f_i[-m] for m in orders over
+    one basis, with poles at p_i bounded by depth or max(orders).  Given a
+    depth, the sections are in the canonical parameter for f_i[-m],
+    m <= depth, reached from u = s/v by the exact correction steps (eps, r),
+    u -> u + eps u^r in turn; else steps is None.  coords are over the
+    ambient elements elts; expansions maps p_i to the expansion on [-m, high)
+    and each other point in at to the one on [-a_j, high)."""
     validate(curve)
     weights = _normalize_weights(curve, weights)
     i = f"p{curve.point_index(i)}"
@@ -197,20 +196,19 @@ def solve_sections(curve: CurveModel, weights: dict, i: str, orders, high: int =
         if m <= a_i:
             raise ValidationError(f"need m > a_i = {a_i}, got m = {m}")
     elts, basis, expansions = _regular_basis(curve, weights, i, max(orders) if depth is None else depth, high)
-    pc = None
+    steps = None
     if depth is not None:
-        order = depth + 6 if order is None else order
-        pc, expansions = _canonicalise(weights, i, depth, expansions, order)
+        steps, expansions = _canonicalise(weights, i, depth, expansions)
     found = {}
     for m in orders:
-        y = _solve_section(weights, i, m, expansions, order)
+        y = _solve_section(weights, i, m, expansions)
         found[m] = y, [sum(c * b[k] for c, b in zip(y, basis) if c) for k in range(len(elts))]
     # the other points keep their own parameters: only p_i's moves
     series = {pid: _element_series(curve, pid, elts, [x for _, x in found.values()], -weights.get(pid, 0), high)
               for pid in at if pid != i}
-    return pc, elts, {m: (x, {pid: _combine(x, series[pid]) if pid in series else _combine(y, expansions)
-                              for pid in curve.point_ids() if pid == i or pid in series})
-                      for m, (y, x) in found.items()}
+    return steps, elts, {m: (x, {pid: _combine(x, series[pid]) if pid in series else _combine(y, expansions)
+                                 for pid in curve.point_ids() if pid == i or pid in series})
+                         for m, (y, x) in found.items()}
 
 
 # f_sections expands on [-m, tail): 1 <= tail, so the window holds the zero
@@ -232,19 +230,17 @@ def f_sections(curve: CurveModel, weights: dict, i: str, m: int, tail: int = 6) 
     return Section(f"p{curve.point_index(i)}", m, FunctionOnCurve(curve, elts, coords), expansions)
 
 
-def canonical_parameter(curve: CurveModel, weights: dict, i: str, m_max: int,
-                        order: int | None = None) -> ParamChange:
+def canonical_parameter(curve: CurveModel, weights: dict, i: str, m_max: int) -> ParamChange:
     """Tangent-compatible parameter change at p_i making the coefficient at
     u^-a_i of every f_i[-m], m <= m_max, vanish exactly; m_max must exceed
     a_i, or there is no correction to compute.  The change is the
-    composition of the exact correction steps, known below u^order (an int
-    >= 2; m_max + 6 by default)."""
+    composition of the exact correction steps, known below u^(m_max + 6)."""
     _check_int("m_max", m_max)
-    if order is not None:
-        _check_int("order", order)
-        if order < 2:
-            raise ValidationError(f"order {order} must be at least 2: the change t = u + ... is known below u^order")
-    return solve_sections(curve, weights, i, (), depth=m_max, order=order)[0]
+    steps = solve_sections(curve, weights, i, (), depth=m_max)[0]
+    pc = ParamChange.identity("u", m_max + 6)
+    for eps, r in steps:
+        pc = pc.compose(eps, r)
+    return pc
 
 
 def alpha_beta(curve: CurveModel, i: str = "p0", j: str = "p1",
@@ -263,7 +259,7 @@ def alpha_beta(curve: CurveModel, i: str = "p0", j: str = "p1",
     weights = _normalize_weights(curve, weights)
     if weights.get(j, 0) < 1:
         raise ValidationError("the second point must carry weight >= 1")
-    _, _, solved = solve_sections(curve, weights, i, (g, g + 1), depth=g + 1, order=g + 4, at=(j,))
+    _, _, solved = solve_sections(curve, weights, i, (g, g + 1), depth=g + 1, at=(j,))
     return tuple(solved[m][1][j].coefficient(-1) for m in (g, g + 1))
 
 

@@ -546,6 +546,12 @@ CURVE_SHA256 = {
     "canonical IIc-C0 --point p0": "c0718a3e8ca6e5597a99cc5c833a94a2af21098de6cf9d3c1308eb7d6a2c31db",
     "fit IIc-C0 --point p0": "48b00379b5a2cf63c2bcb3b01edc07ae13328339fd85823ae3e977625ade4a06",
     "fit IIc-C0 --point p1": "6115d0f15dcf83c81c9d6e347bc2ab5a594388cbd37a7bc93bd56fa5f8ba31db",
+    # corrections at a finite point, weights split between the points, and a
+    # deep canonical parameter at the pinched curve's point at infinity
+    "canonical Ia --point p1 --m-max 8": "39a8d746fd60a2a79b84364f9115325752175e92d18ad7efeab4d8b4f9ef52fc",
+    "canonical Ia --point p0 --weights 1,1": "ff9c8d7fa415572c4349bead4ed7a1c6b01ecb15e74397058dcbe117905ff0e8",
+    "alphabeta Ia --point p1 --weights 1,1": "4bb3324915642b1e945e029f72e01e704749a6994757516430d2c170888f71e9",
+    "canonical IIc-C0 --point p0 --m-max 12": "1430572d114535c3ff72ebe8ebbd42533e591c51e10682f901d0303222971856",
 }
 
 

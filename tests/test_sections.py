@@ -10,7 +10,7 @@ from nsc import linalg
 from nsc.curves import (
     INF, CurveModel, Divisor, MarkedPoint, arithmetic_genus, constraints, h1, validate,
 )
-from nsc.errors import CohomologyError, TruncationError, ValidationError
+from nsc.errors import CohomologyError, ValidationError
 from nsc.laurent import ParamChange
 from nsc.sections import (
     MAX_TAIL, _combine, _element_series, alpha_beta, canonical_parameter, f_sections, rescale_tangent,
@@ -237,22 +237,10 @@ def test_pole_orders_must_be_ints():
 
 
 def test_canonical_parameter_checks_order_by_name():
-    # the order is a non-bool int, checked after m_max, and at least 2: a
-    # change t = u + ... known below u^1 has no known term at all
+    # the pole order m_max is a non-bool int, checked before the solve
     cur = zoo("Ia")
-    for bad in (True, 2.5, Fraction(6), "6"):
-        with pytest.raises(ValidationError, match=f"^order {re.escape(repr(bad))} must be an int, not a "):
-            canonical_parameter(cur, {"p0": 2}, "p1", 4, order=bad)
     with pytest.raises(ValidationError, match="^m_max "):
-        canonical_parameter(cur, {"p0": 2}, "p1", 4.0, order=True)
-    for bad in (1, 0, -3):
-        with pytest.raises(ValidationError, match=f"^order {bad} must be at least 2"):
-            canonical_parameter(cur, {"p0": 2}, "p1", 4, order=bad)
-    # from 2 through m_max + 1 the order is too short for the last step
-    for short in (2, 5):
-        with pytest.raises(TruncationError, match="it must be known below u\\^"):
-            canonical_parameter(cur, {"p0": 2}, "p1", 4, order=short)
-    assert canonical_parameter(cur, {"p0": 2}, "p1", 4, order=6).order() == 6
+        canonical_parameter(cur, {"p0": 2}, "p1", 4.0)
 
 
 def test_f_sections_bounds_tail():
@@ -348,14 +336,12 @@ def nonzero_coords(elts, coords):
 
 
 def outcome(fn, *args, **kwargs):
-    """("ok", value), or the error's type name and, for a cohomology error
-    (whose text reaches the CLI), its message."""
+    """("ok", value), or ("CohomologyError", its message), whose text
+    reaches the CLI."""
     try:
         return "ok", fn(*args, **kwargs)
     except CohomologyError as exc:
         return "CohomologyError", str(exc)
-    except TruncationError:
-        return "TruncationError", None
 
 
 def _draw_point(rng, avoid):
@@ -441,17 +427,17 @@ def test_second_route_covers_steps_and_special_points():
     assert steps >= 20 and errors >= 3
 
 
-@pytest.mark.parametrize("order", range(2, 12))
-def test_basis_solver_truncation_matches_ambient_element_route(order):
-    # a parameter known below u^order: the same parameter, the same
-    # cohomology error, or a truncation error on both routes
+def test_basis_solver_at_the_default_window_matches_ambient_element_route():
+    # one step past test_basis_solver_matches_ambient_element_route's depth:
+    # the same parameter, known below u^(m_max + 6), or the same cohomology
+    # error on both routes
     for name in ("Ic-1", "IIc-C0-0", "IIc-C0-1", "ccusp3"):
         curve = dict(SECOND_ROUTE_CURVES)[name]
         for weights in _weight_splits(curve):
             for i in ("p0", "p1"):
                 m_max = weights[i] + 5
-                got = outcome(canonical_parameter, curve, weights, i, m_max, order=order)
-                assert got == outcome(reference_canonical, curve, weights, i, m_max, order=order)
+                got = outcome(canonical_parameter, curve, weights, i, m_max)
+                assert got == outcome(reference_canonical, curve, weights, i, m_max, order=None)
 
 
 # ---------------------------------------------------------------------------
