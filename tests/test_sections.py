@@ -10,7 +10,7 @@ from nsc import linalg
 from nsc.curves import (
     INF, CurveModel, Divisor, MarkedPoint, arithmetic_genus, constraints, h1, validate,
 )
-from nsc.errors import CohomologyError, ValidationError
+from nsc.errors import CohomologyError, TruncationError, ValidationError
 from nsc.laurent import ParamChange
 from nsc.sections import (
     MAX_TAIL, _combine, _element_series, alpha_beta, canonical_parameter, f_sections, rescale_tangent,
@@ -438,6 +438,41 @@ def test_basis_solver_at_the_default_window_matches_ambient_element_route():
                 m_max = weights[i] + 5
                 got = outcome(canonical_parameter, curve, weights, i, m_max)
                 assert got == outcome(reference_canonical, curve, weights, i, m_max, order=None)
+
+
+def _steps_below(curve, weights, i, m_max, order):
+    """The entry's correction steps for m <= m_max, composed onto a change
+    known below u^order."""
+    pc = ParamChange.identity("u", order)
+    for eps, r in solve_sections(curve, weights, i, (), depth=m_max)[0]:
+        pc = pc.compose(eps, r)
+    return pc
+
+
+def _coefficients_below(got, order):
+    return ("ok", [got[1].coefficient(e) for e in range(1, order)]) if got[0] == "ok" else got
+
+
+@pytest.mark.parametrize("order", range(2, 12))
+def test_basis_solver_truncation_matches_ambient_element_route(order):
+    # the entry's exact steps composed below u^order against the ambient
+    # route run in that window: the same parameter or the same cohomology
+    # error.  Below u^(m_max + 2) the ambient route cannot fix the last
+    # constant term; the steps still hold, and agree below u^order with the
+    # ambient route's parameter at the default window
+    for name in ("Ic-1", "IIc-C0-0", "IIc-C0-1", "ccusp3"):
+        curve = dict(SECOND_ROUTE_CURVES)[name]
+        for weights in _weight_splits(curve):
+            for i in ("p0", "p1"):
+                m_max = weights[i] + 5
+                got = outcome(_steps_below, curve, weights, i, m_max, order)
+                try:
+                    ref = outcome(reference_canonical, curve, weights, i, m_max, order=order)
+                except TruncationError:
+                    assert order <= m_max + 1, (name, weights, i)
+                    ref = _coefficients_below(outcome(reference_canonical, curve, weights, i, m_max), order)
+                    got = _coefficients_below(got, order)
+                assert got == ref, (name, weights, i)
 
 
 # ---------------------------------------------------------------------------
