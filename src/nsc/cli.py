@@ -33,7 +33,6 @@ from .suites import OPTIONS, PERTURBATIONS, SUITE_NAMES, check_options, parse_ge
 from .zoo import ZOO_IDS, zoo
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
-MAX_M_MAX = 32
 MAX_TABLE_GENUS, MAX_TABLE_M_MAX, MAX_TABLE_J_MAX = 48, 64, 16
 
 # the options each curve operation reads, the one it needs first; giving any
@@ -172,8 +171,6 @@ def _cmd_curve(args) -> int:
             g = arithmetic_genus(curve)
             weights = _parse_weights(curve, args.weights) if args.weights is not None else {pid: g}
             m_max = args.m_max if args.m_max is not None else g + 4
-            if m_max > MAX_M_MAX:
-                raise ValidationError(f"m-max {m_max} is out of range: the limit is {MAX_M_MAX}")
             pc = canonical_parameter(curve, weights, pid, m_max)
             coeffs = {str(e): format_rational(pc.coefficient(e)) for e in range(2, pc.order())}
             payload = {"point": pid, "m_max": m_max, "coefficients": coeffs}

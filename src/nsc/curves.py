@@ -121,8 +121,9 @@ EXPANSION_CACHE_SIZE = 4096
 # each value, which _validate_cached keeps as its key.  A curve's columns
 # number at most the elements of the largest divisor asked of it, one
 # constant per component and one pole per order at each marked point (the
-# command line bounds the orders by curveio.MAX_MULTIPLICITY and by
-# cli.MAX_M_MAX plus the weights), each one value per jet condition.
+# command line bounds the orders by curveio.MAX_MULTIPLICITY, and
+# canonical_parameter by sections.MAX_M_MAX plus the weights), each one value
+# per jet condition.
 
 
 _EXACT = frozenset({int, Fraction})

@@ -11,8 +11,10 @@ relations, that solve, and the fit of the five parameters from a concrete
 curve via its section expansions f, h, k at the marked point.  The fit's
 (A, B, C) normalization acts on those series: it reads the gauge off their
 presentation, moves them to the normalized generators and reads the
-presentation again.  The Groebner property is certified once, over Q[q]
-(`buchberger_verify` on the symbolic relations, `nsc verify --suite
+presentation again.  Every polynomial here lives in one ring over Q, `RING`
+= Q[k, h, f, q1, q20, q21, q30, q31], or, for `solve_c`, in RING with the
+c-coefficients appended.  The Groebner property is certified once, on the
+symbolic relations in RING (`buchberger_verify`, `nsc verify --suite
 buchberger`); a fit checks its normalized presentation against
 `normal_presentation` at the fitted parameters.
 """
@@ -22,12 +24,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .curves import CurveModel, Divisor, _h0_dimension, arithmetic_genus, validate
 from .errors import CohomologyError, InternalInconsistencyError, ValidationError
 from .laurent import LaurentSeries, series_reduce
-from .multipoly import MultiPoly, PolyRing, poly_reduce, s_polynomial
+from .multipoly import MultiPoly, PolyRing, format_terms, poly_reduce, s_polynomial
 from .sections import solve_sections
 
 Q_VARIABLES = ("q1", "q20", "q21", "q30", "q31")
@@ -35,26 +36,39 @@ Q_WEIGHTS = (4, 5, 2, 6, 3)
 FHK_WEIGHTS = (5, 4, 3)
 RELATION_DEGREES = (8, 9, 10)
 
-
-@lru_cache(maxsize=16)
-def _ring(variables, weights, base) -> PolyRing:
-    """Each ring of this module is built once per base (None,
-    parameter_ring() and the ring of solve_c), so its polynomials share one
-    ring object and ring checks succeed by identity."""
-    return PolyRing(variables, weights, base)
-
-
-def parameter_ring() -> PolyRing:
-    return _ring(Q_VARIABLES, Q_WEIGHTS, None)
+# The relations are weighted homogeneous, and in weighted degrevlex with the
+# q's listed last a monomial in k, h and f alone outranks every monomial of
+# equal weight that contains a q.  So their leads are h^2, hk and k^2 with
+# coefficient 1, exactly as over Q[q].  Given those leads, the first-match
+# division's quotients and remainder are unique: each quotient term times its
+# divisor's lead is divisible by no earlier lead, and no remainder term by
+# any.  So they are the same polynomials as over Q[q], and so are the
+# S-polynomials.  The same holds with the c's of solve_c appended last.
+RING = PolyRing(("k", "h", "f") + Q_VARIABLES, FHK_WEIGHTS + Q_WEIGHTS)
 
 
-def relation_ring(base=None) -> PolyRing:
-    return _ring(("k", "h", "f"), FHK_WEIGHTS, base)
+def by_fhk(p: MultiPoly) -> dict:
+    """The coefficients of p by its (k, h, f) exponents, each a polynomial in
+    the other variables of p's ring, which lists k, h and f first."""
+    groups = {}
+    for exps, c in p.terms.items():
+        groups.setdefault(exps[:3], {})[(0, 0, 0) + exps[3:]] = c
+    return {m: MultiPoly._adopt(p.ring, t) for m, t in groups.items()}
+
+
+def format_fhk(p: MultiPoly) -> str:
+    """p printed as a polynomial in k, h and f, largest monomial first, each
+    coefficient in parentheses if it has several terms, as in
+    (q1*q21 + q30)*f."""
+    ring = p.ring
+    pad = (0,) * (len(ring.variables) - 3)
+    return format_terms((f"({c})" if len(c.terms) > 1 else str(c), ring.monomial_str(m + pad))
+                        for m, c in sorted(by_fhk(p).items(), key=lambda mc: ring.heap_key(mc[0] + pad)))
 
 
 @dataclass(frozen=True)
 class G2Params:
-    """The five parameter values; Fractions or elements of parameter_ring()."""
+    """The five parameter values; Fractions or polynomials in q1, ..., q31."""
 
     q1: object
     q20: object
@@ -64,8 +78,7 @@ class G2Params:
 
     @classmethod
     def symbolic(cls) -> "G2Params":
-        ring = parameter_ring()
-        return cls(*(ring.var(v) for v in Q_VARIABLES))
+        return cls(*(RING.var(v) for v in Q_VARIABLES))
 
     @classmethod
     def zero(cls) -> "G2Params":
@@ -74,12 +87,13 @@ class G2Params:
     def astuple(self):
         return (self.q1, self.q20, self.q21, self.q30, self.q31)
 
-    def base_ring(self):
-        """The ring the values live in: None for rationals, else their PolyRing."""
+    def ring(self) -> PolyRing:
+        """The ring of the model at these values: RING for rationals, else
+        the values' ring."""
         for v in self.astuple():
             if isinstance(v, MultiPoly):
                 return v.ring
-        return None
+        return RING
 
 
 @dataclass(frozen=True)
@@ -88,10 +102,11 @@ class G2Relations:
     relations: tuple  # three MultiPoly, everything moved to the left-hand side
 
     def leading_monomials(self):
-        return tuple(r.leading_term()[0] for r in self.relations)
+        """The leading monomials by name, as in k*h."""
+        return tuple(self.ring.monomial_str(r.leading_term()[0]) for r in self.relations)
 
     def leads_are_h2_hk_k2(self) -> bool:
-        return self.leading_monomials() == ((0, 2, 0), (1, 1, 0), (2, 0, 0))
+        return self.leading_monomials() == ("h^2", "k*h", "k^2")
 
 
 def universal_relations(params: G2Params) -> G2Relations:
@@ -110,8 +125,8 @@ class BuchbergerCertificate:
             "pairs": [
                 {
                     "pair": list(pair),
-                    "quotients": [str(q) for q in quotients],
-                    "remainder": str(rem),
+                    "quotients": [format_fhk(q) for q in quotients],
+                    "remainder": format_fhk(rem),
                 }
                 for pair, quotients, rem in self.reductions
             ],
@@ -122,7 +137,7 @@ def buchberger_verify(rels: G2Relations) -> BuchbergerCertificate:
     """All three S-polynomials must reduce to zero modulo the relations."""
     if not rels.leads_are_h2_hk_k2():
         raise ValidationError(
-            f"leading monomials {rels.leading_monomials()} are not h^2, hk, k^2"
+            f"leading monomials {', '.join(rels.leading_monomials())} are not h^2, k*h, k^2"
         )
     reductions = []
     ok = True
@@ -138,21 +153,24 @@ def buchberger_verify(rels: G2Relations) -> BuchbergerCertificate:
 # presentations h^2 = p1 k + q1 h + c1, hk = ..., k^2 = ...
 # ---------------------------------------------------------------------------
 
-def coefficient_f_ring(base=None) -> PolyRing:
-    return _ring(("f",), (3,), base)
-
-
 def _deg(p: MultiPoly) -> int:
     return p.degree_in("f")
 
 
 def _fcoeff(p: MultiPoly, i: int):
-    return p.coefficient((i,))
+    """The coefficient of f^i in p: a Fraction if it is rational, else a
+    polynomial in the q's."""
+    c = by_fhk(p).get((0, 0, i))
+    if c is None:
+        return Fraction(0)
+    one = (0,) * len(p.ring.variables)
+    return c.terms[one] if c.terms.keys() == {one} else c
 
 
 @dataclass(frozen=True)
 class GeneralPresentation:
-    """Polynomials in f presenting h^2, hk, k^2 on the basis f^n, f^n h, f^n k."""
+    """Polynomials in f presenting h^2, hk, k^2 on the basis f^n, f^n h, f^n k;
+    their coefficients are rational or polynomials in the q's."""
 
     p1: MultiPoly
     p2: MultiPoly
@@ -165,17 +183,15 @@ class GeneralPresentation:
     c3: MultiPoly
 
     def __post_init__(self):
-        ring = self.p1.ring
-        one = ring.coeff_one()
         checks = [
-            (_deg(self.p1) == 1 and _fcoeff(self.p1, 1) == one, "p1 must be monic of degree 1"),
+            (_deg(self.p1) == 1 and _fcoeff(self.p1, 1) == 1, "p1 must be monic of degree 1"),
             (_deg(self.p2) <= 1, "p2 must have degree <= 1"),
             (_deg(self.p3) <= 1, "p3 must have degree <= 1"),
             (_deg(self.q1) <= 1, "q1 must have degree <= 1"),
             (_deg(self.q2) <= 1, "q2 must have degree <= 1"),
-            (_deg(self.q3) == 2 and _fcoeff(self.q3, 2) == one, "q3 must be monic of degree 2"),
+            (_deg(self.q3) == 2 and _fcoeff(self.q3, 2) == 1, "q3 must be monic of degree 2"),
             (_deg(self.c1) <= 2, "c1 must have degree <= 2"),
-            (_deg(self.c2) == 3 and _fcoeff(self.c2, 3) == one, "c2 must be monic of degree 3"),
+            (_deg(self.c2) == 3 and _fcoeff(self.c2, 3) == 1, "c2 must be monic of degree 3"),
             (_deg(self.c3) <= 3, "c3 must have degree <= 3"),
         ]
         for ok, msg in checks:
@@ -187,16 +203,12 @@ class GeneralPresentation:
         return self.p1.ring
 
     def relations(self) -> G2Relations:
-        """The presentation as vanishing polynomials in Q[...][k, h, f]."""
-        ring = relation_ring(self.ring.base)
-        k, h, f = ring.gens()
-
-        def lift(p: MultiPoly) -> MultiPoly:
-            return MultiPoly(ring, {(0, 0, e[0]): c for e, c in p.terms.items()})
-
-        rel1 = h * h - (lift(self.p1) * k + lift(self.q1) * h + lift(self.c1))
-        rel2 = h * k - (lift(self.p2) * k + lift(self.q2) * h + lift(self.c2))
-        rel3 = k * k - (lift(self.p3) * k + lift(self.q3) * h + lift(self.c3))
+        """The presentation as vanishing polynomials in its ring."""
+        ring = self.ring
+        k, h = ring.var("k"), ring.var("h")
+        rel1 = h * h - (self.p1 * k + self.q1 * h + self.c1)
+        rel2 = h * k - (self.p2 * k + self.q2 * h + self.c2)
+        rel3 = k * k - (self.p3 * k + self.q3 * h + self.c3)
         return G2Relations(ring, (rel1, rel2, rel3))
 
     def is_normalized(self) -> bool:
@@ -206,7 +218,7 @@ class GeneralPresentation:
             and _deg(self.q1) <= 0
             and self.p2 == -self.q1
             and _deg(self.p1) == 1
-            and _fcoeff(self.p1, 0) == self.ring.coeff_zero()
+            and _fcoeff(self.p1, 0) == 0
         )
 
     def parameters(self) -> G2Params:
@@ -227,12 +239,12 @@ def normal_presentation(params: G2Params, c=None) -> GeneralPresentation:
     p3 = 0, q2 = q20 + q21 f, q3 = q30 + q31 f + f^2.
 
     c = (c1, c2, c3) defaults to the closed forms c1 = 2 q1^2 + f q2,
-    c2 = f q3 + q1 q2, c3 = q2^2 - 2 q1 q3.  The coefficients live in
-    params.base_ring().
+    c2 = f q3 + q1 q2, c3 = q2^2 - 2 q1 q3.  The polynomials live in
+    params.ring().
     """
-    ring = coefficient_f_ring(params.base_ring())
+    ring = params.ring()
     f = ring.var("f")
-    q1, q20, q21, q30, q31 = (ring.const(v) for v in params.astuple())
+    q1, q20, q21, q30, q31 = (v if isinstance(v, MultiPoly) else ring.const(v) for v in params.astuple())
     q2 = q20 + q21 * f
     q3 = q30 + q31 * f + f * f
     if c is None:
@@ -250,7 +262,7 @@ C_WEIGHTS = (8, 5, 2, 9, 6, 3, 10, 7, 4, 1)
 
 @dataclass(frozen=True)
 class SolveCReport:
-    solution: dict            # c-variable name -> MultiPoly in Q[q..., c...]
+    solution: dict            # c-variable name -> MultiPoly in the q's and c's
     matches_closed_forms: bool
     closed_forms: dict
     residuals: tuple
@@ -262,19 +274,19 @@ class SolveCReport:
 
 def solve_c() -> SolveCReport:
     """Impose that all three S-polynomials reduce to zero on the normalized
-    presentation over Q[q...] with indeterminate c-coefficients; solve the
-    resulting equations exactly by successive elimination, and compare the
-    solution with the closed forms of normal_presentation."""
-    big = PolyRing(Q_VARIABLES + C_VARIABLES, Q_WEIGHTS + C_WEIGHTS)
+    presentation in RING with indeterminate c-coefficients appended; solve
+    the equations, the remainders' coefficients by (k, h, f) monomial,
+    exactly by successive elimination, and compare the solution with the
+    closed forms of normal_presentation."""
+    big = PolyRing(RING.variables + C_VARIABLES, RING.weights + C_WEIGHTS)
     params = G2Params(*(big.var(v) for v in Q_VARIABLES))
-    fring = coefficient_f_ring(big)
-    f = fring.var("f")
+    f = big.var("f")
 
     def unknown(i: int, degree: int) -> MultiPoly:
         """c_i with the indeterminate c_ij as its f^j coefficient, j <= degree."""
-        out = fring.zero()
+        out = big.zero()
         for j in range(degree + 1):
-            out = out + fring.const(big.var(f"c{i}{j}")) * f ** j
+            out = out + big.var(f"c{i}{j}") * f ** j
         return out
 
     cs = (unknown(1, 2), unknown(2, 2) + f ** 3, unknown(3, 3))
@@ -282,7 +294,7 @@ def solve_c() -> SolveCReport:
     equations = []
     for a, b in itertools.combinations(range(3), 2):
         _, rem = poly_reduce(s_polynomial(rels[a], rels[b]), rels)
-        equations.extend(rem.terms.values())
+        equations.extend(by_fhk(rem).values())
 
     solution = {}
     remaining = [e for e in equations if e]
@@ -346,7 +358,6 @@ def presentation_from_series(sf: LaurentSeries, sh: LaurentSeries, sk: LaurentSe
     coordinate off the residual's principal part, poles descending, subtract
     that term, and check that the residual vanishes identically through the
     sound window.  f^a k goes to p, f^a h to q and f^a to c."""
-    ring = coefficient_f_ring()
     span = {(0, 0, 0): LaurentSeries.monomial(sf.var, 0, 1, cut=sf.cut), (1, 0, 0): sf, (0, 1, 0): sh, (0, 0, 1): sk}
     for a, b, c in reversed(_SPAN_MONOMIALS):  # f^(a-1) h^b k^c is built first
         if (a, b, c) not in span:
@@ -355,14 +366,15 @@ def presentation_from_series(sf: LaurentSeries, sh: LaurentSeries, sk: LaurentSe
     for residual, pole_bound in ((sh * sh, 8), (sh * sk, 9), (sk * sk, 10)):
         monomials = _SPAN_MONOMIALS[10 - pole_bound:]  # the poles run 10, 9, 8, ...
         xs, residual = series_reduce(residual, [(-3 * a - 4 * b - 5 * c, span[(a, b, c)]) for a, b, c in monomials])
-        terms = ({}, {}, {})  # f-power -> coordinate, for p, q and c
+        terms = ({}, {}, {})  # f^a in RING -> its nonzero coordinate, for p, q and c
         for (a, b, c), x in zip(monomials, xs):
-            terms[0 if c else 1 if b else 2][(a,)] = x
+            if x:
+                terms[0 if c else 1 if b else 2][(0, 0, a) + (0,) * len(Q_VARIABLES)] = x
         if not residual.is_known_zero():
             raise InternalInconsistencyError(
                 f"pole-{pole_bound} product does not lie on the section basis: residual {residual}"
             )
-        rows.append(tuple(MultiPoly(ring, t) for t in terms))
+        rows.append(tuple(MultiPoly._adopt(RING, t) for t in terms))
     # rows hold (p_i, q_i, c_i); the fields run p1, p2, p3, q1, ...
     return GeneralPresentation(*(x for column in zip(*rows) for x in column))
 

@@ -1,10 +1,9 @@
-"""Sparse multivariate polynomials over an exact coefficient ring.
+"""Sparse multivariate polynomials over Q.
 
-Coefficients are either `fractions.Fraction` or polynomials from another
-`PolyRing` (nested rings give Q[q...][f,h,k] and friends).  The monomial
-order is weighted degree-reverse-lexicographic with exponent vectors listed
-largest variable first: among equal weighted degrees the monomial whose last
-nonzero exponent difference is negative is the larger one.  Under this
+Coefficients are `fractions.Fraction`.  The monomial order is weighted
+degree-reverse-lexicographic with exponent vectors listed largest variable
+first: among equal weighted degrees the monomial whose last nonzero exponent
+difference is negative is the larger one.  Under this
 convention (precedence k > h > f, weights 5,4,3) the leading monomials of the
 genus-2 relation shapes are h^2, hk, k^2.
 
@@ -21,6 +20,7 @@ from fractions import Fraction
 from operator import add, le, sub
 
 from .errors import ValidationError
+from .rational import format_rational
 
 
 def _is_int(x) -> bool:
@@ -28,11 +28,10 @@ def _is_int(x) -> bool:
 
 
 class PolyRing:
-    """Polynomial ring with named weighted variables over QQ or another
-    PolyRing, ordered by weighted degrevlex on exponent tuples (largest
-    variable first)."""
+    """Polynomial ring over Q with named weighted variables, ordered by
+    weighted degrevlex on exponent tuples (largest variable first)."""
 
-    def __init__(self, variables, weights=None, base=None):
+    def __init__(self, variables, weights=None):
         variables = tuple(variables)
         if len(set(variables)) != len(variables):
             raise ValidationError("duplicate variable names")
@@ -43,7 +42,6 @@ class PolyRing:
             raise ValidationError("weights must be positive integers")
         self.variables = variables
         self.weights = weights
-        self.base = base  # None means Fraction coefficients
         self._index = {v: i for i, v in enumerate(variables)}
 
     def weighted_degree(self, exps) -> int:
@@ -58,28 +56,12 @@ class PolyRing:
         monomial, as heapq pops it."""
         return (-self.weighted_degree(exps), exps[::-1])
 
-    # -- coefficient domain -------------------------------------------------
-
-    def coeff_zero(self):
-        return Fraction(0) if self.base is None else self.base.zero()
-
-    def coeff_one(self):
-        return Fraction(1) if self.base is None else self.base.one()
-
-    def coerce_coeff(self, x):
-        if self.base is None:
-            if type(x) is Fraction:
-                return x
-            if isinstance(x, (int, Fraction)):
-                return Fraction(x)
-            if isinstance(x, MultiPoly):
-                const = x.constant_value_or_none()
-                if const is not None:
-                    return const
-            raise ValidationError(f"cannot coerce {x!r} into QQ")
-        if isinstance(x, MultiPoly) and _same_ring(x.ring, self.base):
+    def coerce_coeff(self, x) -> Fraction:
+        if type(x) is Fraction:
             return x
-        return self.base.const(x)
+        if isinstance(x, (int, Fraction)):
+            return Fraction(x)
+        raise ValidationError(f"cannot coerce {x!r} into QQ")
 
     # -- element constructors -----------------------------------------------
 
@@ -100,7 +82,7 @@ class PolyRing:
             raise ValidationError(f"unknown variable {name!r}")
         exps = [0] * len(self.variables)
         exps[self._index[name]] = 1
-        return MultiPoly._adopt(self, {tuple(exps): self.coeff_one()})
+        return MultiPoly._adopt(self, {tuple(exps): Fraction(1)})
 
     def gens(self):
         return tuple(self.var(v) for v in self.variables)
@@ -117,44 +99,34 @@ class PolyRing:
     def __eq__(self, other):
         if not isinstance(other, PolyRing):
             return NotImplemented
-        return (
-            self.variables == other.variables
-            and self.weights == other.weights
-            and self.base == other.base
-        )
+        return self.variables == other.variables and self.weights == other.weights
 
     def __hash__(self):
-        return hash((self.variables, self.weights, self.base))
+        return hash((self.variables, self.weights))
 
     def __repr__(self):
-        base = "QQ" if self.base is None else repr(self.base)
-        return f"{base}[{','.join(self.variables)}]"
+        return f"QQ[{','.join(self.variables)}]"
 
 
-def _coeff_is_rational(c) -> bool:
-    return isinstance(c, (int, Fraction))
-
-
-def _coeff_invert(c):
-    """Inverse of a coefficient; only units (nonzero constants) are invertible."""
-    if _coeff_is_rational(c):
-        if c == 0:
-            raise ZeroDivisionError("zero coefficient")
-        return Fraction(1) / c
-    const = c.constant_value_or_none()
-    if const is None:
-        raise ValidationError(f"leading coefficient {c} is not a unit")
-    return c.ring.const(Fraction(1) / const)
-
-
-def _coeff_weights(c):
-    """Set of weighted degrees carried by a coefficient (0 for rationals)."""
-    if _coeff_is_rational(c):
-        return {0} if c else set()
-    out = set()
-    for exps, cc in c.terms.items():
-        d = c.ring.weighted_degree(exps)
-        out.update(d + w for w in _coeff_weights(cc))
+def format_terms(pairs) -> str:
+    """The sum of the terms given as (coefficient, monomial) strings, largest
+    first: a coefficient 1 or -1 and a monomial 1 are left out, and a
+    negative term is subtracted; "0" for no terms."""
+    parts = []
+    for cs, mono in pairs:
+        if mono == "1":
+            parts.append(cs)
+        elif cs == "1":
+            parts.append(mono)
+        elif cs == "-1":
+            parts.append(f"-{mono}")
+        else:
+            parts.append(f"{cs}*{mono}")
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
     return out
 
 
@@ -246,20 +218,8 @@ class MultiPoly:
         return hash((self.ring, tuple(sorted(self.terms.items()))))
 
     def coefficient(self, exps):
-        """Coefficient at the exponent tuple (zero of the base if absent)."""
-        return self.terms.get(tuple(exps), self.ring.coeff_zero())
-
-    def constant_value_or_none(self):
-        """The constant rational value if the polynomial is constant, else None."""
-        if not self.terms:
-            return Fraction(0)
-        zero_exp = (0,) * len(self.ring.variables)
-        if len(self.terms) != 1 or zero_exp not in self.terms:
-            return None
-        c = self.terms[zero_exp]
-        if _coeff_is_rational(c):
-            return Fraction(c)
-        return c.constant_value_or_none()
+        """Coefficient at the exponent tuple (0 if absent)."""
+        return self.terms.get(tuple(exps), Fraction(0))
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -307,8 +267,8 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        """Division by a unit scalar only."""
-        inv = _coeff_invert(self.ring.coerce_coeff(scalar))
+        """Division by a nonzero rational."""
+        inv = 1 / self.ring.coerce_coeff(scalar)
         return MultiPoly._adopt(self.ring, {e: c * inv for e, c in self.terms.items()})
 
     def __pow__(self, n: int):
@@ -332,12 +292,8 @@ class MultiPoly:
         return exps, self.terms[exps]
 
     def weighted_degrees(self):
-        """All total weighted degrees present, coefficients' grading included."""
-        out = set()
-        for exps, c in self.terms.items():
-            d = self.ring.weighted_degree(exps)
-            out.update(d + w for w in _coeff_weights(c))
-        return out
+        """All weighted degrees of the monomials present."""
+        return {self.ring.weighted_degree(exps) for exps in self.terms}
 
     def is_homogeneous(self, degree: int) -> bool:
         degs = self.weighted_degrees()
@@ -380,34 +336,10 @@ class MultiPoly:
 
     # -- printing ---------------------------------------------------------------
 
-    def _coeff_str(self, c) -> str:
-        if _coeff_is_rational(c):
-            from .rational import format_rational
-
-            return format_rational(Fraction(c))
-        s = str(c)
-        return f"({s})" if len(c.terms) > 1 else s
-
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for exps in sorted(self.terms, key=self.ring.sort_key, reverse=True):
-            c = self.terms[exps]
-            mono = self.ring.monomial_str(exps)
-            cs = self._coeff_str(c)
-            if mono == "1":
-                parts.append(cs)
-            elif cs == "1":
-                parts.append(mono)
-            elif cs == "-1":
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{cs}*{mono}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        ring = self.ring
+        return format_terms((format_rational(self.terms[exps]), ring.monomial_str(exps))
+                            for exps in sorted(self.terms, key=ring.sort_key, reverse=True))
 
     def __repr__(self):
         return f"MultiPoly({self})"
@@ -465,7 +397,7 @@ def poly_reduce(f: MultiPoly, basis):
         for i, (lexps, lc, tail) in enumerate(divisors):
             if all(map(le, lexps, exps)):
                 if inverses[i] is None:
-                    inverses[i] = _coeff_invert(lc)
+                    inverses[i] = 1 / lc
                 q_exps = tuple(map(sub, exps, lexps))
                 qc = quotients[i][q_exps] = c * inverses[i]
                 for e, bc in tail:
@@ -494,6 +426,6 @@ def s_polynomial(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     ring = f.ring
     (ef, cf), (eg, cg) = f.leading_term(), g.leading_term()
     lcm = tuple(max(a, b) for a, b in zip(ef, eg))
-    mf = MultiPoly(ring, {tuple(l - a for l, a in zip(lcm, ef)): _coeff_invert(cf)})
-    mg = MultiPoly(ring, {tuple(l - a for l, a in zip(lcm, eg)): _coeff_invert(cg)})
+    mf = MultiPoly(ring, {tuple(l - a for l, a in zip(lcm, ef)): 1 / cf})
+    mg = MultiPoly(ring, {tuple(l - a for l, a in zip(lcm, eg)): 1 / cg})
     return mf * f - mg * g

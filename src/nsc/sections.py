@@ -217,6 +217,12 @@ def solve_sections(curve: CurveModel, weights: dict, i: str, orders, high: int =
 # 0.23 s (Python 3.11, one core of a shared x86-64 host).
 MAX_TAIL = 1024
 
+# canonical_parameter's m_max is at most MAX_M_MAX.  At the bound it takes
+# about 0.12 s on zoo("Ia") marked at p0, and at m_max 64 about 1 s, about
+# as the cube of m_max (Python 3.11, one core of a shared x86-64 host).
+# solve_sections' depth is not bounded here: its callers set it.
+MAX_M_MAX = 32
+
 
 def f_sections(curve: CurveModel, weights: dict, i: str, m: int, tail: int = 6) -> Section:
     """Solve for f_i[-m]; expansions are returned at every marked point to
@@ -233,9 +239,12 @@ def f_sections(curve: CurveModel, weights: dict, i: str, m: int, tail: int = 6) 
 def canonical_parameter(curve: CurveModel, weights: dict, i: str, m_max: int) -> ParamChange:
     """Tangent-compatible parameter change at p_i making the coefficient at
     u^-a_i of every f_i[-m], m <= m_max, vanish exactly; m_max must exceed
-    a_i, or there is no correction to compute.  The change is the
-    composition of the exact correction steps, known below u^(m_max + 6)."""
+    a_i, or there is no correction to compute, and be at most MAX_M_MAX.
+    The change is the composition of the exact correction steps, known below
+    u^(m_max + 6)."""
     _check_int("m_max", m_max)
+    if m_max > MAX_M_MAX:
+        raise ValidationError(f"m-max {m_max} is out of range: the limit is {MAX_M_MAX}")
     steps = solve_sections(curve, weights, i, (), depth=m_max)[0]
     pc = ParamChange.identity("u", m_max + 6)
     for eps, r in steps:

@@ -20,6 +20,7 @@ from .genus2 import (
     RELATION_DEGREES,
     buchberger_verify,
     fit_parameters,
+    format_fhk,
     solve_c,
     universal_relations,
 )
@@ -71,7 +72,7 @@ def suite_buchberger(perturb: str | None = None):
         "perturbations_fail": broken,
         "solve_c": {
             "status": "pass" if report.ok else "fail",
-            "closed_forms": {k: str(v) for k, v in report.closed_forms.items()},
+            "closed_forms": {k: format_fhk(v) for k, v in report.closed_forms.items()},
             "residuals": [str(r) for r in report.residuals],
         },
     }

@@ -13,16 +13,21 @@ from __future__ import annotations
 from fractions import Fraction
 
 from nsc.errors import InternalInconsistencyError, ValidationError
-from nsc.genus2 import GeneralPresentation, coefficient_f_ring, universal_relations
+from nsc.genus2 import RING, GeneralPresentation, universal_relations
 from nsc.laurent import LaurentSeries
 from nsc.multipoly import MultiPoly
+
+
+def _f(i: int) -> tuple:
+    """The exponents of f^i in RING."""
+    return (0, 0, i) + (0,) * (len(RING.variables) - 3)
 
 
 def presentation_from_series(sf: LaurentSeries, sh: LaurentSeries, sk: LaurentSeries) -> GeneralPresentation:
     """Expand h^2, hk, k^2 on the basis f^n, f^n h, f^n k by matching principal
     parts at the marked point, checking that the residual tail vanishes
     identically through the sound window."""
-    ring = coefficient_f_ring()
+    ring = RING
     f = ring.var("f")
 
     f2 = sf * sf
@@ -113,10 +118,10 @@ def normalize_presentation(pres: GeneralPresentation):
     third = Fraction(1, 3)
     half = Fraction(1, 2)
     A = (pres.q1 + pres.p2) * (-third)
-    B = (pres.q1.coefficient((1,)) - 2 * pres.p2.coefficient((1,))) * third
+    B = (pres.q1.coefficient(_f(1)) - 2 * pres.p2.coefficient(_f(1))) * third
     Bc = ring.coerce_coeff(B)
     C = pres.p3 * (-half) - pres.p1 * (Bc * Bc) * half - pres.p2 * Bc
-    shift = pres.p1.coefficient((0,))  # the transform leaves p1 as it is
+    shift = pres.p1.coefficient(_f(0))  # the transform leaves p1 as it is
     normalized = transform_presentation(pres, A, B, C, shift)
     if not normalized.is_normalized():
         raise InternalInconsistencyError("normalization postconditions failed")
@@ -124,8 +129,8 @@ def normalize_presentation(pres: GeneralPresentation):
 
 
 def _at_series(p: MultiPoly, series: tuple) -> LaurentSeries:
-    """p evaluated at one series per ring variable, the f series last (both
-    (k, h, f) and (f,) end in f), each power by repeated products."""
+    """p, free of the q's, evaluated at the series (K, H, F) of k, h and f,
+    each power by repeated products; a series p does not use may be None."""
     sf = series[-1]
     acc = LaurentSeries.zero(sf.var, cut=sf.cut)
     for exps, coeff in p.terms.items():
@@ -143,8 +148,8 @@ def normalized_series(sf: LaurentSeries, sh: LaurentSeries, sk: LaurentSeries):
     H = h + A(f), K = k + B h + C(f)."""
     normalized, (A, B, C, shift) = normalize_presentation(presentation_from_series(sf, sh, sk))
     nsf = sf + LaurentSeries.monomial(sf.var, 0, Fraction(shift), cut=sf.cut)
-    nsh = sh + _at_series(A, (sf,))
-    nsk = sk + sh.scale(Fraction(B)) + _at_series(C, (sf,))
+    nsh = sh + _at_series(A, (None, None, sf))
+    nsk = sk + sh.scale(Fraction(B)) + _at_series(C, (None, None, sf))
     return normalized.parameters(), (nsf, nsh, nsk)
 
 

@@ -12,7 +12,7 @@ package's quotients, remainders and substitutions against them.
 from __future__ import annotations
 
 from nsc.errors import ValidationError
-from nsc.multipoly import MultiPoly, _coeff_invert
+from nsc.multipoly import MultiPoly
 
 
 def _add(a: MultiPoly, b: MultiPoly) -> MultiPoly:
@@ -77,7 +77,7 @@ def poly_reduce(f: MultiPoly, basis):
         for i, (lexps, lc) in enumerate(lts):
             if _divides(lexps, exps):
                 q_exps = tuple(a - b for a, b in zip(exps, lexps))
-                q = MultiPoly(ring, {q_exps: c * _coeff_invert(lc)})
+                q = MultiPoly(ring, {q_exps: c * (1 / lc)})
                 quotients[i] = _add(quotients[i], q)
                 p = _add(p, _neg(_mul(q, basis[i])))
                 break
@@ -107,6 +107,6 @@ def substitute(poly: MultiPoly, assignments: dict) -> MultiPoly:
             else:
                 mono = [0] * len(exps)
                 mono[i] = e
-                term = _mul(term, MultiPoly(ring, {tuple(mono): ring.coeff_one()}))
+                term = _mul(term, MultiPoly(ring, {tuple(mono): 1}))
         out = _add(out, term)
     return out

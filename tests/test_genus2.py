@@ -1,29 +1,30 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import genus2_reference as ref
 from nsc.errors import InternalInconsistencyError, ValidationError
 from nsc.genus2 import (
+    RING,
     G2Params,
     GeneralPresentation,
     RELATION_DEGREES,
     buchberger_verify,
-    coefficient_f_ring,
+    by_fhk,
     fit_parameters,
     normal_presentation,
     normalize_presentation,
-    parameter_ring,
     presentation_from_series,
-    relation_ring,
     section_series,
     solve_c,
     universal_relations,
 )
 from nsc.curves import INF, Divisor, MarkedPoint, h0
 from nsc.laurent import LaurentSeries
-from nsc.multipoly import poly_reduce
+from nsc.multipoly import MultiPoly, poly_reduce
 from nsc.sections import rescale_tangent
 from nsc.zoo import ZOO_IDS, zoo
 
@@ -32,11 +33,15 @@ def symbolic_relations():
     return universal_relations(G2Params.symbolic())
 
 
+def khf(ring):
+    return ring.var("k"), ring.var("h"), ring.var("f")
+
+
 def reference_relations(params):
     """The three displayed relations, written out by hand."""
-    ring = relation_ring(params.base_ring())
-    k, h, f = ring.gens()
-    q1, q20, q21, q30, q31 = (ring.const(v) for v in params.astuple())
+    ring = params.ring()
+    k, h, f = khf(ring)
+    q1, q20, q21, q30, q31 = (ring.zero() + v for v in params.astuple())
     q2 = q20 + q21 * f
     q3 = q30 + q31 * f + f * f
     rel1 = h * h - (f * k + q1 * h + 2 * q1 * q1 + f * q2)
@@ -54,28 +59,16 @@ def test_relations_match_the_hand_written_reference():
     for params in [G2Params.symbolic(), G2Params.zero()] + [random_params(rng) for _ in range(20)]:
         rels = universal_relations(params)
         reference = reference_relations(params)
-        assert rels.ring == relation_ring(params.base_ring())
+        assert rels.ring is RING
         assert [r.terms for r in rels.relations] == [r.terms for r in reference]
         assert [str(r) for r in rels.relations] == [str(r) for r in reference]
 
 
-def test_rings_are_built_once_per_base():
-    # polynomials of one ring share one ring object, so ring checks succeed
-    # by identity; an equal base gives the same ring
-    assert parameter_ring() is parameter_ring()
-    assert relation_ring() is relation_ring(None)
-    assert coefficient_f_ring() is coefficient_f_ring(None)
-    assert symbolic_relations().ring is relation_ring(parameter_ring())
-    assert normal_presentation(G2Params.symbolic()).ring is coefficient_f_ring(parameter_ring())
-    assert relation_ring(parameter_ring()).base is parameter_ring()
-
-
 def test_displayed_relations_term_by_term():
     rels = symbolic_relations()
-    qr = parameter_ring()
-    q1, q20, q21, q30, q31 = qr.gens()
-    one = qr.one()
-    # exponent tuples are (k, h, f)
+    q1, q20, q21, q30, q31 = (RING.var(v) for v in ("q1", "q20", "q21", "q30", "q31"))
+    one = RING.one()
+    # the coefficients by (k, h, f) monomial
     expected1 = {
         (0, 2, 0): one, (1, 0, 1): -one, (0, 1, 0): -q1,
         (0, 0, 0): -2 * q1 * q1, (0, 0, 1): -q20, (0, 0, 2): -q21,
@@ -91,15 +84,33 @@ def test_displayed_relations_term_by_term():
         (0, 0, 1): -(2 * q20 * q21 - 2 * q1 * q31),
         (0, 0, 2): -(q21 * q21 - 2 * q1),
     }
+    no_q = (0,) * 5
     for rel, expected in zip(rels.relations, (expected1, expected2, expected3)):
-        assert rel.terms == {e: c for e, c in expected.items() if c}
-    # flattened over Q[q1,q20,q21,q30,q31,f,h,k] the supports have 6, 9, 10 monomials
-    flat_counts = [sum(len(c.terms) for c in rel.terms.values()) for rel in rels.relations]
-    assert flat_counts == [6, 9, 10]
+        assert by_fhk(rel) == {e: c for e, c in expected.items() if c}
+        assert rel == sum((c * MultiPoly(RING, {e + no_q: 1}) for e, c in expected.items()), RING.zero())
+    # over Q[k, h, f, q1, q20, q21, q30, q31] the supports have 6, 9, 10 monomials
+    assert [len(rel.terms) for rel in rels.relations] == [6, 9, 10]
 
 
 def test_leading_monomials_are_h2_hk_k2():
     assert symbolic_relations().leads_are_h2_hk_k2()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(*[st.integers(0, 3)] * 3), st.tuples(*[st.integers(0, 2)] * 5).filter(any))
+def test_a_monomial_in_k_h_f_outranks_every_one_with_a_q(fhk, q):
+    # RING's claim: among monomials of equal weighted degree, one with no q is
+    # larger than one that has a q, so the relations' leads lie in k, h, f
+    with_q = fhk + q
+    degree = RING.weighted_degree(with_q)
+    free = [(a, b, (degree - 5 * a - 4 * b) // 3) + (0,) * 5
+            for a in range(degree // 5 + 1) for b in range((degree - 5 * a) // 4 + 1)
+            if (degree - 5 * a - 4 * b) % 3 == 0]
+    assert all(RING.weighted_degree(m) == degree for m in free)
+    assert len(free) > 0 or degree < 3
+    for m in free:
+        assert RING.sort_key(m) > RING.sort_key(with_q)
+        assert MultiPoly(RING, {m: 1, with_q: 1}).leading_term()[0] == m
 
 
 def test_relations_weighted_homogeneous():
@@ -118,7 +129,7 @@ def test_buchberger_symbolic_passes():
 def test_zero_params_give_monomial_relations():
     rels = universal_relations(G2Params.zero())
     ring = rels.ring
-    k, h, f = ring.gens()
+    k, h, f = khf(ring)
     assert rels.relations == (h * h - f * k, h * k - f ** 3, k * k - f * f * h)
 
 
@@ -137,20 +148,19 @@ def test_buchberger_perturbations_fail():
 def test_buchberger_rejects_wrong_leading_monomials():
     rels = symbolic_relations()
     ring = rels.ring
-    k, h, f = ring.gens()
+    k, h, f = khf(ring)
     broken = (f ** 3 - h * k, rels.relations[1], rels.relations[2])
-    with pytest.raises(ValidationError, match="leading"):
+    # the leads are printed by name
+    with pytest.raises(ValidationError, match=r"^leading monomials k\*h, k\*h, k\^2 are not h\^2, k\*h, k\^2$"):
         buchberger_verify(type(rels)(ring, broken))
 
 
 def test_reduce_remainder_basis_order_independent_on_groebner_basis():
     rels = symbolic_relations()
     ring = rels.ring
-    k, h, f = ring.gens()
+    k, h, f = khf(ring)
     probe = k * k * h + f * h * h + k
     baseline = poly_reduce(probe, rels.relations)[1]
-    import itertools
-
     for perm in itertools.permutations(rels.relations):
         assert poly_reduce(probe, list(perm))[1] == baseline
 
@@ -158,13 +168,13 @@ def test_reduce_remainder_basis_order_independent_on_groebner_basis():
 def test_standard_monomial_completeness():
     rels = universal_relations(G2Params.symbolic())
     ring = rels.ring
-    k, h, f = ring.gens()
+    k, h, f = khf(ring)
     for a in range(7):
         for b in range(7 - a):
             for c in range(7 - a - b):
                 mono = f ** a * h ** b * k ** c
                 _, rem = poly_reduce(mono, rels.relations)
-                for (ek, eh, ef) in rem.terms:
+                for (ek, eh, *_) in rem.terms:
                     assert (ek, eh) in ((0, 0), (0, 1), (1, 0))
 
 
@@ -178,7 +188,7 @@ def test_solve_c_symbolic_closed_forms():
 def test_normal_presentation_numeric_spot_checks():
     # q1 = 1, everything else 0: c1 = 2, c2 = f^3, c3 = -2 q1 q3 = -2 f^2
     pres = normal_presentation(G2Params(Fraction(1), Fraction(0), Fraction(0), Fraction(0), Fraction(0)))
-    ring = coefficient_f_ring()
+    ring = RING
     f = ring.var("f")
     assert pres.c1 == ring.const(2)
     assert pres.c2 == f ** 3
@@ -199,7 +209,7 @@ def test_buchberger_passes_on_random_samples():
 
 def hand_normal_presentation(params):
     """The normalized presentation of numeric params, its c's written out."""
-    ring = coefficient_f_ring()
+    ring = RING
     f = ring.var("f")
     q1, q20, q21, q30, q31 = (ring.const(v) for v in params.astuple())
     return GeneralPresentation(
@@ -320,7 +330,7 @@ def test_fit_deep_cusp_is_origin():
 def test_fit_two_node_curve_generic_point():
     cur = zoo("Ia")
     params = fit_parameters(cur, "p0")
-    assert params.base_ring() is None
+    assert params.ring() is RING and all(type(v) is Fraction for v in params.astuple())
     assert buchberger_verify(universal_relations(params)).ok
     assert fitted_relations_vanish(cur, "p0")
     assert any(v != 0 for v in params.astuple())
@@ -371,7 +381,7 @@ def test_fit_gauge_independence():
 
 
 def test_presentation_rejects_bad_shapes():
-    ring = coefficient_f_ring()
+    ring = RING
     f = ring.var("f")
     with pytest.raises(ValidationError):
         GeneralPresentation(

@@ -116,11 +116,11 @@ def test_reduce_h2k_against_full_symbolic_relations():
 
     rels = universal_relations(G2Params.symbolic())
     ring = rels.ring
-    k, h, f = ring.gens()
+    k, h = ring.var("k"), ring.var("h")
     p = h * h * k
     quotients, rem = poly_reduce(p, list(rels.relations))
     assert sum((q * b for q, b in zip(quotients, rels.relations)), rem) == p
-    for (ek, eh, ef) in rem.terms:
+    for (ek, eh, *_) in rem.terms:
         assert (ek, eh) in ((0, 0), (0, 1), (1, 0))
     assert rem == naive_remainder(p, list(rels.relations))
 
@@ -151,14 +151,17 @@ def test_s_polynomial_coprime_leads_reduces_to_zero():
     assert rem.is_zero()
 
 
-def test_nested_ring_coefficients():
-    qring = PolyRing(("q1",), (4,))
-    ring = PolyRing(("k", "h", "f"), (5, 4, 3), base=qring)
-    q1 = qring.var("q1")
-    k, h, f = ring.gens()
-    p = h * h - f * k - k.ring.const(q1) * h
-    assert p.coefficient((0, 1, 0)) == -q1
-    assert p.is_homogeneous(8)
+def test_parameters_are_variables_of_the_flat_ring():
+    # a parameter is one more variable over Q, not a coefficient ring
+    ring = PolyRing(("k", "h", "f", "q1"), (5, 4, 3, 4))
+    k, h, f, q1 = ring.gens()
+    p = h * h - f * k - q1 * h
+    assert p.coefficient((0, 1, 0, 1)) == -1 and p.coefficient((0, 1, 0, 0)) == 0
+    assert p.is_homogeneous(8) and p.weighted_degrees() == {8}
+    assert p.leading_term() == ((0, 2, 0, 0), Fraction(1))  # q1, listed last, makes q1*h smaller
+    assert repr(ring) == "QQ[k,h,f,q1]"
+    with pytest.raises(TypeError, match="base"):
+        PolyRing(("k", "h", "f"), (5, 4, 3), base=PolyRing(("q1",), (4,)))
 
 
 def test_substitute_variable_shift():
@@ -196,11 +199,10 @@ def test_the_constructor_drops_zeros_and_coerces():
     two_x = MultiPoly(ring, {(1,): 2, (0,): Fraction(0)})
     assert two_x.terms == {(1,): Fraction(2)} and type(two_x.terms[(1,)]) is Fraction
     assert two_x == 2 * ring.var("x")
-    nested = PolyRing(("f",), (3,), base=PolyRing(("q",), (1,)))
-    assert MultiPoly(nested, {(2,): 3}).terms == {(2,): nested.base.const(3)}
-    assert not MultiPoly(nested, {(2,): nested.base.zero()})
-    with pytest.raises(ValidationError):
-        MultiPoly(ring, {(1,): "1"})
+    # coefficients are rational: a polynomial is no coefficient
+    for bad in ("1", 1.0, ring.var("x"), ring.one()):
+        with pytest.raises(ValidationError):
+            MultiPoly(ring, {(1,): bad})
 
 
 # -- the division and substitution against tests/multipoly_reference.py ------
@@ -210,22 +212,16 @@ SMALL = st.one_of(st.integers(-3, 3), st.fractions(min_value=-4, max_value=4, ma
 
 @st.composite
 def rings(draw):
-    """Q[x, y, z] with drawn weights, or the same over Q[q1, q2]."""
+    """Q[x, y, z] with drawn weights, or Q[x, y, z, q1, q2]."""
     weights = tuple(draw(st.lists(st.integers(1, 3), min_size=3, max_size=3)))
-    base = PolyRing(("q1", "q2"), (1, 2)) if draw(st.booleans()) else None
-    return PolyRing(("x", "y", "z"), weights, base=base)
-
-
-def coefficients(ring):
-    if ring.base is None:
-        return SMALL
-    return st.builds(partial(MultiPoly, ring.base),
-                     st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 1)), SMALL, max_size=3))
+    if draw(st.booleans()):
+        return PolyRing(("x", "y", "z", "q1", "q2"), weights + (1, 2))
+    return PolyRing(("x", "y", "z"), weights)
 
 
 def polys(ring, max_size=6, max_exponent=3):
     exps = st.tuples(*[st.integers(0, max_exponent)] * len(ring.variables))
-    return st.builds(partial(MultiPoly, ring), st.dictionaries(exps, coefficients(ring), max_size=max_size))
+    return st.builds(partial(MultiPoly, ring), st.dictionaries(exps, SMALL, max_size=max_size))
 
 
 @st.composite

@@ -13,7 +13,7 @@ from nsc.curves import (
 from nsc.errors import CohomologyError, TruncationError, ValidationError
 from nsc.laurent import ParamChange
 from nsc.sections import (
-    MAX_TAIL, _combine, _element_series, alpha_beta, canonical_parameter, f_sections, rescale_tangent,
+    MAX_M_MAX, MAX_TAIL, _combine, _element_series, alpha_beta, canonical_parameter, f_sections, rescale_tangent,
     solve_sections,
 )
 import curves_reference as curves_ref
@@ -217,6 +217,21 @@ def test_canonical_parameter_needs_a_step():
         with pytest.raises(ValidationError, match=f"m_max = {m_max}"):
             canonical_parameter(cur, {"p0": 2}, "p0", m_max)
     assert is_identity(canonical_parameter(cur, {"p0": 2}, "p0", 3))
+
+
+def test_canonical_parameter_bounds_m_max():
+    # the work grows about as the cube of m_max (m_max 96 on zoo("Ia") takes
+    # seconds); past the bound the refusal comes before the curve is
+    # validated or any section is solved
+    cur = zoo("Ia")
+    for m_max in (MAX_M_MAX + 1, 96, 10**6):
+        with pytest.raises(ValidationError, match=f"^m-max {m_max} is out of range: the limit is {MAX_M_MAX}$"):
+            canonical_parameter(cur, {"p0": 2}, "p0", m_max)
+    with pytest.raises(ValidationError, match="out of range"):
+        canonical_parameter(cur, {"p0": True}, "nowhere", MAX_M_MAX + 1)
+    assert canonical_parameter(cur, {"p0": 2}, "p0", MAX_M_MAX).order() == MAX_M_MAX + 6
+    # the benchmark's largest call, m_max 30 on ccusp24, stays admitted
+    assert is_identity(canonical_parameter(zoo("ccusp24"), {"p0": 24}, "p0", 30))
 
 
 def test_pole_orders_must_be_ints():
