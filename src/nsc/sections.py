@@ -13,25 +13,33 @@ series and the desk check's alpha table.  It takes a basis of the regular
 functions with poles bounded by m_max p_i + sum_{j != i} a_j p_j once, by one
 nullspace of the jet conditions, and expands it once at p_i.  The basis is
 triangular in the pole order at p_i, so f_i[-m] for m <= m_max is a small
-solve over the basis functions with poles of order at most m.  The
-canonical parameter at p_i is the unique tangent-compatible parameter making
+solve over the basis functions with poles of order at most m.  Where their
+expansions' lows are exactly the exponents the section prescribes, -m, ...,
+-(a_i+1) and 0, the solve is forward substitution on the expansions'
+integer numerators over one common denominator, with no elimination; only
+at a Weierstrass-type point or a degenerate weight, where another low
+appears or one is missing, is it one `linalg.solve_affine`, which finds the
+section or shows it missing or not unique.  The canonical parameter at p_i
+is the unique tangent-compatible parameter making
 the coefficient at u^-a_i vanish for every m; given a depth, the entry finds
 it order by order as exact correction steps u -> u + eps u^r, advancing the
 basis expansions through each step, solves the sections over those advanced
 expansions and returns the steps.  Only `canonical_parameter` composes them,
 into the change known below u^(m_max + 6).
 A section's expansion at p_i is its coordinates' combination (`_combine`) of
-the basis expansions.  Its expansion at another marked point, which the
-change at p_i leaves alone, is its ambient coordinates' combination of the
-elements' series there (`_element_series`), each built once straight from
-the element's integer numerators over one denominator, the tangent's powers
-folded in on the integers.
+the basis expansions, summed on one list of integer numerators.  Its
+expansion at another marked point, which the change at p_i leaves alone, is
+its ambient coordinates' combination of the elements' series there
+(`_element_series`), each built once straight from the element's integer
+numerators over one denominator, the tangent's powers folded in on the
+integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import linalg
 from .curves import (
@@ -150,10 +158,19 @@ def _solve_section(weights, i, m, expansions):
     unique combination with coefficient 1 at -m, none on (-m, -a_i) and
     constant term zero.  The expansions are in u = s/v or advanced through
     exact correction steps; a valuation-1 change keeps each expansion's
-    valuation.  The rows are the expansions' integer numerators: the solve
+    valuation.
+
+    When the expansions' lows are exactly the target exponents, -m, ...,
+    -(a_i+1) and 0, the system is triangular with nonzero pivots, the lead
+    numerators: `_forward_substitute` solves it, with no elimination.  Any
+    other shape, at a Weierstrass-type point or a degenerate weight, is one
+    `linalg.solve_affine` over the expansions' integer numerators: the solve
     is for z_k = y_k / den_k, and y_k = z_k * den_k."""
     near = [s for s in expansions if s.low >= -m]
     targets = [(-m, 1)] + [(e, 0) for e in range(-m + 1, -weights.get(i, 0))] + [(0, 0)]
+    order = sorted(range(len(near)), key=lambda k: near[k].low)
+    if [near[k].low for k in order] == [e for e, _ in targets]:
+        return _forward_substitute(near, order, targets)
     rows = [[s.numerator(e) for s in near] for e, _ in targets]
     solved = linalg.solve_affine(rows, [value for _, value in targets])
     if solved is None:
@@ -170,11 +187,47 @@ def _solve_section(weights, i, m, expansions):
     return [x * s.den for x, s in zip(z, near)]
 
 
+def _forward_substitute(near, order, targets):
+    """The coordinates y_k of the triangular system sum_k y_k near_k(e) =
+    value at each target (e, value), near[order[t]] having its lead at the
+    t-th target.  The solve is on the integers: z_k = y_k / den_k is Z_k / D
+    over one common denominator D > 0, and at the pivot k with lead numerator
+    p, R = value*D - sum_done Z_j n_j(e) gives z_k = R / (D p), so the
+    finished Z's and D scale by p / gcd(R, p), its sign moved onto Z_k.  Only
+    the results become Fractions, y_k = Z_k den_k / D."""
+    den, z, done = 1, [0] * len(near), []
+    for (e, value), k in zip(targets, order):
+        pivot = near[k].numerator(e)
+        r = value * den
+        for j in done:
+            s = near[j]
+            r -= z[j] * s.coeffs[e - s.low]
+        g = gcd(r, pivot)
+        f, r = (pivot // g, r // g) if pivot > 0 else (-pivot // g, -r // g)
+        if f != 1:
+            den *= f
+            for j in done:
+                z[j] *= f
+        z[k] = r
+        done.append(k)
+    return [Fraction(x * s.den, den) for x, s in zip(z, near)]
+
+
 def _combine(y, series) -> LaurentSeries:
     """The combination sum_k y_k series_k, for coordinates y with a nonzero
-    entry: a section's expansion from the basis expansions."""
-    terms = [s.scale(c) for c, s in zip(y, series) if c]
-    return sum(terms[1:], terms[0])
+    entry: a section's expansion from the basis expansions.  It runs on one
+    list of integer numerators over lcm(den(y_k) * series_k.den), on
+    [min low, min cut), and divides out the content once: the sequential
+    scale-and-add in value, window and den."""
+    terms = [(c, s) for c, s in zip(y, series) if c]
+    low, cut = min(s.low for _, s in terms), min(s.cut for _, s in terms)
+    den = lcm(*[c.denominator * s.den for c, s in terms])
+    acc = [0] * (cut - low)
+    for c, s in terms:
+        f = c.numerator * (den // (c.denominator * s.den))
+        for k, x in enumerate(s.coeffs[:max(cut - s.low, 0)], s.low - low):
+            acc[k] += f * x
+    return LaurentSeries._of(terms[0][1].var, low, acc, den, cut)
 
 
 def solve_sections(curve: CurveModel, weights: dict, i: str, orders, high: int = 1,

@@ -5,6 +5,11 @@ sums `Fraction` products over the ambient elements; `_elt_expansion` writes
 out each kind of element separately.  The tests compare the package's
 expansions against them, and the second route of `test_sections` expands
 through them.
+
+`_solve_section` is the section solve as one elimination, `linalg.solve_affine`
+over the expansions' integer numerators, for every shape of the system, and
+`_combine` the sequential scale-and-add of the basis expansions: the package's
+forward substitution and one-pass combination are compared against them.
 """
 
 from __future__ import annotations
@@ -12,7 +17,9 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from nsc.curves import EXPANSION_CACHE_SIZE, Infinity
+from nsc import linalg
+from nsc.curves import EXPANSION_CACHE_SIZE, Divisor, Infinity
+from nsc.errors import CohomologyError
 from nsc.laurent import LaurentSeries
 
 
@@ -76,3 +83,31 @@ def _expansion(curve, pid, low, high, terms) -> LaurentSeries:
             coeffs[i] += x * c
     v = mp.tangent
     return LaurentSeries("u", low, [c * v ** (low + i) for i, c in enumerate(coeffs)], cut=high)
+
+
+def _solve_section(weights, i, m, expansions):
+    """Coordinates y_k of f_i[-m] over the expansions with low >= -m: one
+    elimination over their integer numerators at the targets, solving for
+    z_k = y_k / den_k."""
+    near = [s for s in expansions if s.low >= -m]
+    targets = [(-m, 1)] + [(e, 0) for e in range(-m + 1, -weights.get(i, 0))] + [(0, 0)]
+    rows = [[s.numerator(e) for s in near] for e, _ in targets]
+    solved = linalg.solve_affine(rows, [value for _, value in targets])
+    if solved is None:
+        raise CohomologyError(
+            f"no section with principal part u^-{m} at {i}: h1 obstruction "
+            f"(weights {weights})"
+        )
+    z, kernel = solved
+    if kernel:
+        raise CohomologyError(
+            f"section of order {m} at {i} is not unique: "
+            f"h1({Divisor.of({**weights, i: m}).items}) != 0"
+        )
+    return [x * s.den for x, s in zip(z, near)]
+
+
+def _combine(y, series) -> LaurentSeries:
+    """sum_k y_k series_k over the nonzero y_k, one scale and one + each."""
+    terms = [s.scale(c) for c, s in zip(y, series) if c]
+    return sum(terms[1:], terms[0])

@@ -552,6 +552,9 @@ CURVE_SHA256 = {
     "canonical Ia --point p0 --weights 1,1": "ff9c8d7fa415572c4349bead4ed7a1c6b01ecb15e74397058dcbe117905ff0e8",
     "alphabeta Ia --point p1 --weights 1,1": "4bb3324915642b1e945e029f72e01e704749a6994757516430d2c170888f71e9",
     "canonical IIc-C0 --point p0 --m-max 12": "1430572d114535c3ff72ebe8ebbd42533e591c51e10682f901d0303222971856",
+    # the Weierstrass point of the pinched <2,5>-curve: the first section
+    # solve is no triangular system, and its elimination finds no f_1[-3]
+    "canonical IIc-C0 --point p1": "1228eca2eccb1e274b6298d91c6927738a5cb079a81a6c8771b54f67388dc81b",
 }
 
 

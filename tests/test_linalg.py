@@ -241,7 +241,9 @@ def test_ragged_rows_are_refused_by_name(call, message):
 
 def test_every_elimination_goes_through_rref(monkeypatch):
     # the benchmark's linalg span wraps linalg.rref, so an elimination that
-    # went around it would read as its caller's time
+    # went around it would read as its caller's time.  A triangular section
+    # solve is forward substitution, no elimination, and reads as sections
+    # time; canonical_parameter still eliminates once, for its basis
     calls = []
     rref = linalg.rref
 

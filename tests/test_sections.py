@@ -3,7 +3,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from nsc import linalg
@@ -11,12 +11,13 @@ from nsc.curves import (
     INF, CurveModel, Divisor, MarkedPoint, arithmetic_genus, constraints, h1, validate,
 )
 from nsc.errors import CohomologyError, TruncationError, ValidationError
-from nsc.laurent import ParamChange
+from nsc.laurent import LaurentSeries, ParamChange
 from nsc.sections import (
-    MAX_M_MAX, MAX_TAIL, _combine, _element_series, alpha_beta, canonical_parameter, f_sections, rescale_tangent,
-    solve_sections,
+    MAX_M_MAX, MAX_TAIL, _combine, _element_series, _solve_section, alpha_beta, canonical_parameter, f_sections,
+    rescale_tangent, solve_sections,
 )
 import curves_reference as curves_ref
+import sections_reference as sections_ref
 from sections_reference import _elt_expansion as ref_elt_expansion, _expansion
 from test_laurent import substitute_by_powers
 from nsc.zoo import ZOO_IDS, cusp, glued_cusps, node, tacnode, zoo
@@ -97,10 +98,15 @@ def test_sections_consistent_under_deeper_jets():
 
 def test_section_rejects_weierstrass_configuration():
     # on the pinched curve, the one-point weight-2 section of order 3 is
-    # obstructed at the special point at infinity
+    # obstructed at the special point at infinity, and the one of order 4 is
+    # not unique: neither system is triangular, and the elimination says so
     cur = zoo("IIc-C0")
-    with pytest.raises(CohomologyError):
+    with pytest.raises(CohomologyError) as exc:
         f_sections(cur, {"p1": 2}, "p1", 3)
+    assert str(exc.value) == "no section with principal part u^-3 at p1: h1 obstruction (weights {'p1': 2})"
+    with pytest.raises(CohomologyError) as exc:
+        f_sections(cur, {"p1": 2}, "p1", 4)
+    assert str(exc.value) == "section of order 4 at p1 is not unique: h1((('p1', 4),)) != 0"
 
 
 def test_canonical_parameter_identity_on_deep_cusp():
@@ -550,3 +556,95 @@ def test_integer_route_matches_the_fraction_route(curve, data):
         assert [type(x) for x in got.coeffs] == [int] * len(got.coeffs)
         assert [(e, type(x)) for e, x in got.known_items()] == \
             [(e, type(x)) for e, x in want_series.known_items()]
+
+
+# ---------------------------------------------------------------------------
+# the triangular section solve against the elimination
+# ---------------------------------------------------------------------------
+# When the expansions' lows are exactly the targets, the solve is forward
+# substitution on integer numerators; any other shape is one elimination.
+# Both must give what the elimination gives on every shape: the same
+# coordinates, Fractions, or the same CohomologyError text.  Leads are signed
+# and denominators unlike; the expansions come in a drawn order.
+
+_SHAPES = ("triangular", "missing lead", "extra lead", "known zero")
+
+
+@st.composite
+def _section_systems(draw):
+    """(shape, weights, m, expansions) at p0 with weight a_0: one series per
+    target exponent -m, ..., -(a_0+1), 0, and some with poles deeper than m,
+    which the solve leaves out; the other shapes drop a target's series, add
+    one with its lead at an exponent >= -a_0, or add a known-zero series."""
+    shape = draw(st.sampled_from(_SHAPES))
+    a_0 = draw(st.integers(0, 3))
+    m = draw(st.integers(a_0 + 1, a_0 + 5))
+    cut = draw(st.integers(1, 3))
+    targets = list(range(-m, -a_0)) + [0]
+    lows = targets + draw(st.lists(st.integers(-m - 3, -m - 1), max_size=2))
+    if shape == "missing lead":
+        lows.remove(draw(st.sampled_from(targets)))
+    elif shape == "extra lead":
+        lows.append(draw(st.integers(-a_0, cut - 1)))
+    expansions = [LaurentSeries.zero("u", cut)] if shape == "known zero" else []
+    for low in lows:
+        den = draw(st.integers(1, 12))
+        nums = [draw(st.integers(1, 9)) * draw(st.sampled_from((1, -1)))] + draw(
+            st.lists(st.integers(-9, 9), min_size=cut - low - 1, max_size=cut - low - 1))
+        expansions.append(LaurentSeries("u", low, [Fraction(x, den) for x in nums], cut))
+    return shape, {"p0": a_0, "p1": 1}, m, draw(st.permutations(expansions))
+
+
+def _typed(got):
+    return (got[0], [(type(x), x) for x in got[1]]) if got[0] == "ok" else got
+
+
+@settings(max_examples=300, deadline=None)
+@given(_section_systems())
+def test_section_solve_matches_the_elimination(system):
+    shape, weights, m, expansions = system
+    calls = []
+    solve_affine = linalg.solve_affine
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "solve_affine", lambda *args: calls.append(args) or solve_affine(*args))
+        got = outcome(_solve_section, weights, "p0", m, expansions)
+    assert _typed(got) == _typed(outcome(sections_ref._solve_section, weights, "p0", m, expansions))
+    event(f"{shape}: {'solved' if got[0] == 'ok' else 'not unique' if 'unique' in got[1] else 'obstruction'}")
+    if shape == "triangular":
+        # nonzero leads on the targets: one solution, found with no elimination
+        assert got[0] == "ok" and not calls
+    else:
+        assert len(calls) == 1
+
+
+_coordinates = st.sampled_from([0, 1, -1, -2, Fraction(3, 4), Fraction(-5, 3), Fraction(7, 6)])
+
+
+@st.composite
+def _combinations(draw):
+    """(y, series): drawn coordinates with a nonzero entry and series on
+    drawn windows with unlike denominators, some known zero, some repeated
+    so that leads cancel, None under a zero coordinate."""
+    y = draw(st.lists(_coordinates, min_size=1, max_size=5).filter(any))
+    series = []
+    for c in y:
+        if not c and draw(st.booleans()):
+            series.append(None)
+        elif series and series[-1] is not None and draw(st.booleans()):
+            series.append(series[-1])
+        else:
+            low = draw(st.integers(-6, 2))
+            cut = draw(st.integers(low, low + 6))
+            den = draw(st.integers(1, 12))
+            nums = draw(st.lists(st.integers(-9, 9), min_size=cut - low, max_size=cut - low))
+            series.append(LaurentSeries("u", low, [Fraction(x, den) for x in nums], cut))
+    return y, series
+
+
+@settings(max_examples=300, deadline=None)
+@given(_combinations())
+def test_combine_matches_scale_and_add(combination):
+    y, series = combination
+    got, want = _combine(y, series), sections_ref._combine(y, series)
+    assert got == want
+    assert (got.low, got.cut, got.den) == (want.low, want.cut, want.den)
