@@ -4,7 +4,9 @@ Every command prints a single JSON document
 
     {"status": "pass" | "fail" | "error", "payload": ..., "diagnostics": [...]}
 
-with sorted keys and all numbers as exact rational literals.  Exit codes:
+with sorted keys and all numbers as exact rational literals: stdout is
+exactly json.dumps(doc, sort_keys=True, indent=2) and a newline, written by
+curveio.dumps, which a property test holds to json.dumps.  Exit codes:
 0 = pass, 1 = mathematical mismatch, 2 = usage or input error, or any
 unexpected exception, reported by its type and message.  Divisor
 multiplicities, `curve canonical --m-max`, the `s-table` genus, m-max and
@@ -17,12 +19,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import re
 import sys
 
-from .curveio import curve_to_jsonable, dump_curve, load_curve, parse_divisor
+from .curveio import curve_to_jsonable, dump_curve, dumps, load_curve, parse_divisor
 from .curves import MAX_JET_WIDTH, arithmetic_genus, h0, h1
 from .errors import InternalInconsistencyError, NscError, ValidationError
 from .genus2 import Q_VARIABLES, fit_parameters
@@ -43,7 +44,7 @@ _CURVE_OPTIONS = {"genus": (), "h0": ("divisor",), "h1": ("divisor",), "alphabet
 
 def _print_result(status: str, payload, diagnostics=()) -> None:
     doc = {"status": status, "payload": payload, "diagnostics": list(diagnostics)}
-    print(json.dumps(doc, sort_keys=True, indent=2))
+    print(dumps(doc))
 
 
 class _Parser(argparse.ArgumentParser):

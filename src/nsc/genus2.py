@@ -159,12 +159,13 @@ def _deg(p: MultiPoly) -> int:
 
 def _fcoeff(p: MultiPoly, i: int):
     """The coefficient of f^i in p: a Fraction if it is rational, else a
-    polynomial in the q's."""
-    c = by_fhk(p).get((0, 0, i))
-    if c is None:
+    polynomial in the q's.  Only the terms of k^0 h^0 f^i are regrouped."""
+    fi = (0, 0, i)
+    terms = {(0, 0, 0) + exps[3:]: c for exps, c in p.terms.items() if exps[:3] == fi}
+    if not terms:
         return Fraction(0)
     one = (0,) * len(p.ring.variables)
-    return c.terms[one] if c.terms.keys() == {one} else c
+    return terms[one] if terms.keys() == {one} else MultiPoly._adopt(p.ring, terms)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,8 @@ def parse_rational(text: str, what: str = "rational") -> Fraction:
 
 def format_rational(x: Fraction) -> str:
     """Render exactly, as ``p`` or ``p/q``."""
-    x = Fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

@@ -555,6 +555,11 @@ CURVE_SHA256 = {
     # the Weierstrass point of the pinched <2,5>-curve: the first section
     # solve is no triangular system, and its elimination finds no f_1[-3]
     "canonical IIc-C0 --point p1": "1228eca2eccb1e274b6298d91c6927738a5cb079a81a6c8771b54f67388dc81b",
+    # bases of two and four functions, and a diagnostic that holds a
+    # non-ASCII character, escaped as \u00e9
+    "h0 Ia --divisor=4*p0-1*p1": "7c3ad15e685092e3189dc29b9c18a13cd1a344e00cecad81ffeccc160f9c826f",
+    "h0 IIc-C0 --divisor=3*p0+2*p1": "3689f77cb1fe47b78abff6729f2e1154a03fa5f23675f809e1071ebc78e4bd93",
+    "h1 Ia --divisor=2*pé": "2e4e1d2d0ab4b377ad6ffd4142a81b8e1ca36e452d5a418e18ba0789be3d8e80",
 }
 
 

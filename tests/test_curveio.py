@@ -4,7 +4,10 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nsc import curveio
 from nsc.cli import main
 from nsc.curveio import (
     MAX_SPEC_BYTES,
@@ -13,6 +16,7 @@ from nsc.curveio import (
     curve_from_jsonable,
     curve_to_jsonable,
     dump_curve,
+    dumps,
     load_curve,
     parse_divisor,
     parse_point,
@@ -190,6 +194,66 @@ def padded_spec(path, size):
     text = json.dumps(curve_to_jsonable(zoo("Ia")))
     path.write_text(text + " " * (size - len(text)))
     assert path.stat().st_size == size
+
+
+class _CountingFile:
+    """A file whose reads record the size they ask for."""
+
+    def __init__(self, fh, asked):
+        self._fh, self._asked = fh, asked
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def read(self, size=-1):
+        self._asked.append(size)
+        return self._fh.read(size)
+
+
+@pytest.mark.parametrize("size", [None, MAX_SPEC_BYTES - 10, MAX_SPEC_BYTES, MAX_SPEC_BYTES + 1, 3 * MAX_SPEC_BYTES])
+def test_a_spec_read_asks_for_the_bound_in_chunks(tmp_path, monkeypatch, size):
+    path = tmp_path / "spec.json"
+    if size is None:
+        dump_curve(zoo("Ia"), str(path))
+    else:
+        padded_spec(path, size)
+    asked = []
+    monkeypatch.setattr(curveio, "open", lambda *a, **k: _CountingFile(open(*a, **k), asked), raising=False)
+    if size is not None and size > MAX_SPEC_BYTES:
+        with pytest.raises(ValidationError, match="out of range"):
+            load_curve(str(path))
+    else:
+        assert load_curve(str(path)) == zoo("Ia")
+    assert asked and all(0 < n < MAX_SPEC_BYTES for n in asked)
+    assert sum(asked) <= MAX_SPEC_BYTES + 1
+
+
+# strings with what JSON escapes: quotes, backslashes, control characters,
+# non-ASCII characters and lone surrogates
+_escaped = st.sampled_from('"\\/\x7f\u2028é') | st.integers(0, 0x1F).map(chr) | st.integers(0xD800, 0xDFFF).map(chr)
+_strings = st.text(st.characters() | _escaped, max_size=12)
+_leaves = (st.none() | st.booleans() | st.integers() | st.integers(-10**400, 10**400) | _strings)
+_documents = st.recursive(
+    _leaves,
+    lambda inner: (st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
+                   | st.dictionaries(_strings, inner, max_size=5)),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_documents)
+def test_dumps_is_json_dumps_with_sorted_keys_and_indent_2(doc):
+    assert dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("doc", [1.5, Fraction(1, 2), {1: "a"}, {"a": [0, {"b": (1.0,)}]}, {"a": {2: 3}}, [{True: 1}]])
+def test_dumps_refuses_what_it_does_not_write(doc):
+    with pytest.raises(TypeError):
+        dumps(doc)
 
 
 def test_a_spec_over_the_size_limit_exits_2_and_is_not_cached(tmp_path, capsys):
