@@ -301,11 +301,9 @@ def _span_info(sing: SingularPoint, k: int) -> tuple:
             unit = [Fraction(0)] * (B * k)
             unit[b * k + d] = Fraction(1)
             rows.append(unit)
-    out = []
-    for phi in linalg.nullspace(rows, ncols=B * k):
-        den = lcm(*(x.denominator for x in phi))
-        out.append((tuple((s, x.numerator * (den // x.denominator)) for s, x in enumerate(phi) if x), den))
-    return tuple(out)
+    vectors, den = linalg.kernel(rows, ncols=B * k)
+    content = [gcd(den, *phi.values()) for phi in vectors]
+    return tuple((tuple((s, x // g) for s, x in phi.items()), den // g) for phi, g in zip(vectors, content))
 
 
 def validate(curve: CurveModel) -> CurveModel:

@@ -5,9 +5,9 @@ row as long as the first.  The one elimination, `rref`, runs over Python
 ints on sparse rows: each row has its denominators cleared and is kept as a
 {column: int} dict of its nonzero entries, scaled to content 1 after every
 change.  The reduced row echelon form is unique, so the result does not
-depend on how the elimination reached it.  `rank` counts its pivots;
-`nullspace` and `solve_affine` read their vectors straight off the integer
-rows, dividing by the pivots once and making one Fraction per nonzero entry.
+depend on how the elimination reached it.  `rank` counts its pivots; the
+kernel is read off the integer rows once, by `kernel`, as {column: int} maps
+over one denominator, and `nullspace` and `solve_affine` make Fractions of it.
 """
 
 from __future__ import annotations
@@ -82,49 +82,53 @@ def rank(rows) -> int:
     return len(rref(rows)[1])
 
 
-def nullspace(rows, ncols):
-    """Basis of {x in Q^ncols : rows @ x = 0}, in reduced (deterministic)
-    form.  A row whose length is not ncols raises ValueError: here for the
-    first row, in `rref` for the others."""
+def kernel(rows, ncols):
+    """(vectors, den): the kernel of rows, read once off rref's integer rows
+    as one {column: int} map per free column, ascending, over den > 0, the
+    lcm of the pivot entries.  A row whose length is not ncols raises
+    ValueError: here for the first row, in `rref` for the others."""
     if rows and len(rows[0]) != ncols:
         raise ValueError(f"row 0 has {len(rows[0])} entries, not ncols = {ncols}")
-    return _kernel(*rref(rows), ncols)
+    reduced, pivots = rref(rows)
+    den = lcm(*[row[p] for row, p in zip(reduced, pivots)])
+    vectors = {c: {} for c in range(ncols)}
+    for row, p in zip(reduced, pivots):  # past its pivot a reduced row has free columns only
+        del vectors[p]
+        f = -den // row[p]
+        for c, a in row.items():
+            if c != p:
+                vectors[c][p] = a * f
+    for c, v in vectors.items():
+        v[c] = den
+    return list(vectors.values()), den
 
 
-def _kernel(reduced, pivots, ncols):
-    """Kernel basis of the first ncols columns of an eliminated matrix, one
-    vector per free column: 1 there and minus the reduced rows' entries in
-    that column at their pivots."""
-    pivot_set = set(pivots)
-    basis = []
-    for fcol in range(ncols):
-        if fcol in pivot_set:
-            continue
-        v = [_ZERO] * ncols
-        v[fcol] = _ONE
-        for row, pcol in zip(reduced, pivots):
-            a = row.get(fcol)
-            if a is not None:
-                v[pcol] = Fraction(-a, row[pcol])
-        basis.append(v)
-    return basis
+def nullspace(rows, ncols):
+    """Basis of {x in Q^ncols : rows @ x = 0}, in reduced (deterministic)
+    form: `kernel`'s vectors as dense lists of Fractions."""
+    vectors, den = kernel(rows, ncols)
+    return [_dense(v, den, ncols) for v in vectors]
+
+
+def _dense(entries, den, ncols):
+    v = [_ZERO] * ncols
+    for c, x in entries.items():
+        v[c] = Fraction(x, den) if x != den else _ONE
+    return v
 
 
 def solve_affine(rows, rhs):
     """All solutions of rows @ x = rhs: (particular, kernel_basis), or None
-    when the system is inconsistent.  At least one equation is needed, and
-    one right-hand side entry per equation."""
+    when the system is inconsistent; with rhs as one more column, (-x, 1)
+    spans its kernel vector.  It needs an equation, and an rhs entry each."""
     if not rows:
         raise ValueError("solve_affine needs at least one equation")
     if len(rhs) != len(rows):
         raise ValueError(f"solve_affine got {len(rhs)} right-hand side entries for {len(rows)} equations")
     ncols = len(rows[0])
-    reduced, pivots = rref([list(r) + [b] for r, b in zip(rows, rhs)])
-    if ncols in pivots:  # a pivot in the rhs column: inconsistent
+    vectors, den = kernel([list(r) + [b] for r, b in zip(rows, rhs)], ncols + 1)
+    if not vectors or ncols not in vectors[-1]:  # a pivot in the rhs column: inconsistent
         return None
-    x = [_ZERO] * ncols
-    for row, p in zip(reduced, pivots):
-        b = row.get(ncols)
-        if b is not None:
-            x[p] = Fraction(b, row[p])
-    return x, _kernel(reduced, pivots, ncols)
+    x = vectors.pop()
+    del x[ncols]
+    return _dense(x, -den, ncols), [_dense(v, den, ncols) for v in vectors]

@@ -11,28 +11,27 @@ with constant term zero.  One entry, `solve_sections`, serves every caller:
 `f_sections`, `canonical_parameter`, `alpha_beta`, the genus-2 fit's section
 series and the desk check's alpha table.  It takes a basis of the regular
 functions with poles bounded by m_max p_i + sum_{j != i} a_j p_j once, by one
-nullspace of the jet conditions, and expands it once at p_i.  The basis is
-triangular in the pole order at p_i, so f_i[-m] for m <= m_max is a small
+`linalg.kernel` of the jet conditions, and expands it once at p_i.  The basis
+is triangular in the pole order at p_i, so f_i[-m] for m <= m_max is a small
 solve over the basis functions with poles of order at most m.  Where their
 expansions' lows are exactly the exponents the section prescribes, -m, ...,
 -(a_i+1) and 0, the solve is forward substitution on the expansions'
-integer numerators over one common denominator, with no elimination; only
-at a Weierstrass-type point or a degenerate weight, where another low
-appears or one is missing, is it one `linalg.solve_affine`, which finds the
-section or shows it missing or not unique.  The canonical parameter at p_i
-is the unique tangent-compatible parameter making
-the coefficient at u^-a_i vanish for every m; given a depth, the entry finds
-it order by order as exact correction steps u -> u + eps u^r, advancing the
-basis expansions through each step, solves the sections over those advanced
-expansions and returns the steps.  Only `canonical_parameter` composes them,
-into the change known below u^(m_max + 6).
-A section's expansion at p_i is its coordinates' combination (`_combine`) of
-the basis expansions, summed on one list of integer numerators.  Its
-expansion at another marked point, which the change at p_i leaves alone, is
-its ambient coordinates' combination of the elements' series there
-(`_element_series`), each built once straight from the element's integer
-numerators over one denominator, the tangent's powers folded in on the
-integers.
+integer numerators, with no elimination; only at a Weierstrass-type point or
+a degenerate weight, where another low appears or one is missing, is it one
+integer kernel, which finds the section or shows it missing or not unique.
+The canonical parameter at p_i is the unique tangent-compatible parameter
+making the coefficient at u^-a_i vanish for every m; given a depth, the
+entry finds it order by order as exact correction steps u -> u + eps u^r,
+each alpha one integer dot product, advancing the basis expansions through
+each step, solves the sections over those advanced expansions and returns
+the steps.  Only `canonical_parameter` composes them, into the change known
+below u^(m_max + 6).  From the kernel to the sections, every coordinate is
+an integer over one denominator; Fractions are made only where results
+leave.  A section's expansion at p_i is its coordinates' combination
+(`_combine`) of the basis expansions.  Its expansion at another marked point
+in `at`, which the change at p_i leaves alone, is its ambient coordinates'
+combination of the elements' series there (`_element_series`); the ambient
+coordinates are built only for the points in `at`.
 """
 
 from __future__ import annotations
@@ -76,26 +75,22 @@ def _check_int(name: str, m) -> None:
         raise ValidationError(f"{name} {m!r} must be an int, not a {type(m).__name__}")
 
 
-def _element_series(curve, pid, elts, coords, low, high) -> list:
-    """Each ambient element's expansion at a marked point on exponents
-    [low, high), in the tangent-rescaled parameter u = s/v, for the elements
-    with a nonzero coordinate in some vector of coords: None for the others,
-    which `_combine` never reads.  With v = p/q, the coefficient n_e/D at s^e
-    is n_e v^e / D = n_e v^low p^(e-low) q^(high-1-e) / (D q^(high-1-low))
-    at u^e: one integer factor per exponent over one denominator."""
+def _element_series(curve, pid, elts, used, low, high) -> dict:
+    """{k: expansion of elts[k] at a marked point on exponents [low, high)}
+    for the indices k in used, in the tangent-rescaled parameter u = s/v.
+    With v = p/q, the coefficient n_e/D at s^e is n_e v^e / D =
+    n_e v^low p^(e-low) q^(high-1-e) / (D q^(high-1-low)) at u^e: one
+    integer factor per exponent over one denominator."""
     mp = curve.marked(pid)
     p, q = mp.tangent.numerator, mp.tangent.denominator
     top = max(high - 1 - low, 0)
     head, foot = _power(mp.tangent, low)
     factors = [head * p ** i * q ** (top - i) for i in range(top + 1)]
     foot *= q ** top
-    out = []
-    for k, elt in enumerate(elts):
-        if not any(y[k] for y in coords):
-            out.append(None)
-            continue
-        nums, den = _elt_expansion(elt, mp.component, mp.point, low, high)
-        out.append(LaurentSeries._of("u", low, [x * f for x, f in zip(nums, factors)], den * foot, high))
+    out = {}
+    for k in used:
+        nums, den = _elt_expansion(elts[k], mp.component, mp.point, low, high)
+        out[k] = LaurentSeries._of("u", low, [x * f for x, f in zip(nums, factors)], den * foot, high)
     return out
 
 
@@ -113,9 +108,10 @@ class Section:
 
 def _regular_basis(curve, weights, i, m_max, high):
     """(ambient basis, regular-function basis, expansions at p_i) for the
-    divisor weights + m_max p_i: one nullspace of the jet conditions (the
-    identity when there are none), each basis function expanded at p_i on
-    exponents [-m_max, high) in u = s/v.
+    divisor weights + m_max p_i: one kernel of the jet conditions (the
+    identity when there are none), (functions, den), each function a
+    {element: int} map of its coordinates over den, and each expanded at p_i
+    on exponents [-m_max, high) in u = s/v.
 
     The poles at p_i are the last columns eliminated, by order, so each
     kernel vector ends at its free column: the basis is triangular in the
@@ -125,11 +121,10 @@ def _regular_basis(curve, weights, i, m_max, high):
     mp = curve.marked(i)
     at_i = ("pole", mp.component, mp.point)
     cols = sorted(range(len(elts)), key=lambda c: elts[c][3] if elts[c][:3] == at_i else 0)
-    kernel = linalg.nullspace([[row[c] for c in cols] for row in rows], ncols=len(elts))
-    back = sorted(range(len(cols)), key=cols.__getitem__)  # the inverse permutation
-    basis = [[v[k] for k in back] for v in kernel]
-    series = _element_series(curve, i, elts, basis, -m_max, high)
-    return elts, basis, [_combine(b, series) for b in basis]
+    vectors, den = linalg.kernel([[row[c] for c in cols] for row in rows], ncols=len(elts))
+    basis = [{cols[c]: x for c, x in v.items()} for v in vectors]
+    series = _element_series(curve, i, elts, {k for v in basis for k in v}, -m_max, high)
+    return elts, (basis, den), [_combine(v, den, series) for v in basis]
 
 
 def _canonicalise(weights, i, m_max, expansions):
@@ -143,10 +138,10 @@ def _canonicalise(weights, i, m_max, expansions):
     a_i = weights.get(i, 0)
     steps = []
     for m in range(a_i + 1, m_max + 1):
-        y = _solve_section(weights, i, m, expansions)
-        alpha = sum(c * s.numerator(-a_i) / s.den for c, s in zip(y, expansions) if c)
+        z, den = _solve_section(weights, i, m, expansions)
+        alpha = sum(x * s.numerator(-a_i) for x, s in zip(z, expansions) if x)
         if alpha:
-            eps, r = alpha / m, m - a_i + 1
+            eps, r = Fraction(alpha, den * m), m - a_i + 1
             steps.append((eps, r))
             expansions = [series_substitute(s, eps, r) for s in expansions]
     return steps, expansions
@@ -156,45 +151,39 @@ def _solve_section(weights, i, m, expansions):
     """Coordinates of f_i[-m] over the first basis functions, those with a
     pole of order at most m at p_i, given the basis expansions there: the
     unique combination with coefficient 1 at -m, none on (-m, -a_i) and
-    constant term zero.  The expansions are in u = s/v or advanced through
-    exact correction steps; a valuation-1 change keeps each expansion's
-    valuation.
+    constant term zero, as integers (Z, D), D > 0: Z_k / D weighs expansion
+    k's numerators n_k, so the section's numerators are sum_k Z_k n_k over D.
+    The expansions are in u = s/v or advanced through exact correction
+    steps; a valuation-1 change keeps each expansion's valuation.
 
     When the expansions' lows are exactly the target exponents, -m, ...,
     -(a_i+1) and 0, the system is triangular with nonzero pivots, the lead
     numerators: `_forward_substitute` solves it, with no elimination.  Any
     other shape, at a Weierstrass-type point or a degenerate weight, is one
-    `linalg.solve_affine` over the expansions' integer numerators: the solve
-    is for z_k = y_k / den_k, and y_k = z_k * den_k."""
+    `linalg.kernel` of the numerators with minus the values as one more
+    column: a unique section is its one vector, D at that column."""
     near = [s for s in expansions if s.low >= -m]
     targets = [(-m, 1)] + [(e, 0) for e in range(-m + 1, -weights.get(i, 0))] + [(0, 0)]
     order = sorted(range(len(near)), key=lambda k: near[k].low)
     if [near[k].low for k in order] == [e for e, _ in targets]:
         return _forward_substitute(near, order, targets)
-    rows = [[s.numerator(e) for s in near] for e, _ in targets]
-    solved = linalg.solve_affine(rows, [value for _, value in targets])
-    if solved is None:
-        raise CohomologyError(
-            f"no section with principal part u^-{m} at {i}: h1 obstruction "
-            f"(weights {weights})"
-        )
-    z, kernel = solved
-    if kernel:
-        raise CohomologyError(
-            f"section of order {m} at {i} is not unique: "
-            f"h1({Divisor.of({**weights, i: m}).items}) != 0"
-        )
-    return [x * s.den for x, s in zip(z, near)]
+    n = len(near)
+    kernel, den = linalg.kernel([[s.numerator(e) for s in near] + [-value] for e, value in targets], n + 1)
+    if not kernel or n not in kernel[-1]:  # a pivot in the values' column
+        raise CohomologyError(f"no section with principal part u^-{m} at {i}: h1 obstruction (weights {weights})")
+    if len(kernel) > 1:
+        raise CohomologyError(f"section of order {m} at {i} is not unique: "
+                              f"h1({Divisor.of({**weights, i: m}).items}) != 0")
+    return [kernel[0].get(k, 0) for k in range(n)], den
 
 
 def _forward_substitute(near, order, targets):
-    """The coordinates y_k of the triangular system sum_k y_k near_k(e) =
-    value at each target (e, value), near[order[t]] having its lead at the
-    t-th target.  The solve is on the integers: z_k = y_k / den_k is Z_k / D
-    over one common denominator D > 0, and at the pivot k with lead numerator
-    p, R = value*D - sum_done Z_j n_j(e) gives z_k = R / (D p), so the
-    finished Z's and D scale by p / gcd(R, p), its sign moved onto Z_k.  Only
-    the results become Fractions, y_k = Z_k den_k / D."""
+    """(Z, D) for the triangular system sum_k z_k near_k(e) = value at each
+    target (e, value) in the numerators, near[order[t]] having its lead at
+    the t-th target: z_k = Z_k / D over one common denominator D > 0.  At
+    the pivot k with lead numerator p, R = value*D - sum_done Z_j n_j(e)
+    gives z_k = R / (D p), so the finished Z's and D scale by p / gcd(R, p),
+    its sign moved onto Z_k."""
     den, z, done = 1, [0] * len(near), []
     for (e, value), k in zip(targets, order):
         pivot = near[k].numerator(e)
@@ -210,35 +199,38 @@ def _forward_substitute(near, order, targets):
                 z[j] *= f
         z[k] = r
         done.append(k)
-    return [Fraction(x * s.den, den) for x, s in zip(z, near)]
+    return z, den
 
 
-def _combine(y, series) -> LaurentSeries:
-    """The combination sum_k y_k series_k, for coordinates y with a nonzero
-    entry: a section's expansion from the basis expansions.  It runs on one
-    list of integer numerators over lcm(den(y_k) * series_k.den), on
-    [min low, min cut), and divides out the content once: the sequential
-    scale-and-add in value, window and den."""
-    terms = [(c, s) for c, s in zip(y, series) if c]
+def _combine(coords, den, series) -> LaurentSeries:
+    """sum_k coords[k] series[k] / den for integer coordinates, coords a
+    nonempty {index: nonzero int} map over den > 0: a basis function's or a
+    section's expansion, on one list of integer numerators over
+    den * lcm(series[k].den), on [min low, min cut), content divided once."""
+    terms = [(c, series[k]) for k, c in coords.items()]
     low, cut = min(s.low for _, s in terms), min(s.cut for _, s in terms)
-    den = lcm(*[c.denominator * s.den for c, s in terms])
+    common = lcm(*[s.den for _, s in terms])
     acc = [0] * (cut - low)
     for c, s in terms:
-        f = c.numerator * (den // (c.denominator * s.den))
+        f = c * (common // s.den)
         for k, x in enumerate(s.coeffs[:max(cut - s.low, 0)], s.low - low):
             acc[k] += f * x
-    return LaurentSeries._of(terms[0][1].var, low, acc, den, cut)
+    return LaurentSeries._of(terms[0][1].var, low, acc, den * common, cut)
 
 
 def solve_sections(curve: CurveModel, weights: dict, i: str, orders, high: int = 1,
                    depth: int | None = None, at=()):
     """(steps, elts, {m: (coords, expansions)}): f_i[-m] for m in orders over
     one basis, with poles at p_i bounded by depth or max(orders).  Given a
-    depth, the sections are in the canonical parameter for f_i[-m],
-    m <= depth, reached from u = s/v by the exact correction steps (eps, r),
-    u -> u + eps u^r in turn; else steps is None.  coords are over the
-    ambient elements elts; expansions maps p_i to the expansion on [-m, high)
-    and each other point in at to the one on [-a_j, high)."""
+    depth, at most MAX_DEPTH, the sections are in the canonical parameter
+    for f_i[-m], m <= depth, reached from u = s/v by the exact correction
+    steps (eps, r), u -> u + eps u^r in turn; else steps is None.
+    expansions maps p_i to the expansion on [-m, high) and each other point
+    in at to the one on [-a_j, high).  Coordinates stay integers over one
+    denominator; coords, Fractions over elts, are built only if at is not
+    empty, else None."""
+    if depth is not None and depth > MAX_DEPTH:
+        raise ValidationError(f"depth {depth} is out of range: the limit is {MAX_DEPTH}")
     validate(curve)
     weights = _normalize_weights(curve, weights)
     i = f"p{curve.point_index(i)}"
@@ -248,20 +240,26 @@ def solve_sections(curve: CurveModel, weights: dict, i: str, orders, high: int =
     for m in orders:
         if m <= a_i:
             raise ValidationError(f"need m > a_i = {a_i}, got m = {m}")
-    elts, basis, expansions = _regular_basis(curve, weights, i, max(orders) if depth is None else depth, high)
+    elts, (basis, bden), expansions = _regular_basis(curve, weights, i, depth or max(orders), high)
     steps = None
     if depth is not None:
         steps, expansions = _canonicalise(weights, i, depth, expansions)
     found = {}
     for m in orders:
-        y = _solve_section(weights, i, m, expansions)
-        found[m] = y, [sum(c * b[k] for c, b in zip(y, basis) if c) for k in range(len(elts))]
+        z, den = _solve_section(weights, i, m, expansions)
+        y = {k: c * expansions[k].den for k, c in enumerate(z) if c}  # over the basis, over den
+        ambient = {}  # sum_k y_k basis_k over den * bden, only for the points in at
+        for k, c in y.items() if at else ():
+            for e, b in basis[k].items():
+                ambient[e] = ambient.get(e, 0) + c * b
+        found[m] = (y, den), ({e: c for e, c in ambient.items() if c}, den * bden)
     # the other points keep their own parameters: only p_i's moves
-    series = {pid: _element_series(curve, pid, elts, [x for _, x in found.values()], -weights.get(pid, 0), high)
-              for pid in at if pid != i}
-    return steps, elts, {m: (x, {pid: _combine(x, series[pid]) if pid in series else _combine(y, expansions)
-                                 for pid in curve.point_ids() if pid == i or pid in series})
-                         for m, (y, x) in found.items()}
+    used = {e for _, (x, _) in found.values() for e in x}
+    series = {pid: _element_series(curve, pid, elts, used, -weights.get(pid, 0), high) for pid in at if pid != i}
+    return steps, elts, {m: ([Fraction(x.get(e, 0), xden) for e in range(len(elts))] if at else None,
+                             {pid: _combine(x, xden, series[pid]) if pid in series else _combine(*y, expansions)
+                              for pid in curve.point_ids() if pid == i or pid in series})
+                         for m, (y, (x, xden)) in found.items()}
 
 
 # f_sections expands on [-m, tail): 1 <= tail, so the window holds the zero
@@ -273,8 +271,15 @@ MAX_TAIL = 1024
 # canonical_parameter's m_max is at most MAX_M_MAX.  At the bound it takes
 # about 0.12 s on zoo("Ia") marked at p0, and at m_max 64 about 1 s, about
 # as the cube of m_max (Python 3.11, one core of a shared x86-64 host).
-# solve_sections' depth is not bounded here: its callers set it.
 MAX_M_MAX = 32
+
+# solve_sections' depth is at most MAX_DEPTH, 2g + 7 at g = 62: the deepest
+# alpha table of the contraction-point family <g, g+2, ..., 2g+1> that
+# curves.MAX_JET_WIDTH admits.  At the bound that table (marked at 2, tangent
+# -3) takes about 8 s, and the correction steps on zoo("Ia") at p0 about
+# 11 s, about as the cube of the depth (Python 3.11, one core of a shared
+# x86-64 host).
+MAX_DEPTH = 131
 
 
 def f_sections(curve: CurveModel, weights: dict, i: str, m: int, tail: int = 6) -> Section:

@@ -7,9 +7,11 @@ expansions against them, and the second route of `test_sections` expands
 through them.
 
 `_solve_section` is the section solve as one elimination, `linalg.solve_affine`
-over the expansions' integer numerators, for every shape of the system, and
-`_combine` the sequential scale-and-add of the basis expansions: the package's
-forward substitution and one-pass combination are compared against them.
+over the expansions' integer numerators, for every shape of the system, giving
+Fraction coordinates; `_canonicalise` reads each alpha from them as a sum of
+Fractions; and `_combine` is the sequential scale-and-add of the basis
+expansions: the package's integer forward substitution, alpha read and
+one-pass combination are compared against them.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 from nsc import linalg
 from nsc.curves import EXPANSION_CACHE_SIZE, Divisor, Infinity
 from nsc.errors import CohomologyError
-from nsc.laurent import LaurentSeries
+from nsc.laurent import LaurentSeries, series_substitute
 
 
 def _binom_neg(j: int, i: int) -> Fraction:
@@ -105,6 +107,20 @@ def _solve_section(weights, i, m, expansions):
             f"h1({Divisor.of({**weights, i: m}).items}) != 0"
         )
     return [x * s.den for x, s in zip(z, near)]
+
+
+def _canonicalise(weights, i, m_max, expansions):
+    """The correction steps and advanced expansions, each alpha read as
+    sum_k y_k n_k(-a_i) / den_k from the elimination's coordinates."""
+    a_i = weights.get(i, 0)
+    steps = []
+    for m in range(a_i + 1, m_max + 1):
+        y = _solve_section(weights, i, m, expansions)
+        alpha = sum(c * s.numerator(-a_i) / s.den for c, s in zip(y, expansions) if c)
+        if alpha:
+            steps.append((alpha / m, m - a_i + 1))
+            expansions = [series_substitute(s, *steps[-1]) for s in expansions]
+    return steps, expansions
 
 
 def _combine(y, series) -> LaurentSeries:

@@ -162,6 +162,64 @@ def test_nullspace_matches_the_rref_route(rows, ncols):
 
 
 @st.composite
+def kernel_cases(draw):
+    """(kind, rows, ncols): no rows, zero rows, or rows in echelon form on
+    drawn pivot columns, mixed by row operations that keep the row space
+    and shuffled: a pivot in every column, pivot entries all negative, the
+    first or the last column free, or drawn."""
+    kind = draw(st.sampled_from(("no rows", "zero rows", "full rank", "negative pivots",
+                                 "free first", "free last", "drawn")))
+    ncols = draw(st.integers(0 if kind in ("no rows", "zero rows", "drawn") else 2, 7))
+    if kind == "no rows":
+        return kind, [], ncols
+    if kind == "zero rows":
+        return kind, draw(st.lists(st.lists(st.sampled_from((0, Fraction(0))), min_size=ncols,
+                                            max_size=ncols), min_size=1, max_size=4)), ncols
+    columns = range(1 if kind == "free first" else 0, ncols - 1 if kind == "free last" else ncols)
+    if kind == "full rank":
+        pivots = list(columns)
+    else:
+        pivots = sorted(draw(st.sets(st.sampled_from(columns))) if columns else ())
+    rows = []
+    for p in pivots:
+        lead = draw(st.integers(1, 9).map(lambda x: -x) if kind == "negative pivots" else ENTRIES.filter(bool))
+        rows.append([0] * p + [lead] + draw(st.lists(ENTRIES, min_size=ncols - p - 1, max_size=ncols - p - 1)))
+    if kind != "negative pivots" and len(rows) > 1:
+        for _ in range(draw(st.integers(0, 3))):  # row i += c * row j
+            i, j = draw(st.permutations(range(len(rows))))[:2]
+            c = draw(ENTRIES)
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+        rows = draw(st.permutations(rows))
+    return kind, rows, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases())
+def test_kernel_read_off_matches_the_reference(case):
+    # each vector, read once off the integer rows as a sparse map over the
+    # lcm of the pivot entries, is the reference's vector times that
+    # denominator; the Fractions that nullspace builds from it are the
+    # reference's in value and in type
+    kind, rows, ncols = case
+    expected = reference_nullspace(rows, ncols)
+    got, den = linalg.kernel(rows, ncols)
+    reduced, pivots = linalg.rref(rows)
+    assert den == math.lcm(*[row[p] for row, p in zip(reduced, pivots)]) > 0
+    assert len(got) == len(expected)
+    for entries, v in zip(got, expected):
+        assert all(type(x) is int and x for x in entries.values())
+        assert list(entries) == sorted(entries)
+        assert entries == {c: x * den for c, x in enumerate(v) if x}
+    assert_same_vectors(linalg.nullspace(rows, ncols), expected)
+    if kind == "negative pivots" and rows:
+        assert any(row[p] < 0 for row, p in zip(reduced, pivots))
+    if kind == "full rank":
+        assert got == []
+    if kind in ("free first", "free last"):
+        assert (0 if kind == "free first" else ncols - 1) in {max(v) for v in got}
+
+
+@st.composite
 def systems(draw):
     """A nonempty system: a right-hand side made consistent from a drawn
     solution, drawn at random, or made inconsistent by a nonzero entry
@@ -233,7 +291,10 @@ def test_solve_affine_rank_deficient_consistent():
     (lambda: linalg.nullspace([[1], [0, 1]], ncols=2), "row 0 has 1 entries, not ncols = 2"),
     (lambda: linalg.nullspace([[1, 0], [0, 1]], ncols=3), "row 0 has 2 entries, not ncols = 3"),
     (lambda: linalg.nullspace([[1, 0], [0]], ncols=2), "row 1 is not as long as row 0"),
-], ids=["rank", "solve_affine", "nullspace", "nullspace-ncols", "nullspace-later-row"])
+    (lambda: linalg.kernel([[1, 0], [0, 1]], ncols=3), "row 0 has 2 entries, not ncols = 3"),
+    (lambda: linalg.kernel([[1, 0], [0]], ncols=2), "row 1 is not as long as row 0"),
+], ids=["rank", "solve_affine", "nullspace", "nullspace-ncols", "nullspace-later-row", "kernel-ncols",
+        "kernel-later-row"])
 def test_ragged_rows_are_refused_by_name(call, message):
     with pytest.raises(ValueError, match=message):
         call()
